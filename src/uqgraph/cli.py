@@ -26,6 +26,7 @@ from .construction import (
 from .errors import UQGraphError
 from .field import make_field, prime_power
 from .graph import (
+    DEFAULT_MAX_VERTICES,
     build_graph,
     degree_formula,
     export_dimacs,
@@ -181,6 +182,8 @@ def _parse_q_range(text: str) -> list[int]:
         lo, hi = int(lo_text), int(hi_text)
         if hi < lo:
             raise ValueError(f"empty q range {text!r}")
+        if hi - lo >= DEFAULT_MAX_VERTICES:
+            raise ValueError(f"q range {text!r} holds more than {DEFAULT_MAX_VERTICES} values")
         return list(range(lo, hi + 1))
     return [int(text)]
 

@@ -31,7 +31,7 @@ from .errors import (
     NotNonsquareError,
     TooLargeError,
 )
-from .field import FieldCtx
+from .field import FieldCtx, prime_power
 from .graph import DEFAULT_MAX_VERTICES, UnitQuadranceGraph, quadrance
 
 
@@ -275,13 +275,13 @@ def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):
     colors = coloring.colors
     if np.any(colors < 0):
         raise IncompleteColoringError("some vertices are uncolored")
-    for u in range(n):
-        nbrs = graph.neighbors_of(u)
-        later = nbrs[nbrs > u]
-        hits = later[colors[later] == colors[u]]
-        if hits.size:
-            return (u, int(hits[0]))
-    return None
+    # Rows are sorted and symmetric, so the first clash in row-major order is
+    # the first conflicting edge: a clashing neighbor below u clashes earlier.
+    clash = colors[graph.adjacency] == colors[:, None]
+    if not clash.any():
+        return None
+    u, k = divmod(int(clash.argmax()), graph.degree)
+    return (u, int(graph.adjacency[u, k]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +317,16 @@ def read_coloring(source) -> Coloring:
     if header is None:
         raise ValueError(f"bad coloring header: {lines[0]!r}")
     q, m, k = (int(g) for g in header.groups())
+    # Checked before anything is sized by the header; q >= 3, so an m past
+    # the bound's bit length overflows it and q**m is never formed.
+    decomposition = prime_power(q) if q <= DEFAULT_MAX_VERTICES else None
+    if (decomposition is None or decomposition[0] == 2
+            or not 2 <= m < DEFAULT_MAX_VERTICES.bit_length()
+            or q**m > DEFAULT_MAX_VERTICES):
+        raise ValueError(f"coloring header q={q} m={m} needs an odd prime power q,"
+                         f" m >= 2 and q**m <= {DEFAULT_MAX_VERTICES}")
     n = q**m
-    colors = np.full(n, -1, dtype=np.int64)
+    colors = [-1] * n
     for line in lines[1:]:
         if line.startswith("#"):
             continue
@@ -330,8 +338,9 @@ def read_coloring(source) -> Coloring:
             raise ValueError(f"vertex index {idx} outside [0, {n})")
         if not 0 <= color < k:
             raise ValueError(f"color {color} outside [0, {k})")
+        if colors[idx] >= 0:
+            raise ValueError(f"vertex index {idx} is colored twice")
         colors[idx] = color
-    if np.any(colors < 0):
-        missing = int(np.flatnonzero(colors < 0)[0])
-        raise IncompleteColoringError(f"vertex {missing} has no color")
-    return Coloring(q=q, m=m, colors=colors, k=k)
+    if -1 in colors:
+        raise IncompleteColoringError(f"vertex {colors.index(-1)} has no color")
+    return Coloring(q=q, m=m, colors=np.array(colors, dtype=np.int64), k=k)

@@ -3,15 +3,16 @@
 Vertices are the points of F_q^m indexed row-major over canonical
 element codes, last coordinate fastest; two points are adjacent exactly
 when their quadrance (the sum of squared coordinate differences) is 1.
-Adjacency is a Cayley structure on the additive group, so the graph is
-built by translating the unit circle across all vertices and every
-vertex has degree equal to the circle size.
+Adjacency is a Cayley structure on the additive group: u ~ v exactly when
+v - u lies on the unit circle S. The graph is one (N, |S|) integer array
+whose row u holds the sorted neighbors u + S, and the triangle count
+follows from S alone: T = N * #{(s, s') in S^2 : s + s' in S} / 6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,14 +102,13 @@ def unit_circle(
 
 
 class UnitQuadranceGraph:
-    """Dense adjacency of D_q^m with packed-bit rows and sorted neighbor lists."""
+    """D_q^m as its connection set plus one (N, degree) array of sorted neighbor rows."""
 
-    def __init__(self, ctx, m, connection_set, neighbor_matrix, rows):
+    def __init__(self, ctx, m, connection_set, adjacency):
         self.ctx = ctx
         self.m = m
         self.connection_set = connection_set
-        self._nbr = neighbor_matrix  # (degree, N), column i sorted = neighbors of i
-        self._rows = rows  # python-int bitmasks, one per vertex
+        self.adjacency = adjacency
 
     @property
     def q(self) -> int:
@@ -116,7 +116,7 @@ class UnitQuadranceGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self._rows)
+        return len(self.adjacency)
 
     @property
     def degree(self) -> int:
@@ -127,20 +127,14 @@ class UnitQuadranceGraph:
         return self.n_vertices * self.degree // 2
 
     def neighbors_of(self, u: int) -> np.ndarray:
-        return self._nbr[:, u]
+        return self.adjacency[u]
 
     def row_bits(self, u: int) -> int:
-        return self._rows[u]
+        """The neighbors of u as an int bitmask, built on demand."""
+        return sum(1 << v for v in self.adjacency[u].tolist())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (self._rows[u] >> v) & 1 == 1
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """All edges (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n_vertices):
-            for v in self._nbr[:, u]:
-                if v > u:
-                    yield (u, int(v))
+        return v in self.adjacency[u]
 
     def index_of(self, coords) -> int:
         return vertex_index(self.q, _coords_of(coords))
@@ -170,38 +164,26 @@ def build_graph(
     add_tab = ctx.add_table()
     q = ctx.q
     cols = _digit_columns(q, m, n_vertices)
-    nbr = np.empty((len(circle), n_vertices), dtype=np.int64)
+    adjacency = np.empty((n_vertices, len(circle)), dtype=np.int64)
     for k, s in enumerate(circle):
         acc = add_tab[cols[0], s.coords[0]]
         for j in range(1, m):
             acc = acc * q + add_tab[cols[j], s.coords[j]]
-        nbr[k] = acc
-    nbr.sort(axis=0)
-    rows = []
-    buf = np.zeros(n_vertices, dtype=bool)
-    for i in range(n_vertices):
-        buf[:] = False
-        buf[nbr[:, i]] = True
-        rows.append(
-            int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
-        )
-    return UnitQuadranceGraph(ctx, m, circle, nbr, rows)
+        adjacency[:, k] = acc
+    adjacency.sort(axis=1)
+    return UnitQuadranceGraph(ctx, m, circle, adjacency)
 
 
 def triangle_count(graph: UnitQuadranceGraph) -> int:
-    """Exact number of triangles, via bitset intersections over edges.
+    """Exact number of triangles, from the unit circle S alone.
 
-    Each triangle is seen once per edge, so the edge-wise common-neighbor
-    total is exactly three times the triangle count.
+    Looking S's own rows s + S up in S counts the pairs (s, s') with
+    s + s' in S. Each triangle {0, s, s + s'} at the origin is counted
+    twice, every vertex lies on as many, and a triangle has three vertices.
     """
-    rows = graph._rows
-    total = 0
-    for u in range(graph.n_vertices):
-        row_u = rows[u]
-        for v in graph.neighbors_of(u):
-            if v > u:
-                total += (row_u & rows[v]).bit_count()
-    return total // 3
+    circle = np.array([s.index for s in graph.connection_set], dtype=np.int64)
+    pairs = int(np.count_nonzero(np.isin(graph.adjacency[circle], circle)))
+    return graph.n_vertices * pairs // 6
 
 
 def triangle_free_predicted(q: int) -> bool | None:
@@ -221,20 +203,26 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
     binary stream.
     """
     ctx = graph.ctx
-    lines = [
-        "c unit-quadrance graph\n",
-        f"c q={ctx.q} p={ctx.p} n={ctx.n} m={graph.m}\n",
-        f"c modulus={','.join(str(c) for c in ctx.modulus)}\n",
-        f"p edge {graph.n_vertices} {graph.n_edges}\n",
-    ]
-    for u, v in graph.edges():
-        lines.append(f"e {u + 1} {v + 1}\n")
-    data = "".join(lines)
+    header = (
+        "c unit-quadrance graph\n"
+        f"c q={ctx.q} p={ctx.p} n={ctx.n} m={graph.m}\n"
+        f"c modulus={','.join(str(c) for c in ctx.modulus)}\n"
+        f"p edge {graph.n_vertices} {graph.n_edges}\n"
+    )
+    names = [str(v + 1) for v in range(graph.n_vertices)]
     try:
         try:
-            sink.write(data)
+            sink.write(header)
+            binary = False
         except TypeError:
-            sink.write(data.encode("ascii"))
+            sink.write(header.encode("ascii"))
+            binary = True
+        for u, row in enumerate(graph.adjacency):
+            later = row[row > u].tolist()
+            if later:
+                head = f"e {names[u]} "
+                text = head + ("\n" + head).join([names[v] for v in later]) + "\n"
+                sink.write(text.encode("ascii") if binary else text)
     except (OSError, ValueError, AttributeError) as exc:
         raise IOFailureError(f"could not write DIMACS output: {exc}") from exc
 

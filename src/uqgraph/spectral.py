@@ -63,8 +63,7 @@ def dense_spectrum(
     if n > max_vertices:
         raise TooLargeError(f"{n} vertices exceed the dense bound {max_vertices}")
     adj = np.zeros((n, n), dtype=np.float64)
-    for u in range(n):
-        adj[u, graph.neighbors_of(u)] = 1.0
+    np.put_along_axis(adj, graph.adjacency, 1.0, axis=1)
     try:
         eig = np.linalg.eigvalsh(adj)
     except np.linalg.LinAlgError as exc:

@@ -158,6 +158,41 @@ def test_verify_improper_file(capsys, tmp_path):
     assert "violation" in stdout
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "# q=1000003 m=3 k=1",  # q**m far beyond the vertex bound
+        "# q=3 m=30 k=1",  # m alone rules the size out, before q**m is formed
+        "# q=6 m=2 k=1",
+        "# q=8 m=2 k=1",
+        "# q=5 m=1 k=1",
+    ],
+)
+def test_verify_rejects_header_before_allocating(capsys, tmp_path, header):
+    path = tmp_path / "header.txt"
+    path.write_text(header + "\n0 0\n")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: coloring header")
+    assert "Traceback" not in err
+
+
+def test_verify_duplicate_vertex_is_input_error(capsys, tmp_path):
+    path = tmp_path / "twice.txt"
+    lines = ["# q=3 m=2 k=2\n", "0 0\n", "0 1\n"] + [f"{i} 0\n" for i in range(1, 9)]
+    path.write_text("".join(lines))
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    assert err.startswith("error: vertex index 0 ")
+
+
+def test_report_rejects_oversized_range(capsys):
+    code, stdout, err = run(capsys, "report", "--q", "3..1000000000000000", "--json")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: q range") and "Traceback" not in err
+
+
 def test_report_single_q(capsys):
     code, stdout, _ = run(capsys, "report", "--q", "7", "--json")
     assert code == 0

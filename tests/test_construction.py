@@ -220,6 +220,33 @@ def test_verify_coloring_reports_first_violation():
     assert verify_coloring(g, damaged) == (u, v)
 
 
+def _first_violation_by_rows(graph, colors):
+    """Oracle: scan each vertex's later neighbors in order."""
+    for u in range(graph.n_vertices):
+        nbrs = graph.neighbors_of(u)
+        later = nbrs[nbrs > u]
+        hits = later[colors[later] == colors[u]]
+        if hits.size:
+            return (u, int(hits[0]))
+    return None
+
+
+@pytest.mark.parametrize("q, m", [(5, 2), (7, 2), (9, 2), (5, 3)])
+def test_verify_coloring_against_row_scan_oracle(q, m):
+    ctx = field_for(q)
+    g = graph_for(q, m)
+    base = build_coloring_md(ctx, m, make_plan(ctx))
+    rng = np.random.default_rng(1000 * q + m)
+    assert verify_coloring(g, base) is None
+    assert _first_violation_by_rows(g, base.colors) is None
+    for trial in range(40):
+        colors = base.colors.copy()
+        changed = rng.choice(g.n_vertices, size=1 + trial % 4, replace=False)
+        colors[changed] = rng.integers(0, base.k, size=changed.size)
+        recolored = Coloring(q=q, m=m, colors=colors, k=base.k)
+        assert verify_coloring(g, recolored) == _first_violation_by_rows(g, colors)
+
+
 def test_coloring_file_round_trip(tmp_path):
     ctx = field_for(7)
     coloring = build_coloring_2d(ctx, make_plan(ctx))

@@ -156,15 +156,22 @@ def test_triangle_counts():
     assert triangle_count(graph_for(13)) == 676
 
 
-def test_triangle_count_against_enumeration_oracle():
-    g = graph_for(11)
+@pytest.mark.parametrize(
+    "q, m, expected",
+    [
+        (5, 2, 0), (7, 2, 0), (9, 2, 108), (11, 2, 484), (13, 2, 676),
+        (25, 2, 5000), (27, 2, 3402), (49, 2, 38416), (3, 3, 27), (5, 3, 2500),
+    ],
+)
+def test_triangle_count_against_enumeration_oracle(q, m, expected):
+    g = graph_for(q, m)
     adj = [set(int(v) for v in g.neighbors_of(u)) for u in range(g.n_vertices)]
     count = 0
     for u in range(g.n_vertices):
         for v in adj[u]:
             if v > u:
                 count += sum(1 for w in adj[u] & adj[v] if w > v)
-    assert triangle_count(g) == count == 484
+    assert triangle_count(g) == count == expected
 
 
 def test_triangle_free_predicted():
