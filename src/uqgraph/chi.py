@@ -8,6 +8,11 @@ round tries to exhaust (upper-1)-colorings with color-permutation
 symmetry removed (the first vertex is fixed to color 0 and new colors
 are introduced in order). A completed exhaustion proves optimality; an
 exhausted budget degrades the result to a valid bracket.
+
+Both the greedy pass and the search branch on the argmax of the key
+sat * (N + 1) + deg: saturation, then degree, then the lowest index.
+The search keeps the keys in one array, updated as colors are placed
+and undone; a colored vertex sinks below zero by (k + 1) * (N + 1).
 """
 
 from __future__ import annotations
@@ -56,13 +61,6 @@ class ChiResult:
         }
 
 
-def _lowest_missing(mask: int) -> int:
-    c = 0
-    while (mask >> c) & 1:
-        c += 1
-    return c
-
-
 def greedy_bound(graph) -> Coloring:
     """Proper coloring from greedy assignment in DSATUR order.
 
@@ -77,7 +75,7 @@ def greedy_bound(graph) -> Coloring:
     score = np.array([len(x) for x in nbrs], dtype=np.int64)
     for _ in range(n):
         v = int(np.argmax(score))
-        c = _lowest_missing(forbid[v])
+        c = ((forbid[v] + 1) & ~forbid[v]).bit_length() - 1  # lowest free color
         colors[v] = c
         score[v] = -1
         bit = 1 << c
@@ -170,28 +168,15 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
     if k < 1:
         return "none", None, nodes
     nbrs = [[int(w) for w in graph.neighbors_of(u)] for u in range(n)]
-    deg = [len(x) for x in nbrs]
     colors = [-1] * n
     forbid = [0] * n
-    sat = [0] * n
+    big = n + 1  # outranks any degree, so saturation dominates the score
+    done = (k + 1) * big  # outranks any saturation, so colored vertices sink
+    score = np.array([len(x) for x in nbrs], dtype=np.int64)
     full = (1 << k) - 1
     max_used = -1
-    n_colored = 0
 
-    def pick() -> int:
-        best_v = -1
-        best_sat = -1
-        best_deg = -1
-        for u in range(n):
-            if colors[u] < 0:
-                s = sat[u]
-                if s > best_sat or (s == best_sat and deg[u] > best_deg):
-                    best_v = u
-                    best_sat = s
-                    best_deg = deg[u]
-        return best_v
-
-    v0 = pick()
+    v0 = int(score.argmax())
     # frame: [vertex, colors left to try, bit of current try, touched, saved max_used]
     stack = [[v0, (~forbid[v0]) & full & ((1 << (max_used + 2)) - 1), 0, [], -1]]
     while stack:
@@ -201,9 +186,9 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
             bit = frame[2]
             for w in frame[3]:
                 forbid[w] ^= bit
-                sat[w] -= 1
+                score[w] -= big
             colors[v] = -1
-            n_colored -= 1
+            score[v] += done
             max_used = frame[4]
             frame[2] = 0
             frame[3] = []
@@ -220,7 +205,7 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
         ):
             return "budget", None, nodes
         colors[v] = c
-        n_colored += 1
+        score[v] -= done
         frame[2] = bit
         frame[4] = max_used
         if c > max_used:
@@ -233,13 +218,13 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
                 if not fw & bit:
                     fw |= bit
                     forbid[w] = fw
-                    sat[w] += 1
+                    score[w] += big
                     touched.append(w)
                     if fw == full:
                         dead = True
         if dead:
             continue
-        if n_colored == n:
+        if len(stack) == n:  # every frame on the stack holds a colored vertex
             witness = Coloring(
                 q=graph.q,
                 m=graph.m,
@@ -247,7 +232,7 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
                 k=max_used + 1,
             )
             return "found", witness, nodes
-        nv = pick()
+        nv = int(score.argmax())
         allowed = (~forbid[nv]) & full & ((1 << (max_used + 2)) - 1)
         if allowed == 0:
             continue

@@ -23,8 +23,8 @@ from .construction import (
     verify_coloring,
     write_coloring,
 )
-from .errors import UQGraphError
-from .field import make_field, prime_power
+from .errors import TooLargeError, UQGraphError
+from .field import DEFAULT_MAX_ORDER, make_field, prime_power
 from .graph import (
     DEFAULT_MAX_VERTICES,
     build_graph,
@@ -47,7 +47,13 @@ EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 
 
+def _check_order(q: int) -> None:
+    if q > DEFAULT_MAX_ORDER:  # before prime_power, which trial-divides
+        raise TooLargeError(f"q={q} exceeds the order bound {DEFAULT_MAX_ORDER}")
+
+
 def _field_for(q: int):
+    _check_order(q)
     decomposition = prime_power(q)
     if decomposition is None:
         raise UQGraphError(f"q={q} is not a prime power")
@@ -184,8 +190,10 @@ def _parse_q_range(text: str) -> list[int]:
             raise ValueError(f"empty q range {text!r}")
         if hi - lo >= DEFAULT_MAX_VERTICES:
             raise ValueError(f"q range {text!r} holds more than {DEFAULT_MAX_VERTICES} values")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    else:
+        lo = hi = int(text)
+    _check_order(hi)
+    return list(range(lo, hi + 1))
 
 
 def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:

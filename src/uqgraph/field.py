@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -48,7 +49,7 @@ def prime_power(q: int) -> tuple[int, int] | None:
     if q < 2:
         return None
     p = q
-    for f in range(2, int(q**0.5) + 1):
+    for f in range(2, math.isqrt(q) + 1):
         if q % f == 0:
             p = f
             break

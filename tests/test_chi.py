@@ -1,8 +1,10 @@
 """Greedy bound, clique bound, and the exact chromatic solver."""
 
 from itertools import combinations, product
+from time import perf_counter
 
 import numpy as np
+import pytest
 
 from conftest import graph_for
 from uqgraph import (
@@ -13,6 +15,8 @@ from uqgraph import (
     hoffman_bound,
     verify_coloring,
 )
+from uqgraph.chi import _search_k_coloring
+from uqgraph.construction import Coloring
 
 
 class StubGraph:
@@ -185,3 +189,137 @@ def test_record_shape():
     record = exact_chromatic(graph_for(5)).record()
     assert set(record) == {"q", "m", "status", "lower", "upper", "nodes", "millis"}
     assert record["q"] == 5 and record["m"] == 2 and record["status"] == "exact"
+
+
+def scan_search_k_coloring(graph, k, deadline, node_limit, nodes):
+    """The DSATUR search as it was before the score array: pick() scans
+    every vertex at every node. Kept as the oracle for the array search."""
+    n = graph.n_vertices
+    if n == 0:
+        return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
+    if k < 1:
+        return "none", None, nodes
+    nbrs = [[int(w) for w in graph.neighbors_of(u)] for u in range(n)]
+    deg = [len(x) for x in nbrs]
+    colors = [-1] * n
+    forbid = [0] * n
+    sat = [0] * n
+    full = (1 << k) - 1
+    max_used = -1
+    n_colored = 0
+
+    def pick() -> int:
+        best_v = -1
+        best_sat = -1
+        best_deg = -1
+        for u in range(n):
+            if colors[u] < 0:
+                s = sat[u]
+                if s > best_sat or (s == best_sat and deg[u] > best_deg):
+                    best_v = u
+                    best_sat = s
+                    best_deg = deg[u]
+        return best_v
+
+    v0 = pick()
+    stack = [[v0, (~forbid[v0]) & full & ((1 << (max_used + 2)) - 1), 0, [], -1]]
+    while stack:
+        frame = stack[-1]
+        v = frame[0]
+        if frame[2]:
+            bit = frame[2]
+            for w in frame[3]:
+                forbid[w] ^= bit
+                sat[w] -= 1
+            colors[v] = -1
+            n_colored -= 1
+            max_used = frame[4]
+            frame[2] = 0
+            frame[3] = []
+        rem = frame[1]
+        if rem == 0:
+            stack.pop()
+            continue
+        bit = rem & -rem
+        c = bit.bit_length() - 1
+        frame[1] = rem ^ bit
+        nodes += 1
+        if nodes >= node_limit or (
+            (nodes & 1023) == 0 and perf_counter() > deadline
+        ):
+            return "budget", None, nodes
+        colors[v] = c
+        n_colored += 1
+        frame[2] = bit
+        frame[4] = max_used
+        if c > max_used:
+            max_used = c
+        touched = frame[3]
+        dead = False
+        for w in nbrs[v]:
+            if colors[w] < 0:
+                fw = forbid[w]
+                if not fw & bit:
+                    fw |= bit
+                    forbid[w] = fw
+                    sat[w] += 1
+                    touched.append(w)
+                    if fw == full:
+                        dead = True
+        if dead:
+            continue
+        if n_colored == n:
+            witness = Coloring(
+                q=graph.q,
+                m=graph.m,
+                colors=np.array(colors, dtype=np.int64),
+                k=max_used + 1,
+            )
+            return "found", witness, nodes
+        nv = pick()
+        allowed = (~forbid[nv]) & full & ((1 << (max_used + 2)) - 1)
+        if allowed == 0:
+            continue
+        stack.append([nv, allowed, 0, [], -1])
+    return "none", None, nodes
+
+
+def search_outcomes(search, graph):
+    """(k, node limit, status, nodes, witness colors) for every k from 2 up
+    to the greedy bound and every node limit, with no deadline."""
+    out = []
+    for k in range(2, greedy_bound(graph).k + 1):
+        for node_limit in (1, 500, 5000):
+            status, found, nodes = search(graph, k, float("inf"), node_limit, 0)
+            colors = None if found is None else found.colors.tolist()
+            out.append((k, node_limit, status, nodes, colors))
+    return out
+
+
+@pytest.mark.parametrize("q, m", [(5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (3, 3), (5, 3)])
+def test_score_array_search_matches_scan_oracle(q, m):
+    g = graph_for(q, m)
+    assert search_outcomes(_search_k_coloring, g) == search_outcomes(scan_search_k_coloring, g)
+
+
+def test_score_array_search_matches_scan_oracle_on_uneven_degrees():
+    rng = np.random.default_rng(20261017)
+    for _ in range(50):
+        n = int(rng.integers(10, 61))
+        weight = rng.uniform(0.05, 0.95, size=n)  # per-vertex, so degrees spread
+        edges = [
+            (u, v)
+            for u, v in combinations(range(n), 2)
+            if rng.random() < weight[u] * weight[v]
+        ]
+        g = StubGraph(n, edges)
+        assert search_outcomes(_search_k_coloring, g) == search_outcomes(
+            scan_search_k_coloring, g
+        )
+
+
+def test_pinned_search_counts():
+    assert exact_chromatic(graph_for(7)).nodes == 41
+    for q in (11, 13):
+        result = exact_chromatic(graph_for(q), node_limit=20000)
+        assert (result.status, result.lower, result.upper) == ("bounded", 3, 6)

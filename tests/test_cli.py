@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output stability."""
 
 import json
+import signal
 
 import pytest
 
@@ -191,6 +192,41 @@ def test_report_rejects_oversized_range(capsys):
     assert code == 2
     assert stdout == ""
     assert err.startswith("error: q range") and "Traceback" not in err
+
+
+class _Expired(Exception):
+    """Raised by the alarm; not an error type that main() turns into exit 2."""
+
+
+def run_within_a_second(capsys, *argv):
+    def expire(signum, frame):
+        raise _Expired(f"{argv} did not return within a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return run(capsys, *argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_build_rejects_huge_q_before_factoring(capsys):
+    code, stdout, err = run_within_a_second(capsys, "build", "--q", str(10**400))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: q=") and "order bound" in err
+    assert "Traceback" not in err
+
+
+def test_report_rejects_huge_q_before_factoring(capsys):
+    code, stdout, err = run_within_a_second(
+        capsys, "report", "--q", "1000000000000000003", "--json"
+    )
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: q=") and "order bound" in err
+    assert "Traceback" not in err
 
 
 def test_report_single_q(capsys):
