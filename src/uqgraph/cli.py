@@ -32,6 +32,7 @@ from .graph import (
     export_dimacs,
     triangle_count,
     triangle_free_predicted,
+    vertex_count,
 )
 from .spectral import (
     cayley_spectrum,
@@ -52,8 +53,9 @@ def _check_order(q: int) -> None:
         raise TooLargeError(f"q={q} exceeds the order bound {DEFAULT_MAX_ORDER}")
 
 
-def _field_for(q: int):
+def _field_for(q: int, m: int):
     _check_order(q)
+    vertex_count(q, m)  # before any field table is built
     decomposition = prime_power(q)
     if decomposition is None:
         raise UQGraphError(f"q={q} is not a prime power")
@@ -79,7 +81,7 @@ def _dump(record, as_json: bool) -> None:
 
 
 def cmd_build(args) -> int:
-    ctx = _field_for(args.q)
+    ctx = _field_for(args.q, args.m)
     graph = build_graph(ctx, args.m)
     with _open_out(args.out) as sink:
         export_dimacs(graph, sink)
@@ -87,7 +89,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_color(args) -> int:
-    ctx = _field_for(args.q)
+    ctx = _field_for(args.q, args.m)
     plan = make_plan(ctx, a=args.a, t=args.t)
     coloring = build_coloring_md(ctx, args.m, plan)
     graph = build_graph(ctx, args.m)
@@ -109,7 +111,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    ctx = _field_for(args.q)
+    ctx = _field_for(args.q, args.m)
     graph = build_graph(ctx, args.m)
     result = exact_chromatic(graph, time_limit=args.timeout, node_limit=args.nodes)
     if args.out:
@@ -119,7 +121,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    ctx = _field_for(args.q)
+    ctx = _field_for(args.q, args.m)
     methods = ["dense", "cayley"] if args.method == "both" else [args.method]
     spectra = {}
     for method in methods:
@@ -158,7 +160,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_triangles(args) -> int:
-    ctx = _field_for(args.q)
+    ctx = _field_for(args.q, args.m)
     graph = build_graph(ctx, args.m)
     record = {
         "q": ctx.q,
@@ -172,7 +174,7 @@ def cmd_triangles(args) -> int:
 
 def cmd_verify(args) -> int:
     coloring = read_coloring(args.file)
-    ctx = _field_for(coloring.q)
+    ctx = _field_for(coloring.q, coloring.m)
     graph = build_graph(ctx, coloring.m)
     violation = verify_coloring(graph, coloring)
     if violation is None:
@@ -197,7 +199,7 @@ def _parse_q_range(text: str) -> list[int]:
 
 
 def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
-    ctx = _field_for(q)
+    ctx = _field_for(q, m)
     graph = build_graph(ctx, m)
     record = {
         "q": q,
@@ -235,8 +237,8 @@ def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
     record["predictedTriangleFree"] = predicted
     aq_ok = True
     aq_value = None
-    for t in range(1, ctx.q):
-        if ctx.quadratic_character(t) == -1:
+    for t, char in enumerate(ctx.character_vector().tolist()):
+        if char == -1:
             report = count_Aq(ctx, t)
             aq_value = report.formula_value
             if report.brute_count != report.formula_value:

@@ -32,7 +32,7 @@ from .errors import (
     TooLargeError,
 )
 from .field import FieldCtx, prime_power
-from .graph import DEFAULT_MAX_VERTICES, UnitQuadranceGraph, quadrance
+from .graph import DEFAULT_MAX_VERTICES, UnitQuadranceGraph, vertex_count
 
 
 @dataclass(frozen=True)
@@ -102,10 +102,9 @@ def count_Aq(ctx: FieldCtx, t: int) -> CharCountReport:
     """Count squares i in F_q* with t - i a nonsquare, for a nonsquare t."""
     if ctx.quadratic_character(t) != -1:
         raise NotNonsquareError(f"t={t} is not a nonsquare in F_{ctx.q}")
-    brute = 0
-    for i in range(1, ctx.q):
-        if ctx.quadratic_character(i) == 1 and ctx.quadratic_character(ctx.sub(t, i)) == -1:
-            brute += 1
+    chars = ctx.character_vector()
+    t_minus = ctx.add_arrays(t, ctx.mul_vector(ctx.neg(1)))  # t - i for every i
+    brute = int(np.count_nonzero((chars == 1) & (chars[t_minus] == -1)))
     sign = (-1) ** ((ctx.q - 1) // 2)
     return CharCountReport(t=t, brute_count=brute, formula_value=(ctx.q + sign - 2) // 4)
 
@@ -161,47 +160,48 @@ def validate_plan(ctx: FieldCtx, plan: ColoringPlan) -> None:
         raise InvalidPlanError(
             f"expected {expected} coset representatives, got {len(plan.coset_reps)}"
         )
-    covered = bytearray(ctx.q)
     for r in plan.coset_reps:
         if not 0 <= r < ctx.q:
             raise InvalidPlanError(f"coset representative {r} outside [0, {ctx.q})")
-        cur = r
-        for _ in range(ctx.p):
-            if covered[cur]:
-                raise InvalidPlanError("coset representatives overlap")
-            covered[cur] = 1
-            cur = ctx.add(cur, plan.t)
-    if not all(covered):
-        raise InvalidPlanError("cosets do not cover F_q")
+    # p**(n-1) cosets of p points each: without an overlap they cover F_q
+    if np.bincount(_coset_lines(ctx, plan).ravel(), minlength=ctx.q).max() > 1:
+        raise InvalidPlanError("coset representatives overlap")
+
+
+def _coset_lines(ctx: FieldCtx, plan: ColoringPlan) -> np.ndarray:
+    """Row r lists the intercepts rep_r + k*t for k in F_p. The codes below p
+    are the prime field, so mul_vector(t)[:p] lists the k*t."""
+    reps = np.array(plan.coset_reps, dtype=np.int64)
+    return ctx.add_arrays(reps[:, None], ctx.mul_vector(plan.t)[: ctx.p])
+
+
+def _no_unit_pair(ctx: FieldCtx, a: int, t: int) -> bool:
+    """Exhaustively check Q(A, B) != 1 for A on line y = a*x + i and B on
+    line y = a*x + i + t, over all i and all pairs of points."""
+    add_tab, squares = ctx.add_table(), ctx.square_vector()
+    minus = ctx.mul_vector(ctx.neg(1))  # -x for every x
+    on_line = ctx.mul_vector(a)
+    dx2 = squares[add_tab[:, minus]]  # (x_A - x_B)**2 for every pair
+    for i in range(ctx.q):
+        ya = add_tab[on_line, i]
+        yb = add_tab[on_line, ctx.add(i, t)]
+        dy2 = squares[add_tab[ya[:, None], minus[yb][None, :]]]
+        if np.any(add_tab[dx2, dy2] == 1):
+            return False
+    return True
 
 
 def verify_line_lemma(ctx: FieldCtx, a: int) -> bool:
     """Exhaustively check Q(A, B) != 1 for distinct A, B on each line
     y = a*x + i. Runs for any a, including slopes violating the nonsquare
     requirement (for which it returns False)."""
-    q = ctx.q
-    for i in range(q):
-        pts = [(x, ctx.add(ctx.mul(a, x), i)) for x in range(q)]
-        for u in range(q):
-            for v in range(u + 1, q):
-                if quadrance(ctx, pts[u], pts[v]) == 1:
-                    return False
-    return True
+    return _no_unit_pair(ctx, a, 0)  # A = B has Q = 0, so no pair is excluded
 
 
 def verify_cross_line_lemma(ctx: FieldCtx, a: int, t: int) -> bool:
     """Exhaustively check Q(A, B) != 1 for A on line y = a*x + i and B on
     line y = a*x + i + t, over all i."""
-    q = ctx.q
-    for i in range(q):
-        shifted = ctx.add(i, t)
-        pts_a = [(x, ctx.add(ctx.mul(a, x), i)) for x in range(q)]
-        pts_b = [(x, ctx.add(ctx.mul(a, x), shifted)) for x in range(q)]
-        for pa in pts_a:
-            for pb in pts_b:
-                if quadrance(ctx, pa, pb) == 1:
-                    return False
-    return True
+    return _no_unit_pair(ctx, a, t)
 
 
 def expected_color_count(ctx: FieldCtx, m: int = 2) -> int:
@@ -213,28 +213,15 @@ def build_coloring_2d(ctx: FieldCtx, plan: ColoringPlan) -> Coloring:
     """Color F_q^2 by fused line pairs along each coset of the plan."""
     validate_plan(ctx, plan)
     p, q = ctx.p, ctx.q
-    color_of_line = {}
-    next_color = 0
-    for rep in plan.coset_reps:
-        line = [rep]
-        for _ in range(p - 1):
-            line.append(ctx.add(line[-1], plan.t))
-        for k in range((p - 1) // 2):
-            color_of_line[line[2 * k]] = next_color
-            color_of_line[line[2 * k + 1]] = next_color
-            next_color += 1
-        color_of_line[line[p - 1]] = next_color
-        next_color += 1
+    # Line rep + k*t of a coset shares color k // 2 with its pair partner;
+    # k = p - 1 is left alone. Colors count up coset by coset.
+    lines = _coset_lines(ctx, plan)
+    per_coset = (p + 1) // 2
     line_colors = np.empty(q, dtype=np.int64)
-    for intercept, color in color_of_line.items():
-        line_colors[intercept] = color
-    colors = np.empty(q * q, dtype=np.int64)
-    for x in range(q):
-        ax = ctx.mul(plan.a, x)
-        base = x * q
-        for y in range(q):
-            colors[base + y] = line_colors[ctx.sub(y, ax)]
-    return Coloring(q=q, m=2, colors=colors, k=next_color)
+    line_colors[lines] = np.arange(len(lines))[:, None] * per_coset + np.arange(p) // 2
+    # (x, y) lies on the line with intercept y - a*x.
+    colors = line_colors[ctx.add_table()[ctx.mul_vector(ctx.neg(plan.a))]].ravel()
+    return Coloring(q=q, m=2, colors=colors, k=len(lines) * per_coset)
 
 
 def build_coloring_md(
@@ -245,11 +232,7 @@ def build_coloring_md(
 ) -> Coloring:
     """Color F_q^m by the plane coloring of the last two coordinates
     crossed with the identity on the leading ones."""
-    if m < 2:
-        raise DimensionTooSmallError("colorings need dimension >= 2")
-    n_vertices = ctx.q**m
-    if n_vertices > max_vertices:
-        raise TooLargeError(f"{n_vertices} vertices exceed the bound {max_vertices}")
+    n_vertices = vertex_count(ctx.q, m, max_vertices)
     base = build_coloring_2d(ctx, plan)
     if m == 2:
         return base
@@ -317,15 +300,15 @@ def read_coloring(source) -> Coloring:
     if header is None:
         raise ValueError(f"bad coloring header: {lines[0]!r}")
     q, m, k = (int(g) for g in header.groups())
-    # Checked before anything is sized by the header; q >= 3, so an m past
-    # the bound's bit length overflows it and q**m is never formed.
+    # Checked before anything is sized by the header.
     decomposition = prime_power(q) if q <= DEFAULT_MAX_VERTICES else None
-    if (decomposition is None or decomposition[0] == 2
-            or not 2 <= m < DEFAULT_MAX_VERTICES.bit_length()
-            or q**m > DEFAULT_MAX_VERTICES):
+    try:
+        n = vertex_count(q, m) if decomposition and decomposition[0] != 2 else None
+    except (DimensionTooSmallError, TooLargeError):
+        n = None
+    if n is None:
         raise ValueError(f"coloring header q={q} m={m} needs an odd prime power q,"
                          f" m >= 2 and q**m <= {DEFAULT_MAX_VERTICES}")
-    n = q**m
     colors = [-1] * n
     for line in lines[1:]:
         if line.startswith("#"):

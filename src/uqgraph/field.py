@@ -7,6 +7,12 @@ canonical element ordering used by every other module. The modulus is
 the lexicographically smallest monic irreducible polynomial of degree n
 (coefficients compared constant term first), so a field of a given
 order is identical across runs.
+
+Arithmetic is table lookup. On first use a context builds exp[k] = g**k
+for the smallest primitive element g, its inverse log, and the Zech table
+zech[k] = log(1 + g**k): a product adds logarithms, a + b = a * (1 + b/a),
+and the quadratic character is the parity of the logarithm. Results are
+field elements, never logarithms, so the choice of g does not show.
 """
 
 from __future__ import annotations
@@ -184,7 +190,8 @@ class FieldCtx:
     [0, q). Operations are pure, so a context can be shared freely.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "_add_tab", "_squares", "_traces", "_digits")
+    __slots__ = ("p", "n", "q", "modulus", "_add_tab", "_squares", "_traces", "_digits",
+                 "_exp", "_log", "_zech")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -195,6 +202,7 @@ class FieldCtx:
         self._squares = None
         self._traces = None
         self._digits = None
+        self._exp = self._log = self._zech = None
 
     def __repr__(self) -> str:
         return f"FieldCtx(p={self.p}, n={self.n}, q={self.q})"
@@ -235,110 +243,87 @@ class FieldCtx:
             code = code * self.p + c
         return code
 
-    # -- arithmetic ---------------------------------------------------------
+    # -- arithmetic by discrete logarithms ----------------------------------
+
+    def _powers(self) -> np.ndarray:
+        """p**j for j < n: the digit weights, and the codes of the basis x**j."""
+        return self.p ** np.arange(self.n, dtype=np.int64)
+
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exp, log, zech) over the smallest primitive element g, built on first use.
+
+        exp[k] = g**k for k in [0, q-1); log inverts exp and holds -1 at 0;
+        zech[k] = log(1 + g**k), so a + b = a * (1 + b/a) is one lookup.
+        """
+        if self._exp is None:
+            p, n, q = self.p, self.n, self.q
+            for code in range(1, q):  # g is the first code of order q - 1
+                g = list(self.coeffs(code))
+                if all(_poly_powmod(g, (q - 1) // r, self.modulus, p) != [1]
+                       for r in _prime_divisors(q - 1)):
+                    break
+            # Multiplying by h is F_p-linear: row j of step holds the digits
+            # of h * x**j, starting from h = g.
+            step = np.zeros((n, n), dtype=np.int64)
+            for j in range(n):
+                row = _poly_rem(_poly_mul(g, [0] * j + [1], p), self.modulus, p)
+                step[j, : len(row)] = row
+            digits, exp = self.digits_matrix(), np.ones(1, dtype=np.int64)
+            while len(exp) < q - 1:  # exp[L:2L] = exp[:L] * g**L, then h = g**2L
+                exp = np.concatenate([exp, digits[exp] @ step % p @ self._powers()])
+                step = step @ step % p
+            exp = exp[: q - 1]
+            log = np.full(q, -1, dtype=np.int64)
+            log[exp] = np.arange(q - 1, dtype=np.int64)
+            # "+1" only touches the constant digit
+            plus_one = np.where(exp % p == p - 1, exp + 1 - p, exp + 1)
+            self._exp, self._log, self._zech = exp, log, log[plus_one]
+        return self._exp, self._log, self._zech
 
     def add(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        p = self.p
-        if self.n == 1:
-            return (a + b) % p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if a == 0 or b == 0:
+            return a + b
+        exp, log, zech = self._log_tables()
+        z = zech[(log[b] - log[a]) % (self.q - 1)]
+        return 0 if z < 0 else int(exp[(log[a] + z) % (self.q - 1)])
 
     def sub(self, a: int, b: int) -> int:
-        self._check(a)
-        self._check(b)
-        p = self.p
-        if self.n == 1:
-            return (a - b) % p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((a % p - b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        p = self.p
-        if self.n == 1:
-            return (-a) % p
-        out = 0
-        mult = 1
-        for _ in range(self.n):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return self.mul(a, self.p - 1)
 
     def mul(self, a: int, b: int) -> int:
         self._check(a)
         self._check(b)
-        p, n = self.p, self.n
-        if n == 1:
-            return (a * b) % p
-        ca = []
-        cb = []
-        x, y = a, b
-        for _ in range(n):
-            ca.append(x % p)
-            cb.append(y % p)
-            x //= p
-            y //= p
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(ca):
-            if ai:
-                for j, bj in enumerate(cb):
-                    prod[i + j] += ai * bj
-        mod = self.modulus
-        for i in range(2 * n - 2, n - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(n):
-                    prod[i - n + j] -= c * mod[j]
-        code = 0
-        for j in range(n - 1, -1, -1):
-            code = code * p + prod[j] % p
-        return code
+        if a == 0 or b == 0:
+            return 0
+        exp, log, _ = self._log_tables()
+        return int(exp[(log[a] + log[b]) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
-        """Square-and-multiply exponentiation; negative e inverts first."""
-        self._check(a)
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: int) -> int:
+        """a**e; negative e inverts first."""
         self._check(a)
         if a == 0:
-            raise DivisionByZeroError("0 has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
+            if e < 0:
+                raise DivisionByZeroError("0 has no multiplicative inverse")
+            return 0 if e else 1
+        exp, log, _ = self._log_tables()
+        return int(exp[int(log[a]) * e % (self.q - 1)])
+
+    def inv(self, a: int) -> int:
+        return self.pow(a, -1)
 
     # -- characters ---------------------------------------------------------
 
     def quadratic_character(self, x: int) -> int:
-        """x**((q-1)/2) collapsed to {-1, 0, +1}, with 0 at x = 0."""
+        """+1 on nonzero squares (even logarithm), -1 on nonsquares, 0 at 0."""
         self._check(x)
         if x == 0:
             return 0
-        return 1 if self.pow(x, (self.q - 1) // 2) == 1 else -1
+        return -1 if self._log_tables()[1][x] % 2 else 1
 
     def square_roots(self, x: int) -> set[int]:
         """All y with y*y = x, found by exhaustive search."""
@@ -349,25 +334,15 @@ class FieldCtx:
     def abs_trace(self, x: int) -> int:
         """Sum of the Frobenius orbit x + x**p + ... + x**(p**(n-1)), in [0, p)."""
         self._check(x)
-        acc = x
-        term = x
-        for _ in range(self.n - 1):
-            term = self.pow(term, self.p)
-            acc = self.add(acc, term)
-        assert acc < self.p, "trace left the prime subfield"
-        return acc
+        return int(self.trace_vector()[x])
 
-    # -- cached bulk tables for the graph and spectral modules --------------
+    # -- bulk vectors over every element code -------------------------------
 
     def digits_matrix(self) -> np.ndarray:
         """(q, n) array of little-endian digits for every element code."""
         if self._digits is None:
-            digs = np.empty((self.q, self.n), dtype=np.int64)
-            rest = np.arange(self.q, dtype=np.int64)
-            for j in range(self.n):
-                digs[:, j] = rest % self.p
-                rest = rest // self.p
-            self._digits = digs
+            codes = np.arange(self.q, dtype=np.int64)
+            self._digits = codes[:, None] // self._powers() % self.p
         return self._digits
 
     def add_table(self) -> np.ndarray:
@@ -377,32 +352,48 @@ class FieldCtx:
                 raise TooLargeError(
                     f"q={self.q} exceeds the lookup-table bound {TABLE_MAX_ORDER}"
                 )
-            digs = self.digits_matrix()
-            table = np.zeros((self.q, self.q), dtype=np.int64)
-            w = 1
-            for j in range(self.n):
-                table += ((digs[:, None, j] + digs[None, :, j]) % self.p) * w
-                w *= self.p
-            self._add_tab = table
+            codes = np.arange(self.q, dtype=np.int64)
+            self._add_tab = self.add_arrays(codes[:, None], codes)
         return self._add_tab
+
+    def add_arrays(self, a, b) -> np.ndarray:
+        """Elementwise a + b over code arrays (or codes), broadcast like numpy."""
+        digits = self.digits_matrix()
+        return (digits[a] + digits[b]) % self.p @ self._powers()
+
+    def mul_vector(self, c: int) -> np.ndarray:
+        """products[x] = c * x for every code x."""
+        self._check(c)
+        exp, log, _ = self._log_tables()
+        products = exp[(log + log[c]) % (self.q - 1)]
+        products[(log < 0) | (log[c] < 0)] = 0  # log is -1 at zero
+        return products
+
+    def character_vector(self) -> np.ndarray:
+        """chars[x] = quadratic_character(x) for every code x."""
+        chars = 1 - 2 * (self._log_tables()[1] % 2)
+        chars[0] = 0
+        return chars
 
     def square_vector(self) -> np.ndarray:
         """squares[x] = x*x for every code x."""
         if self._squares is None:
-            self._squares = np.array(
-                [self.mul(x, x) for x in range(self.q)], dtype=np.int64
-            )
+            exp, log, _ = self._log_tables()
+            self._squares = exp[2 * log % (self.q - 1)]
+            self._squares[0] = 0
         return self._squares
 
     def trace_vector(self) -> np.ndarray:
-        """traces[x] = abs_trace(x) for every code x."""
+        """traces[x] = abs_trace(x) for every code x.
+
+        The trace is F_p-linear: the digits of x dotted with the traces of
+        the basis elements x**j, each the sum of its orbit (x**j)**(p**i).
+        """
         if self._traces is None:
-            if self.n == 1:
-                self._traces = np.arange(self.q, dtype=np.int64)
-            else:
-                self._traces = np.array(
-                    [self.abs_trace(x) for x in range(self.q)], dtype=np.int64
-                )
+            exp, log, _ = self._log_tables()
+            powers, digits = self._powers(), self.digits_matrix()
+            orbits = exp[log[powers][:, None] * powers % (self.q - 1)]
+            self._traces = digits @ (digits[orbits].sum(axis=1)[:, 0] % self.p) % self.p
         return self._traces
 
 

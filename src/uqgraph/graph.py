@@ -75,6 +75,19 @@ def quadrance(ctx: FieldCtx, x, y) -> int:
     return acc
 
 
+def vertex_count(q: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
+    """q**m for a dimension m >= 2, checked against max_vertices.
+
+    With q >= 2 an m of max_vertices.bit_length() or more is over the bound
+    already, so a huge m is rejected before q**m is formed.
+    """
+    if m < 2:
+        raise DimensionTooSmallError(f"graphs on F_q^m need dimension m >= 2, got m={m}")
+    if m >= max_vertices.bit_length() or q**m > max_vertices:
+        raise TooLargeError(f"{q}**{m} vertices exceed the bound {max_vertices}")
+    return q**m
+
+
 def _digit_columns(q: int, m: int, n_vertices: int) -> list[np.ndarray]:
     idx = np.arange(n_vertices, dtype=np.int64)
     return [(idx // q ** (m - 1 - j)) % q for j in range(m)]
@@ -84,11 +97,7 @@ def unit_circle(
     ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> list[Point]:
     """All points at quadrance 1 from the origin, in index order."""
-    if m < 2:
-        raise DimensionTooSmallError("the unit circle needs dimension >= 2")
-    n_vertices = ctx.q**m
-    if n_vertices > max_vertices:
-        raise TooLargeError(f"{n_vertices} points exceed the bound {max_vertices}")
+    n_vertices = vertex_count(ctx.q, m, max_vertices)
     add_tab = ctx.add_table()
     squares = ctx.square_vector()
     cols = _digit_columns(ctx.q, m, n_vertices)
@@ -153,13 +162,7 @@ def build_graph(
     ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> UnitQuadranceGraph:
     """Build D_q^m by translating the unit circle across all vertices."""
-    if m < 2:
-        raise DimensionTooSmallError("unit-quadrance graphs need dimension >= 2")
-    n_vertices = ctx.q**m
-    if n_vertices > max_vertices:
-        raise TooLargeError(
-            f"{n_vertices} vertices exceed the bound {max_vertices}"
-        )
+    n_vertices = vertex_count(ctx.q, m, max_vertices)
     circle = unit_circle(ctx, m, max_vertices)
     add_tab = ctx.add_table()
     q = ctx.q

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NoConvergenceError, TooLargeError
 from .field import FieldCtx
-from .graph import DEFAULT_MAX_VERTICES, _digit_columns, unit_circle
+from .graph import DEFAULT_MAX_VERTICES, unit_circle
 
 DENSE_MAX_VERTICES = 4096
 DEFAULT_TOL = 1e-6
@@ -82,26 +82,21 @@ def cayley_spectrum(
     For each frequency c the eigenvalue is the sum over circle points s of
     cos(2*pi*Tr(<c, s>)/p); the zero frequency gives the degree.
     """
-    n_vertices = ctx.q**m
-    if n_vertices > max_vertices:
-        raise TooLargeError(
-            f"{n_vertices} vertices exceed the bound {max_vertices}"
-        )
-    circle = unit_circle(ctx, m, max_vertices)
-    add_tab = ctx.add_table()
+    circle = unit_circle(ctx, m, max_vertices)  # checks q**m first
+    q, p = ctx.q, ctx.p
     traces = ctx.trace_vector()
-    cosines = np.cos(2.0 * np.pi * np.arange(ctx.p) / ctx.p)
-    cols = _digit_columns(ctx.q, m, n_vertices)
-    eig = np.zeros(n_vertices, dtype=np.float64)
+    # Tr is F_p-linear: Tr(<c, s>) is the sum of Tr(c_j * s_j) mod p. The m
+    # coordinate traces sum below m*p, so m copies of the table take the mod.
+    cosines = np.tile(np.cos(2.0 * np.pi * np.arange(p) / p), m)
+    # Axis j of the grid is coordinate c_j, so it ravels to vertex order.
+    eig = np.zeros((q,) * m, dtype=np.float64)
     for s in circle:
-        inner = None
-        for j in range(m):
-            times_s = np.array(
-                [ctx.mul(x, s.coords[j]) for x in range(ctx.q)], dtype=np.int64
-            )
-            term = times_s[cols[j]]
-            inner = term if inner is None else add_tab[inner, term]
-        eig += cosines[traces[inner]]
+        inner = sum(
+            traces[ctx.mul_vector(c)].reshape((q,) + (1,) * (m - 1 - j))
+            for j, c in enumerate(s.coords)
+        )
+        eig += cosines[inner]
+    eig = eig.ravel()
     eig.sort()
     return Spectrum(eigenvalues=eig[::-1].copy(), method="cayley", tol=tol)
 

@@ -6,6 +6,7 @@ import signal
 import pytest
 
 from uqgraph.cli import main
+from uqgraph.field import make_field
 
 
 def run(capsys, *argv):
@@ -227,6 +228,33 @@ def test_report_rejects_huge_q_before_factoring(capsys):
     assert stdout == ""
     assert err.startswith("error: q=") and "order bound" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["build", "color", "chi", "spectrum", "triangles"])
+@pytest.mark.parametrize("m", ["100000", "1000000000"])
+def test_graph_commands_reject_huge_m_before_forming_q_to_the_m(capsys, command, m):
+    code, stdout, err = run_within_a_second(capsys, command, "--q", "3", "--m", m)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: 3**") and "exceed the bound" in err
+    assert "Traceback" not in err
+
+
+def test_report_records_huge_m_per_q_without_forming_q_to_the_m(capsys):
+    code, stdout, _ = run_within_a_second(capsys, "report", "--q", "5..7", "--m", "1000000000", "--json")
+    assert code == 0
+    assert [(r["q"], r["error"]) for r in json.loads(stdout)] == [
+        (5, "5**1000000000 vertices exceed the bound 65536"),
+        (7, "7**1000000000 vertices exceed the bound 65536"),
+    ]
+
+
+def test_color_rejects_oversized_graph_before_building_field_tables(capsys):
+    code, stdout, err = run_within_a_second(capsys, "color", "--q", "1048573")
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: 1048573**2 vertices exceed the bound")
+    assert make_field(1048573)._exp is None  # the cached field never built its tables
 
 
 def test_report_single_q(capsys):

@@ -26,6 +26,7 @@ from uqgraph import (
     verify_line_lemma,
     write_coloring,
 )
+from uqgraph.graph import quadrance
 
 
 def test_find_slope_examples():
@@ -101,6 +102,84 @@ def test_line_and_cross_line_lemmas(q):
     t = find_shift(ctx, a)
     assert verify_line_lemma(ctx, a)
     assert verify_cross_line_lemma(ctx, a, t)
+
+
+# Oracles: the scalar loops these functions ran before they became array
+# expressions, one FieldCtx call per element or point pair.
+
+
+def scalar_line_lemma(ctx, a):
+    q = ctx.q
+    for i in range(q):
+        pts = [(x, ctx.add(ctx.mul(a, x), i)) for x in range(q)]
+        for u in range(q):
+            for v in range(u + 1, q):
+                if quadrance(ctx, pts[u], pts[v]) == 1:
+                    return False
+    return True
+
+
+def scalar_cross_line_lemma(ctx, a, t):
+    q = ctx.q
+    for i in range(q):
+        shifted = ctx.add(i, t)
+        pts_a = [(x, ctx.add(ctx.mul(a, x), i)) for x in range(q)]
+        pts_b = [(x, ctx.add(ctx.mul(a, x), shifted)) for x in range(q)]
+        for pa in pts_a:
+            for pb in pts_b:
+                if quadrance(ctx, pa, pb) == 1:
+                    return False
+    return True
+
+
+def scalar_count_Aq(ctx, t):
+    return sum(
+        1
+        for i in range(1, ctx.q)
+        if ctx.quadratic_character(i) == 1 and ctx.quadratic_character(ctx.sub(t, i)) == -1
+    )
+
+
+def scalar_coloring_2d(ctx, plan):
+    p, q = ctx.p, ctx.q
+    color_of_line = {}
+    next_color = 0
+    for rep in plan.coset_reps:
+        line = [rep]
+        for _ in range(p - 1):
+            line.append(ctx.add(line[-1], plan.t))
+        for k in range((p - 1) // 2):
+            color_of_line[line[2 * k]] = next_color
+            color_of_line[line[2 * k + 1]] = next_color
+            next_color += 1
+        color_of_line[line[p - 1]] = next_color
+        next_color += 1
+    colors = [color_of_line[ctx.sub(y, ctx.mul(plan.a, x))] for x in range(q) for y in range(q)]
+    return colors, next_color
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
+def test_lemma_checks_match_scalar_oracle_for_every_slope_and_shift(q):
+    ctx = field_for(q)
+    verdicts = set()
+    for a in range(q):
+        assert verify_line_lemma(ctx, a) == scalar_line_lemma(ctx, a), a
+        for t in range(q):
+            verdict = verify_cross_line_lemma(ctx, a, t)
+            assert verdict == scalar_cross_line_lemma(ctx, a, t), (a, t)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(5, 49))
+def test_count_Aq_and_coloring_match_scalar_oracles(q):
+    ctx = field_for(q)
+    for t in range(1, q):
+        if ctx.quadratic_character(t) == -1:
+            assert count_Aq(ctx, t).brute_count == scalar_count_Aq(ctx, t), t
+    plan = make_plan(ctx)
+    coloring = build_coloring_2d(ctx, plan)
+    assert (coloring.colors.tolist(), coloring.k) == scalar_coloring_2d(ctx, plan)
 
 
 def test_plan_coset_partition():

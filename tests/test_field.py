@@ -1,5 +1,9 @@
 """Field arithmetic, characters, roots, and traces."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +18,7 @@ from uqgraph import (
     make_field,
     prime_power,
 )
-from uqgraph.field import _is_irreducible
+from uqgraph.field import DEFAULT_MAX_ORDER, FieldCtx, _is_irreducible, _smallest_irreducible
 
 
 def test_make_field_orders():
@@ -194,3 +198,134 @@ def test_is_prime_and_prime_power():
     assert prime_power(81) == (3, 4)
     assert prime_power(12) is None
     assert prime_power(1) is None
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the digit-loop arithmetic FieldCtx used before its log tables. It
+# works on the coefficient digits of the codes and reduces products by the
+# modulus, so it shares nothing with the exp/log/Zech tables it checks.
+
+
+class DigitLoopField:
+    def __init__(self, ctx):
+        self.p, self.n, self.q, self.modulus = ctx.p, ctx.n, ctx.q, ctx.modulus
+
+    def add(self, a, b):
+        p, out, mult = self.p, 0, 1
+        for _ in range(self.n):
+            out += ((a % p + b % p) % p) * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
+
+    def neg(self, a):
+        p, out, mult = self.p, 0, 1
+        for _ in range(self.n):
+            out += ((-a) % p) * mult
+            a //= p
+            mult *= p
+        return out
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p, n = self.p, self.n
+        ca, cb = [], []
+        for _ in range(n):
+            ca.append(a % p)
+            cb.append(b % p)
+            a //= p
+            b //= p
+        prod = [0] * (2 * n - 1)
+        for i, ai in enumerate(ca):
+            for j, bj in enumerate(cb):
+                prod[i + j] += ai * bj
+        mod = self.modulus
+        for i in range(2 * n - 2, n - 1, -1):
+            c = prod[i] % p
+            for j in range(n):
+                prod[i - n + j] -= c * mod[j]
+        code = 0
+        for j in range(n - 1, -1, -1):
+            code = code * p + prod[j] % p
+        return code
+
+    def pow(self, a, e):
+        """Square and multiply; negative e uses a**(q-2) as the inverse."""
+        if e < 0:
+            a, e = self.pow(a, self.q - 2), -e
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def quadratic_character(self, x):
+        """Euler's criterion."""
+        if x == 0:
+            return 0
+        return 1 if self.pow(x, (self.q - 1) // 2) == 1 else -1
+
+    def abs_trace(self, x):
+        """The Frobenius orbit x + x**p + ... + x**(p**(n-1))."""
+        acc = term = x
+        for _ in range(self.n - 1):
+            term = self.pow(term, self.p)
+            acc = self.add(acc, term)
+        return acc
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(3, 81) + [121, 125, 243])
+def test_tables_match_digit_loops_exhaustively(q):
+    ctx = field_for(q)
+    oracle = DigitLoopField(ctx)
+    codes = range(q)
+    plus = np.array([[oracle.add(a, b) for b in codes] for a in codes])
+    times = np.array([[oracle.mul(a, b) for b in codes] for a in codes])
+    minus = [oracle.neg(a) for a in codes]
+    assert list(ctx.mul_vector(1)) == list(codes)  # exp and log are inverse
+    assert list(ctx.square_vector()) == times.diagonal().tolist()
+    assert list(ctx.character_vector()) == [oracle.quadratic_character(x) for x in codes]
+    assert list(ctx.trace_vector()) == [oracle.abs_trace(x) for x in codes]
+    exponents = (-2, -1, 0, 1, 2, 3, (q - 1) // 2, q - 2, q - 1, q, 3 * q + 1)
+    for a in codes:
+        assert [ctx.add(a, b) for b in codes] == plus[a].tolist()
+        assert [ctx.sub(a, b) for b in codes] == plus[a, minus].tolist()
+        assert [ctx.mul(a, b) for b in codes] == times[a].tolist()
+        assert list(ctx.add_arrays(a, codes)) == plus[a].tolist()
+        assert list(ctx.mul_vector(a)) == times[a].tolist()
+        assert ctx.neg(a) == minus[a]
+        assert ctx.quadratic_character(a) == oracle.quadratic_character(a)
+        assert ctx.abs_trace(a) == oracle.abs_trace(a)
+        for e in exponents:
+            if a or e >= 0:
+                assert ctx.pow(a, e) == oracle.pow(a, e), (a, e)
+        if a:
+            assert ctx.inv(a) == oracle.pow(a, q - 2)
+
+
+@pytest.mark.parametrize("p, n", [(1048573, 1), (3, 12), (1021, 2)])
+def test_tables_match_digit_loops_at_the_order_bound(p, n):
+    # built outside make_field's cache, so the tables are freed after the test
+    ctx = FieldCtx(p, n, _smallest_irreducible(p, n))
+    oracle = DigitLoopField(ctx)
+    q = ctx.q
+    assert q <= DEFAULT_MAX_ORDER
+    assert np.array_equal(ctx.mul_vector(1), np.arange(q))  # exp and log are inverse
+    rng = random.Random(q)
+    sample = [0, 1, p - 1, q - 1] + [rng.randrange(q) for _ in range(100)]
+    for a, b in zip(sample, rng.sample(sample, len(sample))):
+        assert ctx.add(a, b) == oracle.add(a, b), (a, b)
+        assert ctx.sub(a, b) == oracle.sub(a, b), (a, b)
+        assert ctx.mul(a, b) == oracle.mul(a, b), (a, b)
+        assert ctx.add(a, oracle.neg(a)) == 0
+        assert ctx.neg(a) == oracle.neg(a)
+        assert ctx.quadratic_character(a) == oracle.quadratic_character(a)
+        assert ctx.abs_trace(a) == oracle.abs_trace(a)
+        e = rng.randrange(-q, q)
+        if a or e >= 0:
+            assert ctx.pow(a, e) == oracle.pow(a, e), (a, e)

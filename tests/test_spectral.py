@@ -18,6 +18,7 @@ from uqgraph import (
     hoffman_bound,
     spectrum_record,
     triangle_count,
+    unit_circle,
     write_spectrum,
 )
 
@@ -47,6 +48,30 @@ def test_cross_oracle_agreement(q):
     dense = dense_spectrum(graph_for(q))
     cayley = cayley_spectrum(field_for(q), 2)
     assert np.max(np.abs(dense.eigenvalues - cayley.eigenvalues)) < 1e-6
+
+
+def scalar_cayley_eigenvalues(ctx, m):
+    """Oracle: the route cayley_spectrum took before it used trace linearity,
+    one ctx.mul per element and an add-table gather per coordinate."""
+    q = ctx.q
+    add_tab, traces = ctx.add_table(), ctx.trace_vector()
+    cosines = np.cos(2.0 * np.pi * np.arange(ctx.p) / ctx.p)
+    idx = np.arange(q**m)
+    cols = [(idx // q ** (m - 1 - j)) % q for j in range(m)]
+    eig = np.zeros(q**m)
+    for s in unit_circle(ctx, m):
+        inner = None
+        for j in range(m):
+            term = np.array([ctx.mul(x, s.coords[j]) for x in range(q)])[cols[j]]
+            inner = term if inner is None else add_tab[inner, term]
+        eig += cosines[traces[inner]]
+    return np.sort(eig)[::-1]
+
+
+@pytest.mark.parametrize("q, m", [(5, 2), (9, 2), (25, 2), (27, 2), (49, 2), (5, 3), (3, 4)])
+def test_cayley_spectrum_matches_scalar_route_bit_for_bit(q, m):
+    expected = scalar_cayley_eigenvalues(field_for(q), m)
+    assert np.array_equal(cayley_spectrum(field_for(q), m).eigenvalues, expected)
 
 
 def test_moment_identities():
