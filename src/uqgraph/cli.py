@@ -53,14 +53,15 @@ def _check_order(q: int) -> None:
         raise TooLargeError(f"q={q} exceeds the order bound {DEFAULT_MAX_ORDER}")
 
 
-def _field_for(q: int, m: int):
+def _field_for(q: int, m: int, what: str = "unit-quadrance graphs"):
     _check_order(q)
-    vertex_count(q, m)  # before any field table is built
     decomposition = prime_power(q)
     if decomposition is None:
         raise UQGraphError(f"q={q} is not a prime power")
     p, n = decomposition
-    return make_field(p, n)
+    ctx = make_field(p, n)
+    vertex_count(q, m, what=what)  # before any field table is built
+    return ctx
 
 
 @contextmanager
@@ -89,7 +90,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_color(args) -> int:
-    ctx = _field_for(args.q, args.m)
+    ctx = _field_for(args.q, args.m, what="colorings")
     plan = make_plan(ctx, a=args.a, t=args.t)
     coloring = build_coloring_md(ctx, args.m, plan)
     graph = build_graph(ctx, args.m)

@@ -130,18 +130,15 @@ def find_shift(ctx: FieldCtx, a: int, override: int | None = None) -> int:
 
 
 def _coset_reps(ctx: FieldCtx, t: int) -> tuple[int, ...]:
-    # smallest-uncovered-first, so the partition is deterministic
-    covered = bytearray(ctx.q)
-    reps = []
-    for r in range(ctx.q):
-        if covered[r]:
-            continue
-        reps.append(r)
-        cur = r
-        for _ in range(ctx.p):
-            covered[cur] = 1
-            cur = ctx.add(cur, t)
-    return tuple(reps)
+    """The smallest code of each coset x + F_p*t, ascending.
+
+    Adding k*t runs the top nonzero digit of t through F_p and leaves the
+    digits above it alone, so each coset has exactly one code with that
+    digit 0, and it is the smallest.
+    """
+    top = max(j for j, c in enumerate(ctx.coeffs(t)) if c)
+    codes = np.arange(ctx.q, dtype=np.int64)
+    return tuple(codes[codes // ctx.p**top % ctx.p == 0].tolist())
 
 
 def make_plan(ctx: FieldCtx, a: int | None = None, t: int | None = None) -> ColoringPlan:
@@ -232,7 +229,7 @@ def build_coloring_md(
 ) -> Coloring:
     """Color F_q^m by the plane coloring of the last two coordinates
     crossed with the identity on the leading ones."""
-    n_vertices = vertex_count(ctx.q, m, max_vertices)
+    n_vertices = vertex_count(ctx.q, m, max_vertices, what="colorings")
     base = build_coloring_2d(ctx, plan)
     if m == 2:
         return base

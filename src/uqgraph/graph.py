@@ -75,17 +75,23 @@ def quadrance(ctx: FieldCtx, x, y) -> int:
     return acc
 
 
-def vertex_count(q: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES) -> int:
+def vertex_count(
+    q: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES,
+    what: str = "unit-quadrance graphs",
+) -> int:
     """q**m for a dimension m >= 2, checked against max_vertices.
 
     With q >= 2 an m of max_vertices.bit_length() or more is over the bound
     already, so a huge m is rejected before q**m is formed.
     """
     if m < 2:
-        raise DimensionTooSmallError(f"graphs on F_q^m need dimension m >= 2, got m={m}")
-    if m >= max_vertices.bit_length() or q**m > max_vertices:
+        raise DimensionTooSmallError(f"{what} need dimension >= 2")
+    if m >= max_vertices.bit_length():
         raise TooLargeError(f"{q}**{m} vertices exceed the bound {max_vertices}")
-    return q**m
+    n_vertices = q**m
+    if n_vertices > max_vertices:
+        raise TooLargeError(f"{n_vertices} vertices exceed the bound {max_vertices}")
+    return n_vertices
 
 
 def _digit_columns(q: int, m: int, n_vertices: int) -> list[np.ndarray]:

@@ -253,8 +253,20 @@ def test_color_rejects_oversized_graph_before_building_field_tables(capsys):
     code, stdout, err = run_within_a_second(capsys, "color", "--q", "1048573")
     assert code == 2
     assert stdout == ""
-    assert err.startswith("error: 1048573**2 vertices exceed the bound")
+    assert err == "error: 1099505336329 vertices exceed the bound 65536\n"
     assert make_field(1048573)._exp is None  # the cached field never built its tables
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["build", "--q", "257"], "66049 vertices exceed the bound 65536"),
+    (["chi", "--q", "7", "--m", "1"], "unit-quadrance graphs need dimension >= 2"),
+    (["color", "--q", "7", "--m", "0"], "colorings need dimension >= 2"),
+    (["triangles", "--q", "6", "--m", "1"], "q=6 is not a prime power"),
+    (["spectrum", "--q", "4", "--m", "1"], "characteristic 2 is not supported"),
+])
+def test_graph_command_errors_check_the_field_before_the_dimension(capsys, argv, message):
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
 
 
 def test_report_single_q(capsys):

@@ -26,6 +26,7 @@ from uqgraph import (
     verify_line_lemma,
     write_coloring,
 )
+from uqgraph.construction import _coset_reps
 from uqgraph.graph import quadrance
 
 
@@ -156,6 +157,29 @@ def scalar_coloring_2d(ctx, plan):
         next_color += 1
     colors = [color_of_line[ctx.sub(y, ctx.mul(plan.a, x))] for x in range(q) for y in range(q)]
     return colors, next_color
+
+
+def scalar_coset_reps(ctx, t):
+    # smallest-uncovered-first walk of the cosets x + F_p*t
+    covered = bytearray(ctx.q)
+    reps = []
+    for r in range(ctx.q):
+        if covered[r]:
+            continue
+        reps.append(r)
+        cur = r
+        for _ in range(ctx.p):
+            covered[cur] = 1
+            cur = ctx.add(cur, t)
+    return tuple(reps)
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(3, 81) + [121, 125, 243])
+def test_coset_reps_match_scalar_walk(q):
+    ctx = field_for(q)
+    shifts = range(1, q) if q <= 81 else [1, 2, ctx.p, ctx.p + 1, q // 2, q - 1]
+    for t in shifts:
+        assert _coset_reps(ctx, t) == scalar_coset_reps(ctx, t), t
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])

@@ -203,7 +203,7 @@ def test_is_prime_and_prime_power():
 # ---------------------------------------------------------------------------
 # Oracle: the digit-loop arithmetic FieldCtx used before its log tables. It
 # works on the coefficient digits of the codes and reduces products by the
-# modulus, so it shares nothing with the exp/log/Zech tables it checks.
+# modulus, so it shares nothing with the exp/log tables it checks.
 
 
 class DigitLoopField:
