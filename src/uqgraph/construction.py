@@ -273,10 +273,9 @@ _HEADER_RE = re.compile(r"#\s*q=(\d+)\s+m=(\d+)\s+k=(\d+)\s*$")
 
 def write_coloring(coloring: Coloring, sink) -> None:
     """Write a coloring in the text format; sink is a path or text stream."""
-    lines = [f"# q={coloring.q} m={coloring.m} k={coloring.k}\n"]
-    for i, c in enumerate(coloring.colors):
-        lines.append(f"{i} {int(c)}\n")
-    data = "".join(lines)
+    data = f"# q={coloring.q} m={coloring.m} k={coloring.k}\n" + "".join(
+        [f"{i} {c}\n" for i, c in enumerate(coloring.colors.tolist())]
+    )
     if isinstance(sink, (str, Path)):
         Path(sink).write_text(data, encoding="utf-8")
     else:

@@ -4,9 +4,11 @@ Vertices are the points of F_q^m indexed row-major over canonical
 element codes, last coordinate fastest; two points are adjacent exactly
 when their quadrance (the sum of squared coordinate differences) is 1.
 Adjacency is a Cayley structure on the additive group: u ~ v exactly when
-v - u lies on the unit circle S. The graph is one (N, |S|) integer array
-whose row u holds the sorted neighbors u + S, and the triangle count
-follows from S alone: T = N * #{(s, s') in S^2 : s + s' in S} / 6.
+v - u lies on the unit circle S. The graph is one (N, |S|) int32 array
+whose row u holds the sorted neighbors u + S, grown one coordinate at a
+time through the addition table, and the triangle count follows from S
+alone: T = N * #{(s, s') in S^2 : s + s' in S} / 6. DIMACS export writes
+the edges in blocks of fixed-width records, so its memory stays flat.
 """
 
 from __future__ import annotations
@@ -94,26 +96,17 @@ def vertex_count(
     return n_vertices
 
 
-def _digit_columns(q: int, m: int, n_vertices: int) -> list[np.ndarray]:
-    idx = np.arange(n_vertices, dtype=np.int64)
-    return [(idx // q ** (m - 1 - j)) % q for j in range(m)]
-
-
 def unit_circle(
     ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> list[Point]:
     """All points at quadrance 1 from the origin, in index order."""
-    n_vertices = vertex_count(ctx.q, m, max_vertices)
+    vertex_count(ctx.q, m, max_vertices)
     add_tab = ctx.add_table()
     squares = ctx.square_vector()
-    cols = _digit_columns(ctx.q, m, n_vertices)
-    acc = np.zeros(n_vertices, dtype=np.int64)
-    for col in cols:
-        acc = add_tab[acc, squares[col]]
-    hits = np.flatnonzero(acc == 1)
-    return [
-        Point(tuple(int(col[i]) for col in cols), int(i)) for i in hits
-    ]
+    acc = np.zeros(1, dtype=np.int64)
+    for _ in range(m):  # quadrances of every point, one more coordinate each pass
+        acc = add_tab[acc[:, None], squares].ravel()
+    return [Point(vertex_coords(ctx.q, m, i), i) for i in np.flatnonzero(acc == 1).tolist()]
 
 
 class UnitQuadranceGraph:
@@ -167,18 +160,20 @@ class UnitQuadranceGraph:
 def build_graph(
     ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> UnitQuadranceGraph:
-    """Build D_q^m by translating the unit circle across all vertices."""
-    n_vertices = vertex_count(ctx.q, m, max_vertices)
-    circle = unit_circle(ctx, m, max_vertices)
-    add_tab = ctx.add_table()
-    q = ctx.q
-    cols = _digit_columns(q, m, n_vertices)
-    adjacency = np.empty((n_vertices, len(circle)), dtype=np.int64)
-    for k, s in enumerate(circle):
-        acc = add_tab[cols[0], s.coords[0]]
-        for j in range(1, m):
-            acc = acc * q + add_tab[cols[j], s.coords[j]]
-        adjacency[:, k] = acc
+    """Build D_q^m by translating the unit circle across all vertices.
+
+    Rows grow one coordinate at a time: the rows over the first j
+    coordinates, times q, plus coordinate j of every u + s give the rows
+    over the first j + 1. int32 holds every index below the default
+    vertex bound and halves the array and its sort.
+    """
+    circle = unit_circle(ctx, m, max_vertices)  # checks the vertex bound
+    add_tab = ctx.add_table().astype(np.int32)
+    offsets = np.array([s.coords for s in circle])
+    adjacency = add_tab[:, offsets[:, 0]]
+    for j in range(1, m):
+        adjacency = adjacency[:, None, :] * ctx.q + add_tab[:, offsets[:, j]]
+        adjacency = adjacency.reshape(-1, len(circle))
     adjacency.sort(axis=1)
     return UnitQuadranceGraph(ctx, m, circle, adjacency)
 
@@ -209,7 +204,9 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
 
     Header comments record q, p, n, m and the field modulus; edges are
     1-based, u < v, in lexicographic order. The sink may be a text or a
-    binary stream.
+    binary stream. Edges are written in blocks of about 2**17 fixed-width
+    'e U V' records, gathered from one table of vertex names and stripped
+    of their NUL padding.
     """
     ctx = graph.ctx
     header = (
@@ -218,7 +215,12 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
         f"c modulus={','.join(str(c) for c in ctx.modulus)}\n"
         f"p edge {graph.n_vertices} {graph.n_edges}\n"
     )
-    names = [str(v + 1) for v in range(graph.n_vertices)]
+    width = len(str(graph.n_vertices))
+    names = np.arange(1, graph.n_vertices + 1).astype(f"S{width}")
+    record = np.dtype(
+        [("e", "S2"), ("u", f"S{width}"), ("sp", "S1"), ("v", f"S{width}"), ("nl", "S1")]
+    )
+    step = max(1, (1 << 18) // graph.degree)  # rows per block: half of a row is v > u
     try:
         try:
             sink.write(header)
@@ -226,12 +228,15 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
         except TypeError:
             sink.write(header.encode("ascii"))
             binary = True
-        for u, row in enumerate(graph.adjacency):
-            later = row[row > u].tolist()
-            if later:
-                head = f"e {names[u]} "
-                text = head + ("\n" + head).join([names[v] for v in later]) + "\n"
-                sink.write(text.encode("ascii") if binary else text)
+        for start in range(0, graph.n_vertices, step):
+            rows = graph.adjacency[start : start + step]
+            later = rows > np.arange(start, start + len(rows))[:, None]
+            edges = np.empty(np.count_nonzero(later), dtype=record)
+            edges["e"], edges["sp"], edges["nl"] = b"e ", b" ", b"\n"
+            edges["u"] = np.repeat(names[start : start + len(rows)], later.sum(axis=1))
+            edges["v"] = names[rows[later]]
+            block = edges.tobytes().translate(None, b"\0")  # deletes the padding
+            sink.write(block if binary else block.decode("ascii"))
     except (OSError, ValueError, AttributeError) as exc:
         raise IOFailureError(f"could not write DIMACS output: {exc}") from exc
 

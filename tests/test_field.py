@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,3 +330,20 @@ def test_tables_match_digit_loops_at_the_order_bound(p, n):
         e = rng.randrange(-q, q)
         if a or e >= 0:
             assert ctx.pow(a, e) == oracle.pow(a, e), (a, e)
+
+
+def test_table_builds_peak_memory_stays_near_the_kept_tables():
+    # F_{3^12} keeps about 15 MB of exp, log and digits. Forming a doubling
+    # block of exp, or the traces, as one int64 product peaked near 140 / 55 MB.
+    ctx = FieldCtx(3, 12, _smallest_irreducible(3, 12))
+    tracemalloc.start()
+    try:
+        ctx._log_tables()
+        log_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        ctx.trace_vector()
+        trace_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert log_peak < 48 << 20
+    assert trace_peak < 48 << 20

@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,3 +234,76 @@ def test_point_fields():
     circle = unit_circle(field_for(5), 2)
     for pt in circle:
         assert vertex_index(5, pt.coords) == pt.index
+
+
+# The column-by-column unit circle and neighbor-row builds and the per-row
+# DIMACS writer that the per-coordinate broadcasts and the block writer
+# replaced, kept as oracles.
+
+
+def _digit_columns(q, m, n_vertices):
+    idx = np.arange(n_vertices, dtype=np.int64)
+    return [(idx // q ** (m - 1 - j)) % q for j in range(m)]
+
+
+def unit_circle_by_columns(ctx, m):
+    cols = _digit_columns(ctx.q, m, ctx.q**m)
+    add_tab, squares = ctx.add_table(), ctx.square_vector()
+    acc = np.zeros(ctx.q**m, dtype=np.int64)
+    for col in cols:
+        acc = add_tab[acc, squares[col]]
+    hits = np.flatnonzero(acc == 1)
+    return [Point(tuple(int(col[i]) for col in cols), int(i)) for i in hits]
+
+
+def adjacency_by_columns(ctx, m, circle):
+    q, n_vertices = ctx.q, ctx.q**m
+    add_tab = ctx.add_table()
+    cols = _digit_columns(q, m, n_vertices)
+    adjacency = np.empty((n_vertices, len(circle)), dtype=np.int64)
+    for k, s in enumerate(circle):
+        acc = add_tab[cols[0], s.coords[0]]
+        for j in range(1, m):
+            acc = acc * q + add_tab[cols[j], s.coords[j]]
+        adjacency[:, k] = acc
+    adjacency.sort(axis=1)
+    return adjacency
+
+
+def export_dimacs_by_rows(graph, sink, binary):
+    ctx = graph.ctx
+    header = (
+        "c unit-quadrance graph\n"
+        f"c q={ctx.q} p={ctx.p} n={ctx.n} m={graph.m}\n"
+        f"c modulus={','.join(str(c) for c in ctx.modulus)}\n"
+        f"p edge {graph.n_vertices} {graph.n_edges}\n"
+    )
+    sink.write(header.encode("ascii") if binary else header)
+    names = [str(v + 1) for v in range(graph.n_vertices)]
+    for u, row in enumerate(graph.adjacency):
+        later = row[row > u].tolist()
+        if later:
+            head = f"e {names[u]} "
+            text = head + ("\n" + head).join([names[v] for v in later]) + "\n"
+            sink.write(text.encode("ascii") if binary else text)
+
+
+# q = 121 and (13, 3) write several DIMACS blocks, the last one partial.
+@pytest.mark.parametrize(
+    "q, m",
+    [(3, 2), (5, 2), (9, 2), (25, 2), (27, 2), (49, 2), (121, 2),
+     (3, 3), (5, 3), (13, 3), (7, 4)],
+)
+def test_build_and_export_match_column_and_row_oracles(q, m):
+    ctx = field_for(q)
+    graph = build_graph(ctx, m)
+    circle = unit_circle_by_columns(ctx, m)
+    assert graph.connection_set == circle
+    assert graph.adjacency.dtype == np.int32
+    assert graph.adjacency.nbytes == q**m * len(circle) * 4
+    assert np.array_equal(graph.adjacency, adjacency_by_columns(ctx, m, circle))
+    for binary, stream in ((False, io.StringIO), (True, io.BytesIO)):
+        sink, expected = stream(), stream()
+        export_dimacs(graph, sink)
+        export_dimacs_by_rows(graph, expected, binary)
+        assert sink.getvalue() == expected.getvalue()
