@@ -257,11 +257,16 @@ def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):
         raise IncompleteColoringError("some vertices are uncolored")
     # Rows are sorted and symmetric, so the first clash in row-major order is
     # the first conflicting edge: a clashing neighbor below u clashes earlier.
-    clash = colors[graph.adjacency] == colors[:, None]
-    if not clash.any():
-        return None
-    u, k = divmod(int(clash.argmax()), graph.degree)
-    return (u, int(graph.adjacency[u, k]))
+    # Blocks of about 2**16 entries keep the gather and its intp copy of the
+    # int32 rows small, so memory stays flat at every N.
+    step = max(1, (1 << 16) // graph.degree)
+    for start in range(0, n, step):
+        rows = graph.adjacency[start : start + step]
+        clash = colors[rows] == colors[start : start + len(rows), None]
+        if clash.any():
+            u, k = divmod(int(clash.argmax()), graph.degree)
+            return (start + u, int(rows[u, k]))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Slope/shift search, character counts, line lemma checks, and colorings."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,7 +335,8 @@ def _first_violation_by_rows(graph, colors):
     return None
 
 
-@pytest.mark.parametrize("q, m", [(5, 2), (7, 2), (9, 2), (5, 3)])
+# (13, 3) and (121, 2) span several row blocks, the last one partial.
+@pytest.mark.parametrize("q, m", [(5, 2), (7, 2), (9, 2), (5, 3), (13, 3), (121, 2)])
 def test_verify_coloring_against_row_scan_oracle(q, m):
     ctx = field_for(q)
     g = graph_for(q, m)
@@ -348,6 +350,25 @@ def test_verify_coloring_against_row_scan_oracle(q, m):
         colors[changed] = rng.integers(0, base.k, size=changed.size)
         recolored = Coloring(q=q, m=m, colors=colors, k=base.k)
         assert verify_coloring(g, recolored) == _first_violation_by_rows(g, colors)
+
+
+def test_verify_coloring_memory_stays_flat():
+    # The whole-array gather held an intp copy of the int32 rows and the
+    # gathered colors at once: about 31 MB at q = 127.
+    ctx = field_for(127)
+    g = graph_for(127)
+    coloring = build_coloring_md(ctx, 2, make_plan(ctx))
+    colors = coloring.colors.copy()
+    colors[-1] = colors[int(g.neighbors_of(g.n_vertices - 1)[0])]
+    damaged = Coloring(q=127, m=2, colors=colors, k=coloring.k)
+    tracemalloc.start()
+    try:
+        assert verify_coloring(g, coloring) is None
+        assert verify_coloring(g, damaged) == _first_violation_by_rows(g, colors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_coloring_file_round_trip(tmp_path):
