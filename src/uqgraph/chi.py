@@ -11,8 +11,11 @@ exhausted budget degrades the result to a valid bracket.
 
 Both the greedy pass and the search branch on the argmax of the key
 sat * (N + 1) + deg: saturation, then degree, then the lowest index.
-The search keeps the keys in one array, updated as colors are placed
-and undone; a colored vertex sinks below zero by (k + 1) * (N + 1).
+The keys live in one int64 array that argmax reads and a memoryview of
+it updates with Python ints; in the search a colored vertex sinks below
+zero by (k + 1) * (N + 1). A colored vertex holds forbid = -1, so one bit
+test skips colored and already-forbidden neighbors alike; the search
+frame keeps the vertex's real forbid value and restores it on undo.
 """
 
 from __future__ import annotations
@@ -68,23 +71,25 @@ def greedy_bound(graph) -> Coloring:
     deterministic.
     """
     n = graph.n_vertices
-    nbrs = [graph.neighbors_of(u) for u in range(n)]
-    colors = np.full(n, -1, dtype=np.int64)
+    nbrs = [graph.neighbors_of(u).tolist() for u in range(n)]
+    colors = [-1] * n
     forbid = [0] * n
     big = n + 1  # outranks any degree, so saturation dominates the score
-    score = np.array([len(x) for x in nbrs], dtype=np.int64)
+    keys = np.array([len(x) for x in nbrs], dtype=np.int64)
+    score = memoryview(keys)
     for _ in range(n):
-        v = int(np.argmax(score))
+        v = int(keys.argmax())
         c = ((forbid[v] + 1) & ~forbid[v]).bit_length() - 1  # lowest free color
         colors[v] = c
+        forbid[v] = -1
         score[v] = -1
         bit = 1 << c
         for w in nbrs[v]:
-            w = int(w)
-            if colors[w] < 0 and not forbid[w] & bit:
+            if not forbid[w] & bit:
                 forbid[w] |= bit
                 score[w] += big
-    return Coloring(q=graph.q, m=graph.m, colors=colors, k=int(colors.max()) + 1)
+    return Coloring(q=graph.q, m=graph.m, colors=np.array(colors, dtype=np.int64),
+                    k=max(colors, default=-1) + 1)
 
 
 def clique_lower(graph, node_budget: int = 100_000) -> int:
@@ -135,8 +140,7 @@ def _structural_lower(graph) -> int:
         queue = [start]
         while queue:
             u = queue.pop()
-            for w in graph.neighbors_of(u):
-                w = int(w)
+            for w in graph.neighbors_of(u).tolist():
                 if w == u:
                     continue
                 has_edge = True
@@ -167,18 +171,19 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
         return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
     if k < 1:
         return "none", None, nodes
-    nbrs = [[int(w) for w in graph.neighbors_of(u)] for u in range(n)]
+    nbrs = [graph.neighbors_of(u).tolist() for u in range(n)]
     colors = [-1] * n
-    forbid = [0] * n
+    forbid = [0] * n  # -1 while colored
     big = n + 1  # outranks any degree, so saturation dominates the score
     done = (k + 1) * big  # outranks any saturation, so colored vertices sink
-    score = np.array([len(x) for x in nbrs], dtype=np.int64)
+    keys = np.array([len(x) for x in nbrs], dtype=np.int64)
+    score = memoryview(keys)
     full = (1 << k) - 1
     max_used = -1
 
-    v0 = int(score.argmax())
-    # frame: [vertex, colors left to try, bit of current try, touched, saved max_used]
-    stack = [[v0, (~forbid[v0]) & full & ((1 << (max_used + 2)) - 1), 0, [], -1]]
+    v0 = int(keys.argmax())
+    # frame: [vertex, colors left to try, bit of current try, touched, saved max_used, saved forbid]
+    stack = [[v0, (~forbid[v0]) & full & ((1 << (max_used + 2)) - 1), 0, [], -1, 0]]
     while stack:
         frame = stack[-1]
         v = frame[0]
@@ -187,11 +192,10 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
             for w in frame[3]:
                 forbid[w] ^= bit
                 score[w] -= big
-            colors[v] = -1
+            forbid[v] = frame[5]
             score[v] += done
             max_used = frame[4]
             frame[2] = 0
-            frame[3] = []
         rem = frame[1]
         if rem == 0:
             stack.pop()
@@ -205,23 +209,21 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
         ):
             return "budget", None, nodes
         colors[v] = c
+        frame[5] = forbid[v]
+        forbid[v] = -1
         score[v] -= done
         frame[2] = bit
         frame[4] = max_used
         if c > max_used:
             max_used = c
-        touched = frame[3]
+        touched = frame[3] = [w for w in nbrs[v] if not forbid[w] & bit]
         dead = False
-        for w in nbrs[v]:
-            if colors[w] < 0:
-                fw = forbid[w]
-                if not fw & bit:
-                    fw |= bit
-                    forbid[w] = fw
-                    score[w] += big
-                    touched.append(w)
-                    if fw == full:
-                        dead = True
+        for w in touched:
+            fw = forbid[w] | bit
+            forbid[w] = fw
+            score[w] += big
+            if fw == full:
+                dead = True
         if dead:
             continue
         if len(stack) == n:  # every frame on the stack holds a colored vertex
@@ -232,11 +234,11 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
                 k=max_used + 1,
             )
             return "found", witness, nodes
-        nv = int(score.argmax())
+        nv = int(keys.argmax())
         allowed = (~forbid[nv]) & full & ((1 << (max_used + 2)) - 1)
         if allowed == 0:
             continue
-        stack.append([nv, allowed, 0, [], -1])
+        stack.append([nv, allowed, 0, [], -1, 0])
     return "none", None, nodes
 
 

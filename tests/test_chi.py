@@ -70,6 +70,12 @@ def test_greedy_single_vertex():
     assert greedy_bound(StubGraph(1, [])).k == 1
 
 
+def test_empty_graph():
+    assert greedy_bound(StubGraph(0, [])).k == 0
+    result = exact_chromatic(StubGraph(0, []))
+    assert (result.status, result.lower, result.upper) == ("exact", 0, 0)
+
+
 def test_clique_lower():
     assert clique_lower(graph_for(7)) == 2  # triangle-free
     assert clique_lower(graph_for(5)) == 2
@@ -296,23 +302,31 @@ def search_outcomes(search, graph):
     return out
 
 
-@pytest.mark.parametrize("q, m", [(5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (3, 3), (5, 3)])
+def uneven_stub_graphs():
+    """50 seeded random graphs whose per-vertex edge weights spread the
+    degrees, so ties in the DSATUR key are rare and the order matters."""
+    rng = np.random.default_rng(20261017)
+    for _ in range(50):
+        n = int(rng.integers(10, 61))
+        weight = rng.uniform(0.05, 0.95, size=n)
+        yield StubGraph(n, [
+            (u, v)
+            for u, v in combinations(range(n), 2)
+            if rng.random() < weight[u] * weight[v]
+        ])
+
+
+ORACLE_POINTS = [(5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (3, 3), (5, 3)]
+
+
+@pytest.mark.parametrize("q, m", ORACLE_POINTS)
 def test_score_array_search_matches_scan_oracle(q, m):
     g = graph_for(q, m)
     assert search_outcomes(_search_k_coloring, g) == search_outcomes(scan_search_k_coloring, g)
 
 
 def test_score_array_search_matches_scan_oracle_on_uneven_degrees():
-    rng = np.random.default_rng(20261017)
-    for _ in range(50):
-        n = int(rng.integers(10, 61))
-        weight = rng.uniform(0.05, 0.95, size=n)  # per-vertex, so degrees spread
-        edges = [
-            (u, v)
-            for u, v in combinations(range(n), 2)
-            if rng.random() < weight[u] * weight[v]
-        ]
-        g = StubGraph(n, edges)
+    for g in uneven_stub_graphs():
         assert search_outcomes(_search_k_coloring, g) == search_outcomes(
             scan_search_k_coloring, g
         )
@@ -323,3 +337,164 @@ def test_pinned_search_counts():
     for q in (11, 13):
         result = exact_chromatic(graph_for(q), node_limit=20000)
         assert (result.status, result.lower, result.upper) == ("bounded", 3, 6)
+
+
+def array_greedy_bound(graph) -> Coloring:
+    """Greedy DSATUR with numpy colors and numpy scalar score updates, as it
+    was before the memoryview score. Kept as the oracle for greedy_bound."""
+    n = graph.n_vertices
+    nbrs = [graph.neighbors_of(u) for u in range(n)]
+    colors = np.full(n, -1, dtype=np.int64)
+    forbid = [0] * n
+    big = n + 1
+    score = np.array([len(x) for x in nbrs], dtype=np.int64)
+    for _ in range(n):
+        v = int(np.argmax(score))
+        c = ((forbid[v] + 1) & ~forbid[v]).bit_length() - 1
+        colors[v] = c
+        score[v] = -1
+        bit = 1 << c
+        for w in nbrs[v]:
+            w = int(w)
+            if colors[w] < 0 and not forbid[w] & bit:
+                forbid[w] |= bit
+                score[w] += big
+    return Coloring(q=graph.q, m=graph.m, colors=colors, k=int(colors.max()) + 1)
+
+
+def array_search_k_coloring(graph, k, deadline, node_limit, nodes):
+    """The DSATUR search with numpy scalar score updates and a separate
+    colored test per neighbor, as it was before the -1 forbid sentinel and
+    the memoryview score. Kept as the oracle for _search_k_coloring."""
+    n = graph.n_vertices
+    if n == 0:
+        return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
+    if k < 1:
+        return "none", None, nodes
+    nbrs = [[int(w) for w in graph.neighbors_of(u)] for u in range(n)]
+    colors = [-1] * n
+    forbid = [0] * n
+    big = n + 1
+    done = (k + 1) * big
+    score = np.array([len(x) for x in nbrs], dtype=np.int64)
+    full = (1 << k) - 1
+    max_used = -1
+
+    v0 = int(score.argmax())
+    stack = [[v0, (~forbid[v0]) & full & ((1 << (max_used + 2)) - 1), 0, [], -1]]
+    while stack:
+        frame = stack[-1]
+        v = frame[0]
+        if frame[2]:
+            bit = frame[2]
+            for w in frame[3]:
+                forbid[w] ^= bit
+                score[w] -= big
+            colors[v] = -1
+            score[v] += done
+            max_used = frame[4]
+            frame[2] = 0
+            frame[3] = []
+        rem = frame[1]
+        if rem == 0:
+            stack.pop()
+            continue
+        bit = rem & -rem
+        c = bit.bit_length() - 1
+        frame[1] = rem ^ bit
+        nodes += 1
+        if nodes >= node_limit or (
+            (nodes & 1023) == 0 and perf_counter() > deadline
+        ):
+            return "budget", None, nodes
+        colors[v] = c
+        score[v] -= done
+        frame[2] = bit
+        frame[4] = max_used
+        if c > max_used:
+            max_used = c
+        touched = frame[3]
+        dead = False
+        for w in nbrs[v]:
+            if colors[w] < 0:
+                fw = forbid[w]
+                if not fw & bit:
+                    fw |= bit
+                    forbid[w] = fw
+                    score[w] += big
+                    touched.append(w)
+                    if fw == full:
+                        dead = True
+        if dead:
+            continue
+        if len(stack) == n:
+            witness = Coloring(
+                q=graph.q,
+                m=graph.m,
+                colors=np.array(colors, dtype=np.int64),
+                k=max_used + 1,
+            )
+            return "found", witness, nodes
+        nv = int(score.argmax())
+        allowed = (~forbid[nv]) & full & ((1 << (max_used + 2)) - 1)
+        if allowed == 0:
+            continue
+        stack.append([nv, allowed, 0, [], -1])
+    return "none", None, nodes
+
+
+@pytest.mark.parametrize("q, m", ORACLE_POINTS)
+def test_search_matches_score_array_oracle(q, m):
+    g = graph_for(q, m)
+    assert search_outcomes(_search_k_coloring, g) == search_outcomes(array_search_k_coloring, g)
+
+
+def test_search_matches_score_array_oracle_on_uneven_degrees():
+    for g in uneven_stub_graphs():
+        assert search_outcomes(_search_k_coloring, g) == search_outcomes(
+            array_search_k_coloring, g
+        )
+
+
+def test_greedy_matches_array_oracle():
+    for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs()):
+        new, old = greedy_bound(g), array_greedy_bound(g)
+        assert new.k == old.k
+        assert new.colors.dtype == old.colors.dtype
+        assert np.array_equal(new.colors, old.colors)
+
+
+class WatchedScore:
+    """Stands in for memoryview(score) and records every key written through
+    any instance as (old, new)."""
+
+    writes = []
+
+    def __init__(self, keys):
+        self.view = memoryview(keys)
+
+    def __getitem__(self, i):
+        return self.view[i]
+
+    def __setitem__(self, i, value):
+        self.writes.append((self.view[i], value))
+        self.view[i] = value
+
+
+@pytest.mark.parametrize("q, m", [(7, 2), (11, 2), (3, 3)])
+def test_saturation_updates_skip_colored_vertices(q, m, monkeypatch):
+    """A colored vertex holds forbid = -1, so coloring a vertex raises the
+    keys of its uncolored neighbors only: a key moves by the saturation step
+    n + 1 only while it is non-negative, that is, while its vertex is
+    uncolored. The results stay those of the oracles."""
+    import uqgraph.chi as chi
+
+    g = graph_for(q, m)
+    monkeypatch.setattr(chi, "memoryview", WatchedScore, raising=False)
+    monkeypatch.setattr(WatchedScore, "writes", [])
+    assert search_outcomes(_search_k_coloring, g) == search_outcomes(array_search_k_coloring, g)
+    assert np.array_equal(greedy_bound(g).colors, array_greedy_bound(g).colors)
+    step = g.n_vertices + 1
+    moves = [(old, new) for old, new in WatchedScore.writes if abs(new - old) == step]
+    assert moves
+    assert all(old >= 0 and new >= 0 for old, new in moves)

@@ -405,3 +405,86 @@ def test_read_coloring_malformed(tmp_path):
     path.write_text("# q=5 m=2 k=3\n0 7\n")
     with pytest.raises(ValueError):
         read_coloring(path)
+
+
+Q5_HEADER = "# q=5 m=2 k=3\n"
+Q5_BODY = [f"{i} {i % 3}" for i in range(25)]
+
+
+def q5_file(*changes):
+    """The q = 5 coloring file with some body lines replaced: changes are
+    (line, text) pairs, and a text of None deletes the line."""
+    body = list(Q5_BODY)
+    for i, line in sorted(changes, reverse=True):
+        if line is None:
+            del body[i]
+        else:
+            body[i] = line
+    return Q5_HEADER + "".join(line + "\n" for line in body)
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    pytest.param("", ValueError, "empty coloring file", id="empty"),
+    pytest.param(" \n\t\n", ValueError, "empty coloring file", id="blank"),
+    pytest.param("no header\n0 0\n", ValueError, "bad coloring header: 'no header'",
+                 id="bad-header"),
+    pytest.param("# q=4 m=2 k=3\n", ValueError,
+                 "coloring header q=4 m=2 needs an odd prime power q, m >= 2 and q**m <= 65536",
+                 id="header-bound"),
+    pytest.param(q5_file((3, "3 1 2")), ValueError, "bad coloring line: '3 1 2'",
+                 id="three-tokens"),
+    pytest.param(q5_file((3, "3")), ValueError, "bad coloring line: '3'", id="one-token"),
+    pytest.param(q5_file((3, "25 0")), ValueError, "vertex index 25 outside [0, 25)",
+                 id="index-high"),
+    pytest.param(q5_file((3, "-1 0")), ValueError, "vertex index -1 outside [0, 25)",
+                 id="index-negative"),
+    pytest.param(q5_file((3, "99999999999999999999 0")), ValueError,
+                 "vertex index 99999999999999999999 outside [0, 25)", id="index-past-int64"),
+    pytest.param(q5_file((3, "3 3")), ValueError, "color 3 outside [0, 3)", id="color-high"),
+    pytest.param(q5_file((3, "3 -18446744073709551616")), ValueError,
+                 "color -18446744073709551616 outside [0, 3)", id="color-past-int64"),
+    pytest.param(q5_file((3, "2 0")), ValueError, "vertex index 2 is colored twice",
+                 id="repeated-index"),
+    pytest.param(q5_file((3, "3 x")), ValueError,
+                 "invalid literal for int() with base 10: 'x'", id="not-an-integer"),
+    pytest.param(q5_file((13, None)), IncompleteColoringError, "vertex 13 has no color",
+                 id="missing-vertex"),
+    pytest.param(Q5_HEADER, IncompleteColoringError, "vertex 0 has no color", id="no-body"),
+])
+def test_read_coloring_messages(text, kind, message):
+    with pytest.raises(kind) as caught:
+        read_coloring(io.StringIO(text))
+    assert type(caught.value) is kind and str(caught.value) == message
+
+
+def test_read_coloring_reports_the_first_offending_line():
+    """With several faults, the error names the first offending line; one
+    line's checks run as pair, integers, index, color, repeat."""
+    cases = [
+        ((3, "25 0"), (7, "7 1 1"), "vertex index 25 outside [0, 25)"),
+        ((3, "7 1 1"), (7, "25 0"), "bad coloring line: '7 1 1'"),
+        ((3, "3 x"), (7, "2 0"), "invalid literal for int() with base 10: 'x'"),
+        ((3, "2 0"), (7, "y 1"), "vertex index 2 is colored twice"),
+        ((3, "3 7"), (7, "3 0"), "color 7 outside [0, 3)"),
+        ((3, "x 7"), (7, "7 1 1"), "invalid literal for int() with base 10: 'x'"),
+        ((3, "3 y"), (7, "z 1"), "invalid literal for int() with base 10: 'y'"),
+        ((3, "3 0 0"), (7, "x"), "bad coloring line: '3 0 0'"),
+        ((3, "-5 9"), (7, "x"), "vertex index -5 outside [0, 25)"),
+        ((23, "1 1"), (24, "99999999999999999999 0"), "vertex index 1 is colored twice"),
+    ]
+    for first, second, message in cases:
+        text = q5_file(first, second)
+        with pytest.raises(ValueError) as caught:
+            read_coloring(io.StringIO(text))
+        assert str(caught.value) == message
+
+
+def test_read_coloring_accepts_comments_blanks_and_int_spellings():
+    lines = ["", "  # q=5 m=2 k=3  ", "# a comment", "", "#0 0 0"]
+    lines += [f"\t{i}   {i % 3} " for i in range(3, 25)]
+    lines += ["+0 0", "  # another", "0_1 1", "\u0662 2", ""]
+    text = "\r\n".join(lines)
+    coloring = read_coloring(io.StringIO(text))
+    assert (coloring.q, coloring.m, coloring.k) == (5, 2, 3)
+    assert coloring.colors.dtype == np.int64
+    assert coloring.colors.tolist() == [i % 3 for i in range(25)]
