@@ -96,16 +96,18 @@ def clique_lower(graph, node_budget: int = 100_000) -> int:
     """Size of the largest clique found within the node budget.
 
     Always a valid chromatic lower bound; exact when the search finishes
-    before the budget runs out (it does on desk-scale instances).
+    before the budget runs out (it does on desk-scale instances). Each
+    root r is searched over bitmasks local to its later neighbors N+(r).
+    A graph with a field is a Cayley graph, so vertex 0's subtree over
+    N+(0) = S already holds a largest clique and is the only one searched.
     """
     n = graph.n_vertices
     if n == 0:
         return 0
-    rows = [graph.row_bits(u) for u in range(n)]
     best = 1
     nodes = 0
 
-    def extend(size: int, cand: int) -> None:
+    def extend(size: int, cand: int, rows: list[int]) -> None:
         nonlocal best, nodes
         while cand:
             if nodes >= node_budget:
@@ -120,9 +122,16 @@ def clique_lower(graph, node_budget: int = 100_000) -> int:
                 best = size + 1
             sub = cand & rows[v]
             if sub:
-                extend(size + 1, sub)
+                extend(size + 1, sub, rows)
 
-    extend(0, (1 << n) - 1)
+    for r in range(1 if getattr(graph, "ctx", None) is not None else n):
+        if nodes >= node_budget or n - r <= best:  # a clique from r on has <= n - r vertices
+            break
+        nodes += 1
+        later = sorted(w for w in graph.neighbors_of(r).tolist() if w > r)
+        bit = {w: 1 << i for i, w in enumerate(later)}
+        rows = [sum(bit.get(x, 0) for x in graph.neighbors_of(w).tolist()) for w in later]
+        extend(1, (1 << len(later)) - 1, rows)
     return best
 
 

@@ -64,22 +64,30 @@ class Coloring:
     k: int
 
 
-def _slope_target(ctx: FieldCtx, a: int) -> int:
-    return ctx.add(ctx.mul(a, a), 1)
+def _slope_chars(ctx: FieldCtx) -> np.ndarray:
+    """The character of a**2 + 1 for every slope code a."""
+    return ctx.character_vector()[ctx.add_arrays(ctx.square_vector(), 1)]
+
+
+def _shift_chars(ctx: FieldCtx, a: int) -> np.ndarray:
+    """The character of a**2 + 1 - t**2 for every shift code t."""
+    squares = ctx.square_vector()
+    minus = ctx.mul_vector(ctx.p - 1)  # -x for every x: the code p - 1 is -1
+    rest = ctx.add_arrays(ctx.add_arrays(squares[a], 1), minus[squares])
+    return ctx.character_vector()[rest]
 
 
 def _require_slope(ctx: FieldCtx, a: int) -> None:
     if not 0 <= a < ctx.q:
         raise InvalidPlanError(f"slope code {a} outside [0, {ctx.q})")
-    if ctx.quadratic_character(_slope_target(ctx, a)) != -1:
+    if _slope_chars(ctx)[a] != -1:
         raise InvalidPlanError(f"a={a} rejected: a^2+1 is a square in F_{ctx.q}")
 
 
 def _require_shift(ctx: FieldCtx, a: int, t: int) -> None:
     if not 0 < t < ctx.q:
         raise InvalidPlanError(f"shift t={t} must be a nonzero code in [1, {ctx.q})")
-    rest = ctx.sub(_slope_target(ctx, a), ctx.mul(t, t))
-    if ctx.quadratic_character(rest) != -1:
+    if _shift_chars(ctx, a)[t] != -1:
         raise InvalidPlanError(
             f"t={t} rejected: a^2+1-t^2 is a square in F_{ctx.q}"
         )
@@ -90,12 +98,12 @@ def find_slope(ctx: FieldCtx, override: int | None = None) -> int:
     if override is not None:
         _require_slope(ctx, override)
         return override
-    for a in range(ctx.q):
-        if ctx.quadratic_character(_slope_target(ctx, a)) == -1:
-            return a
-    raise NoSlopeExistsError(
-        f"no a with a^2+1 a nonsquare exists in F_{ctx.q}"
-    )
+    slopes = np.flatnonzero(_slope_chars(ctx) == -1)
+    if len(slopes) == 0:
+        raise NoSlopeExistsError(
+            f"no a with a^2+1 a nonsquare exists in F_{ctx.q}"
+        )
+    return int(slopes[0])
 
 
 def count_Aq(ctx: FieldCtx, t: int) -> CharCountReport:
@@ -120,13 +128,12 @@ def find_shift(ctx: FieldCtx, a: int, override: int | None = None) -> int:
     if override is not None:
         _require_shift(ctx, a, override)
         return override
-    target = _slope_target(ctx, a)
-    for t in range(1, ctx.q):
-        if ctx.quadratic_character(ctx.sub(target, ctx.mul(t, t))) == -1:
-            return t
-    raise ConstructionUnavailableError(
-        f"no shift with a^2+1-t^2 a nonsquare exists in F_{ctx.q}"
-    )  # unreachable for q >= 5
+    shifts = np.flatnonzero(_shift_chars(ctx, a)[1:] == -1) + 1
+    if len(shifts) == 0:
+        raise ConstructionUnavailableError(
+            f"no shift with a^2+1-t^2 a nonsquare exists in F_{ctx.q}"
+        )  # unreachable for q >= 5
+    return int(shifts[0])
 
 
 def _coset_reps(ctx: FieldCtx, t: int) -> tuple[int, ...]:
@@ -173,31 +180,29 @@ def _coset_lines(ctx: FieldCtx, plan: ColoringPlan) -> np.ndarray:
 
 
 def _no_unit_pair(ctx: FieldCtx, a: int, t: int) -> bool:
-    """Exhaustively check Q(A, B) != 1 for A on line y = a*x + i and B on
-    line y = a*x + i + t, over all i and all pairs of points."""
-    add_tab, squares = ctx.add_table(), ctx.square_vector()
-    minus = ctx.mul_vector(ctx.neg(1))  # -x for every x
-    on_line = ctx.mul_vector(a)
-    dx2 = squares[add_tab[:, minus]]  # (x_A - x_B)**2 for every pair
-    for i in range(ctx.q):
-        ya = add_tab[on_line, i]
-        yb = add_tab[on_line, ctx.add(i, t)]
-        dy2 = squares[add_tab[ya[:, None], minus[yb][None, :]]]
-        if np.any(add_tab[dx2, dy2] == 1):
-            return False
-    return True
+    """Check Q(A, B) != 1 for A on line y = a*x + i and B on line
+    y = a*x + i + t, over all i and all pairs of points.
+
+    B - A = (d, a*d + t) with d = x_B - x_A, whatever i and x_A are, so
+    one check over d covers every pair: no d has d**2 + (a*d + t)**2 = 1.
+    """
+    ctx._check(t)
+    squares = ctx.square_vector()
+    rise = ctx.add_arrays(ctx.mul_vector(a), t)  # a*d + t for every d
+    return not np.any(ctx.add_arrays(squares, squares[rise]) == 1)
 
 
 def verify_line_lemma(ctx: FieldCtx, a: int) -> bool:
-    """Exhaustively check Q(A, B) != 1 for distinct A, B on each line
-    y = a*x + i. Runs for any a, including slopes violating the nonsquare
-    requirement (for which it returns False)."""
+    """Check Q(A, B) != 1 for distinct A, B on each line y = a*x + i,
+    from the difference B - A = (d, a*d) alone. Runs for any a, including
+    slopes violating the nonsquare requirement (for which it returns False)."""
     return _no_unit_pair(ctx, a, 0)  # A = B has Q = 0, so no pair is excluded
 
 
 def verify_cross_line_lemma(ctx: FieldCtx, a: int, t: int) -> bool:
-    """Exhaustively check Q(A, B) != 1 for A on line y = a*x + i and B on
-    line y = a*x + i + t, over all i."""
+    """Check Q(A, B) != 1 for A on line y = a*x + i and B on line
+    y = a*x + i + t, over all i, from the difference B - A = (d, a*d + t)
+    alone."""
     return _no_unit_pair(ctx, a, t)
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 
 import numpy as np
 
@@ -36,35 +35,19 @@ TABLE_MAX_ORDER = 1 << 10  # q x q lookup tables are only built below this
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test; fine at desk scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return _prime_divisors(n) == [n]
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, n) with q = p**n and p prime, or None if q is not a prime power."""
-    if q < 2:
+    divisors = _prime_divisors(q)
+    if len(divisors) != 1:
         return None
-    p = q
-    for f in range(2, math.isqrt(q) + 1):
-        if q % f == 0:
-            p = f
-            break
-    n = 0
-    rest = q
-    while rest % p == 0:
-        rest //= p
+    p, n = divisors[0], 0
+    while q > 1:
+        q //= p
         n += 1
-    return (p, n) if rest == 1 else None
+    return p, n
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +107,7 @@ def _poly_gcd(a, b, p) -> list[int]:
 
 
 def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division; [] below 2."""
     out = []
     f = 2
     while f * f <= n:
@@ -422,6 +406,10 @@ def make_field(p: int, n: int = 1, max_order: int = DEFAULT_MAX_ORDER) -> FieldC
         raise ValueError("extension degree must be at least 1")
     if p == 2:
         raise EvenCharacteristicError("characteristic 2 is not supported")
+    # With p >= 3 an n of max_order.bit_length() or more is over the bound
+    # already, so a huge p or n is rejected before trial division and p**n.
+    if p > max_order or n >= max_order.bit_length():
+        raise TooLargeError(f"q={p}**{n} exceeds the order bound {max_order}")
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     q = p**n

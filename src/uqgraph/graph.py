@@ -137,10 +137,6 @@ class UnitQuadranceGraph:
     def neighbors_of(self, u: int) -> np.ndarray:
         return self.adjacency[u]
 
-    def row_bits(self, u: int) -> int:
-        """The neighbors of u as an int bitmask, built on demand."""
-        return sum(1 << v for v in self.adjacency[u].tolist())
-
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 

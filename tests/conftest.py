@@ -1,5 +1,6 @@
-"""Shared helpers: cached graph construction and prime-power enumeration."""
+"""Shared helpers: cached graph construction, prime-power enumeration and a one-second alarm."""
 
+import signal
 from functools import lru_cache
 
 from uqgraph import build_graph, make_field, prime_power
@@ -23,3 +24,21 @@ def field_for(q: int):
 @lru_cache(maxsize=None)
 def graph_for(q: int, m: int = 2):
     return build_graph(field_for(q), m)
+
+
+class Expired(Exception):
+    """Raised by the alarm; not an error type the code under test handles."""
+
+
+def within_a_second(call, *args):
+    """call(*args), failing with Expired if it runs past one second."""
+    def expire(signum, frame):
+        raise Expired(f"{call.__name__}{args} did not return within a second")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return call(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -26,12 +26,9 @@ class StubGraph:
         self.q, self.m = q, m
         self._n = n
         self._adj = [set() for _ in range(n)]
-        self._rows = [0] * n
         for u, v in edges:
             self._adj[u].add(v)
             self._adj[v].add(u)
-            self._rows[u] |= 1 << v
-            self._rows[v] |= 1 << u
 
     @property
     def n_vertices(self):
@@ -39,9 +36,6 @@ class StubGraph:
 
     def neighbors_of(self, u):
         return np.array(sorted(self._adj[u]), dtype=np.int64)
-
-    def row_bits(self, u):
-        return self._rows[u]
 
 
 def brute_chi(n, edges):
@@ -498,3 +492,57 @@ def test_saturation_updates_skip_colored_vertices(q, m, monkeypatch):
     moves = [(old, new) for old, new in WatchedScore.writes if abs(new - old) == step]
     assert moves
     assert all(old >= 0 and new >= 0 for old, new in moves)
+
+
+def global_clique_lower(graph, node_budget=100_000):
+    """The clique search as it was before local masks: one N-bit neighbor
+    mask per vertex and a top-level loop over every vertex. Kept as the
+    oracle for clique_lower."""
+    n = graph.n_vertices
+    if n == 0:
+        return 0
+    rows = [sum(1 << v for v in graph.neighbors_of(u).tolist()) for u in range(n)]
+    best = 1
+    nodes = 0
+
+    def extend(size, cand):
+        nonlocal best, nodes
+        while cand:
+            if nodes >= node_budget:
+                return
+            if size + cand.bit_count() <= best:
+                return
+            low = cand & -cand
+            v = low.bit_length() - 1
+            cand ^= low
+            nodes += 1
+            if size + 1 > best:
+                best = size + 1
+            sub = cand & rows[v]
+            if sub:
+                extend(size + 1, sub)
+
+    extend(0, (1 << n) - 1)
+    return best
+
+
+CLIQUE_BUDGETS = (0, 1, 2, 3, 10, 500, 20000, 100000)
+
+
+@pytest.mark.parametrize("q, m", [(5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2),
+                                  (31, 2), (3, 3), (5, 3), (7, 3), (9, 3), (3, 4), (5, 4)])
+def test_clique_lower_from_vertex_0_matches_global_oracle(q, m):
+    g = graph_for(q, m)
+    for budget in CLIQUE_BUDGETS:
+        assert clique_lower(g, budget) == global_clique_lower(g, budget), budget
+
+
+def test_clique_lower_matches_global_oracle_on_uneven_degrees():
+    for g in uneven_stub_graphs():
+        for budget in CLIQUE_BUDGETS:
+            assert clique_lower(g, budget) == global_clique_lower(g, budget), budget
+
+
+def test_clique_numbers_reach_five():
+    points = [(31, 2), (11, 2), (7, 3), (3, 4), (5, 4)]
+    assert [clique_lower(graph_for(q, m)) for q, m in points] == [2, 3, 4, 4, 5]

@@ -1,10 +1,10 @@
 """CLI subcommands, exit codes, and output stability."""
 
 import json
-import signal
 
 import pytest
 
+from conftest import within_a_second
 from uqgraph.cli import main
 from uqgraph.field import make_field
 
@@ -69,6 +69,20 @@ def test_color_q3_unavailable(capsys):
 def test_color_rejects_bad_override(capsys):
     code, _, _ = run(capsys, "color", "--q", "7", "--a", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--a", "-1", "slope code -1 outside [0, 7)"),
+    ("--a", "0", "a=0 rejected: a^2+1 is a square in F_7"),
+    ("--a", "7", "slope code 7 outside [0, 7)"),
+    ("--t", "-1", "shift t=-1 must be a nonzero code in [1, 7)"),
+    ("--t", "0", "shift t=0 must be a nonzero code in [1, 7)"),
+    ("--t", "7", "shift t=7 must be a nonzero code in [1, 7)"),
+    ("--t", "1", "t=1 rejected: a^2+1-t^2 is a square in F_7"),
+])
+def test_color_bad_override_messages(capsys, flag, value, message):
+    # out-of-range codes are rejected before they index any vector
+    assert run(capsys, "color", "--q", "7", flag, value) == (2, "", f"error: {message}\n")
 
 
 def test_chi_q7(capsys):
@@ -195,21 +209,8 @@ def test_report_rejects_oversized_range(capsys):
     assert err.startswith("error: q range") and "Traceback" not in err
 
 
-class _Expired(Exception):
-    """Raised by the alarm; not an error type that main() turns into exit 2."""
-
-
 def run_within_a_second(capsys, *argv):
-    def expire(signum, frame):
-        raise _Expired(f"{argv} did not return within a second")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        return run(capsys, *argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    return within_a_second(run, capsys, *argv)
 
 
 def test_build_rejects_huge_q_before_factoring(capsys):

@@ -27,7 +27,7 @@ from uqgraph import (
     verify_line_lemma,
     write_coloring,
 )
-from uqgraph.construction import _coset_reps
+from uqgraph.construction import _coset_reps, _require_shift, _require_slope
 from uqgraph.graph import quadrance
 
 
@@ -173,6 +173,93 @@ def scalar_coset_reps(ctx, t):
             covered[cur] = 1
             cur = ctx.add(cur, t)
     return tuple(reps)
+
+
+def scalar_slope_target(ctx, a):
+    return ctx.add(ctx.mul(a, a), 1)
+
+
+def scalar_slope_ok(ctx, a):
+    return ctx.quadratic_character(scalar_slope_target(ctx, a)) == -1
+
+
+def scalar_shift_ok(ctx, a, t):
+    return ctx.quadratic_character(ctx.sub(scalar_slope_target(ctx, a), ctx.mul(t, t))) == -1
+
+
+def scalar_find_slope(ctx):
+    return next((a for a in range(ctx.q) if scalar_slope_ok(ctx, a)), None)
+
+
+def scalar_find_shift(ctx, a):
+    return next((t for t in range(1, ctx.q) if scalar_shift_ok(ctx, a, t)), None)
+
+
+def accepts(check, *args):
+    try:
+        check(*args)
+    except InvalidPlanError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(3, 243))
+def test_certificate_search_matches_scalar_loops(q):
+    ctx = field_for(q)
+    a = find_slope(ctx)
+    assert a == scalar_find_slope(ctx)
+    slopes = [b for b in range(q) if scalar_slope_ok(ctx, b)]
+    assert [b for b in range(-1, q + 1) if accepts(_require_slope, ctx, b)] == slopes
+    if q == 3:
+        return
+    for b in slopes:
+        assert find_shift(ctx, b) == scalar_find_shift(ctx, b), b
+    shifts = [t for t in range(1, q) if scalar_shift_ok(ctx, a, t)]
+    assert [t for t in range(-1, q + 1) if accepts(_require_shift, ctx, a, t)] == shifts
+
+
+def vectorized_no_unit_pair(ctx, a, t):
+    """The lemma check as it was before the difference argument: every line
+    offset i and every pair of points, through the addition table."""
+    add_tab, squares = ctx.add_table(), ctx.square_vector()
+    minus = ctx.mul_vector(ctx.neg(1))  # -x for every x
+    on_line = ctx.mul_vector(a)
+    dx2 = squares[add_tab[:, minus]]  # (x_A - x_B)**2 for every pair
+    for i in range(ctx.q):
+        ya = add_tab[on_line, i]
+        yb = add_tab[on_line, ctx.add(i, t)]
+        dy2 = squares[add_tab[ya[:, None], minus[yb][None, :]]]
+        if np.any(add_tab[dx2, dy2] == 1):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
+def test_difference_lemma_check_matches_all_pairs_oracle(q):
+    ctx = field_for(q)
+    verdicts = set()
+    for a in range(q):
+        assert verify_line_lemma(ctx, a) == vectorized_no_unit_pair(ctx, a, 0), a
+        for t in range(q):
+            verdict = verify_cross_line_lemma(ctx, a, t)
+            assert verdict == vectorized_no_unit_pair(ctx, a, t), (a, t)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_lemma_checks_reject_codes_outside_the_field():
+    ctx = field_for(7)
+    for a, t in [(-1, 0), (7, 0), (2, -1), (2, 7)]:
+        with pytest.raises(ValueError, match="outside"):
+            verify_cross_line_lemma(ctx, a, t)
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(3, 243))
+def test_count_Aq_is_the_same_for_every_nonsquare(q):
+    ctx = field_for(q)
+    nonsquares = np.flatnonzero(ctx.character_vector() == -1).tolist()
+    assert len(nonsquares) == (q - 1) // 2
+    assert len({count_Aq(ctx, t).brute_count for t in nonsquares}) == 1
 
 
 @pytest.mark.parametrize("q", odd_prime_powers(3, 81) + [121, 125, 243])

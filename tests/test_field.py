@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_for, odd_prime_powers
+from conftest import field_for, odd_prime_powers, within_a_second
 from uqgraph import (
     DivisionByZeroError,
     EvenCharacteristicError,
@@ -42,6 +43,17 @@ def test_make_field_rejects_nonprime():
 def test_make_field_rejects_oversized():
     with pytest.raises(TooLargeError):
         make_field(3, 2, max_order=8)
+
+
+@pytest.mark.parametrize("p, n, message", [
+    (1000000000000000003, 1, "q=1000000000000000003**1 exceeds the order bound 1048576"),
+    (3, 10**8, "q=3**100000000 exceeds the order bound 1048576"),
+    (1048583, 1, "q=1048583**1 exceeds the order bound 1048576"),
+    (3, 21, "q=3**21 exceeds the order bound 1048576"),
+])
+def test_make_field_rejects_huge_p_or_n_before_factoring(p, n, message):
+    with pytest.raises(TooLargeError, match=re.escape(message)):
+        within_a_second(make_field, p, n)
 
 
 def test_make_field_rejects_nonpositive_degree():
@@ -199,6 +211,24 @@ def test_is_prime_and_prime_power():
     assert prime_power(81) == (3, 4)
     assert prime_power(12) is None
     assert prime_power(1) is None
+
+
+def test_is_prime_and_prime_power_match_a_sieve():
+    limit = 10**4
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, 100):
+        if sieve[f]:
+            sieve[f * f :: f] = False
+    powers = {}
+    for p in np.flatnonzero(sieve).tolist():
+        q, n = p, 1
+        while q < limit:
+            powers[q] = (p, n)
+            q, n = q * p, n + 1
+    for k in range(-3, limit):
+        assert is_prime(k) == (k >= 0 and bool(sieve[k])), k
+        assert prime_power(k) == powers.get(k), k
 
 
 # ---------------------------------------------------------------------------
