@@ -36,6 +36,7 @@ from .graph import (
 )
 from .spectral import (
     cayley_spectrum,
+    check_dense_bound,
     dense_spectrum,
     eigen_bound_report,
     hoffman_bound,
@@ -124,6 +125,8 @@ def cmd_chi(args) -> int:
 def cmd_spectrum(args) -> int:
     ctx = _field_for(args.q, args.m)
     methods = ["dense", "cayley"] if args.method == "both" else [args.method]
+    if "dense" in methods:
+        check_dense_bound(ctx.q**args.m)  # before the graph is built
     spectra = {}
     for method in methods:
         if method == "dense":

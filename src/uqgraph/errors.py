@@ -58,4 +58,5 @@ class DegenerateSpectrumError(UQGraphError):
 
 
 class NoConvergenceError(UQGraphError):
-    """The dense eigensolver failed to converge."""
+    """The dense eigensolver failed, or the graph lacks the sign-flip
+    symmetry its blocks rest on."""

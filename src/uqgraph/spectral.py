@@ -1,11 +1,14 @@
 """Spectra of unit-quadrance graphs, computed two independent ways.
 
-The dense route diagonalizes the 0/1 adjacency matrix; the Cayley route
-evaluates, for every frequency vector c, the cosine sum of the additive
-character over the connection set (real because the set is symmetric).
-Agreement of the two multisets validates both the graph build and the
-field trace machinery. The extreme eigenvalues feed the spectral
-chromatic lower bound 1 - lambda1/lambda_min.
+The dense route diagonalizes the 0/1 adjacency matrix as 2**m blocks of
+about N / 2**m, one per sign pattern of the coordinate flips x_j -> -x_j,
+after checking that each flip is an automorphism of the built rows; it
+uses no character or field trace. The Cayley route evaluates, for every
+frequency vector c, the cosine sum of the additive character over the
+connection set (real because the set is symmetric). Agreement of the two
+multisets validates both the graph build and the field trace machinery.
+The extreme eigenvalues feed the spectral chromatic lower bound
+1 - lambda1/lambda_min.
 """
 
 from __future__ import annotations
@@ -55,19 +58,65 @@ class EigenBoundReport:
     within_two_sqrt_q: bool
 
 
+def check_dense_bound(n_vertices: int, max_vertices: int = DENSE_MAX_VERTICES) -> None:
+    """Raise TooLargeError when a graph on n_vertices is over the dense bound."""
+    if n_vertices > max_vertices:
+        raise TooLargeError(f"{n_vertices} vertices exceed the dense bound {max_vertices}")
+
+
 def dense_spectrum(
     graph, tol: float = DEFAULT_TOL, max_vertices: int = DENSE_MAX_VERTICES
 ) -> Spectrum:
-    """Eigenvalues of the symmetric adjacency matrix via a dense solver."""
+    """Eigenvalues of the adjacency matrix A, one dense solve per sign-flip block.
+
+    The m coordinate flips x_j -> -x_j keep quadrance and fix 0, so A splits
+    into one block per character eps in {0,1}^m of the group they generate
+    (Serre, Linear Representations of Finite Groups, 2.6). The orbit O_r of
+    r (every coordinate c replaced by min(c, -c)) has 2**(nonzero coords
+    of r) points. Block eps keeps the r nonzero wherever eps is 1, with
+    entry sqrt(|O_r1| / |O_r2|) * sum of (-1)**(eps . sigma(y)) over the
+    neighbors y of r1 in O_r2, sigma(y) marking y's flipped coordinates.
+    The block spectra together are spec(A). Each flip is first checked to
+    be an automorphism of the rows; if not, NoConvergenceError is raised.
+    """
     n = graph.n_vertices
-    if n > max_vertices:
-        raise TooLargeError(f"{n} vertices exceed the dense bound {max_vertices}")
-    adj = np.zeros((n, n), dtype=np.float64)
-    np.put_along_axis(adj, graph.adjacency, 1.0, axis=1)
-    try:
-        eig = np.linalg.eigvalsh(adj)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"dense eigensolver failed: {exc}") from exc
+    check_dense_bound(n, max_vertices)
+    ctx, m, rows = graph.ctx, graph.m, graph.adjacency
+    neg = ctx.mul_vector(ctx.neg(1))
+    places = ctx.q ** np.arange(m - 1, -1, -1)
+    coords = np.arange(n)[:, None] // places % ctx.q
+    for j in range(m):  # flip j as a vertex permutation; row g(u) must be g(row u)
+        flip = (np.arange(n) + (neg[coords[:, j]] - coords[:, j]) * places[j]).astype(rows.dtype)
+        image = flip[rows]
+        image.sort(axis=1)
+        if not np.array_equal(rows[flip], image):
+            raise NoConvergenceError(f"negating coordinate {j} is not a graph automorphism")
+    bits = 1 << np.arange(m)
+    sigma = (coords > neg[coords]) @ bits  # coordinates flipped from the representative
+    orbit = np.minimum(coords, neg[coords]) @ places  # the representative
+    reps = np.flatnonzero(sigma == 0)
+    size = len(reps)
+    neighbors = rows[reps]
+    pairs = np.arange(size)[:, None] * size + np.searchsorted(reps, orbit[neighbors])
+    neighbor_sigma = sigma[neighbors]
+    support = (coords[reps] != 0) @ bits
+    patterns = np.arange(1 << m)
+    ones = ((patterns[:, None] & bits) != 0).sum(axis=1)  # popcount of each pattern
+    root_size = np.sqrt(2.0 ** ones[support])
+    blocks = []
+    for eps in patterns:
+        keep = (support & eps) == eps
+        signs = 1.0 - 2.0 * (ones[patterns & eps] % 2)
+        weights = signs[neighbor_sigma[keep]].ravel()  # rows outside the block are skipped
+        block = np.bincount(pairs[keep].ravel(), weights, minlength=size * size)
+        block = block.reshape(size, size)[np.ix_(keep, keep)]
+        block *= root_size[keep, None] / root_size[keep]
+        try:
+            blocks.append(np.linalg.eigvalsh(block))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"dense eigensolver failed: {exc}") from exc
+    eig = np.concatenate(blocks)
+    eig.sort()
     return Spectrum(eigenvalues=eig[::-1].copy(), method="dense", tol=tol)
 
 

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, and output stability."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -256,6 +257,21 @@ def test_color_rejects_oversized_graph_before_building_field_tables(capsys):
     assert stdout == ""
     assert err == "error: 1099505336329 vertices exceed the bound 65536\n"
     assert make_field(1048573)._exp is None  # the cached field never built its tables
+
+
+@pytest.mark.parametrize("argv, n", [
+    (["spectrum", "--q", "7", "--m", "5", "--method", "dense"], 16807),
+    (["spectrum", "--q", "13", "--m", "4"], 28561),
+])
+def test_spectrum_rejects_dense_bound_before_building_the_graph(capsys, argv, n):
+    tracemalloc.start()
+    try:
+        code, stdout, err = run_within_a_second(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, stdout, err) == (2, "", f"error: {n} vertices exceed the dense bound 4096\n")
+    assert peak < 4 * 2**20  # the neighbor rows alone would be over 100 MB
 
 
 @pytest.mark.parametrize("argv, message", [

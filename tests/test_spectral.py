@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from conftest import field_for, graph_for
 from uqgraph import (
     DegenerateSpectrumError,
+    NoConvergenceError,
     Spectrum,
     TooLargeError,
     cayley_spectrum,
@@ -21,6 +23,7 @@ from uqgraph import (
     unit_circle,
     write_spectrum,
 )
+from uqgraph.graph import UnitQuadranceGraph
 
 
 def test_dense_lambda1_is_degree():
@@ -48,6 +51,57 @@ def test_cross_oracle_agreement(q):
     dense = dense_spectrum(graph_for(q))
     cayley = cayley_spectrum(field_for(q), 2)
     assert np.max(np.abs(dense.eigenvalues - cayley.eigenvalues)) < 1e-6
+
+
+def full_matrix_eigenvalues(graph):
+    """Oracle: the route dense_spectrum took before its sign-flip blocks,
+    eigvalsh on the whole N x N adjacency matrix, in descending order."""
+    n = graph.n_vertices
+    adj = np.zeros((n, n), dtype=np.float64)
+    np.put_along_axis(adj, graph.adjacency, 1.0, axis=1)
+    return np.linalg.eigvalsh(adj)[::-1]
+
+
+@pytest.mark.parametrize("q, m", [
+    (3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2), (49, 2),
+    (3, 3), (5, 3), (7, 3), (9, 3), (13, 3), (3, 4), (5, 4), (7, 4), (3, 5),
+])
+def test_dense_blocks_match_full_matrix(q, m):
+    graph = graph_for(q, m)
+    blocks = dense_spectrum(graph).eigenvalues
+    assert blocks.shape == (graph.n_vertices,)
+    assert np.max(np.abs(blocks - full_matrix_eigenvalues(graph))) < 1e-9
+
+
+def relabeled(graph, seed):
+    """The graph with its vertices renamed by a seeded permutation: the same
+    spectrum, but coordinate sign flips no longer act as automorphisms."""
+    perm = np.random.default_rng(seed).permutation(graph.n_vertices).astype(np.int32)
+    rows = np.empty_like(graph.adjacency)
+    rows[perm] = np.sort(perm[graph.adjacency], axis=1)
+    return UnitQuadranceGraph(graph.ctx, graph.m, graph.connection_set, rows)
+
+
+@pytest.mark.parametrize("q, m", [(7, 2), (5, 3)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dense_rejects_graph_whose_flips_are_not_automorphisms(q, m, seed):
+    graph = relabeled(graph_for(q, m), seed)
+    expected = full_matrix_eigenvalues(graph_for(q, m))
+    assert np.max(np.abs(full_matrix_eigenvalues(graph) - expected)) < 1e-9
+    with pytest.raises(NoConvergenceError, match="not a graph automorphism"):
+        dense_spectrum(graph)
+
+
+@pytest.mark.parametrize("q, m", [(49, 2), (7, 4)])
+def test_dense_peak_memory_stays_below_the_full_matrix(q, m):
+    graph = graph_for(q, m)  # built outside the measurement
+    tracemalloc.start()
+    try:
+        dense_spectrum(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the float64 matrix alone is 2401**2 * 8 bytes, 44 MiB
 
 
 def scalar_cayley_eigenvalues(ctx, m):
