@@ -74,12 +74,12 @@ def _open_out(path):
             yield stream
 
 
-def _dump(record, as_json: bool) -> None:
+def _dump(record, as_json: bool, sink=None) -> None:
     if as_json:
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(record, sort_keys=True), file=sink)
     else:
         for key in sorted(record):
-            print(f"{key}: {record[key]}")
+            print(f"{key}: {record[key]}", file=sink)
 
 
 def cmd_build(args) -> int:
@@ -172,7 +172,8 @@ def cmd_triangles(args) -> int:
         "triangles": triangle_count(graph),
         "predictedTriangleFree": triangle_free_predicted(ctx.q) if args.m == 2 else None,
     }
-    _dump(record, args.json)
+    with _open_out(args.out) as sink:
+        _dump(record, args.json, sink)
     return EXIT_OK
 
 

@@ -3,10 +3,10 @@
 The dense route diagonalizes the 0/1 adjacency matrix as 2**m blocks of
 about N / 2**m, one per sign pattern of the coordinate flips x_j -> -x_j,
 after checking that each flip is an automorphism of the built rows; it
-uses no character or field trace. The Cayley route evaluates, for every
-frequency vector c, the cosine sum of the additive character over the
-connection set (real because the set is symmetric). Agreement of the two
-multisets validates both the graph build and the field trace machinery.
+uses no character or field trace. The Cayley route is one FFT of the unit
+circle's indicator over (Z_p)^(nm), the base-p digits of a vertex index
+(real because the circle is symmetric). Agreement of the two multisets
+validates the graph build and the vertex index layout, not the trace.
 The extreme eigenvalues feed the spectral chromatic lower bound
 1 - lambda1/lambda_min.
 """
@@ -126,26 +126,17 @@ def cayley_spectrum(
     tol: float = DEFAULT_TOL,
     max_vertices: int = DEFAULT_MAX_VERTICES,
 ) -> Spectrum:
-    """Exact eigenvalues as additive-character sums over the unit circle.
+    """Exact eigenvalues as character sums over the unit circle S.
 
-    For each frequency c the eigenvalue is the sum over circle points s of
-    cos(2*pi*Tr(<c, s>)/p); the zero frequency gives the degree.
+    The base-p digits of a vertex index are the nm digits of its coordinates
+    and u + v adds them mod p, so (F_q^m, +) is (Z_p)^(nm). Entry k of the
+    FFT of S's indicator over those axes is sum_{s in S} exp(-2*pi*i*<k,s>/p),
+    the eigenvalue of one character; the zero frequency gives the degree.
     """
     circle = unit_circle(ctx, m, max_vertices)  # checks q**m first
-    q, p = ctx.q, ctx.p
-    traces = ctx.trace_vector()
-    # Tr is F_p-linear: Tr(<c, s>) is the sum of Tr(c_j * s_j) mod p. The m
-    # coordinate traces sum below m*p, so m copies of the table take the mod.
-    cosines = np.tile(np.cos(2.0 * np.pi * np.arange(p) / p), m)
-    # Axis j of the grid is coordinate c_j, so it ravels to vertex order.
-    eig = np.zeros((q,) * m, dtype=np.float64)
-    for s in circle:
-        inner = sum(
-            traces[ctx.mul_vector(c)].reshape((q,) + (1,) * (m - 1 - j))
-            for j, c in enumerate(s.coords)
-        )
-        eig += cosines[inner]
-    eig = eig.ravel()
+    indicator = np.zeros(ctx.q**m)
+    indicator[[s.index for s in circle]] = 1.0
+    eig = np.fft.fftn(indicator.reshape((ctx.p,) * (ctx.n * m))).real.ravel()
     eig.sort()
     return Spectrum(eigenvalues=eig[::-1].copy(), method="cayley", tol=tol)
 
@@ -193,9 +184,11 @@ def grouped_eigenvalues(spectrum: Spectrum) -> list[tuple[float, int]]:
 
 
 def write_spectrum(spectrum: Spectrum, sink) -> None:
-    """Write one 'eigenvalue multiplicity' pair per line, sorted descending."""
+    """Write one 'eigenvalue multiplicity' pair per line, sorted descending;
+    a value that rounds to zero prints unsigned, whatever its float's sign."""
     for value, count in grouped_eigenvalues(spectrum):
-        sink.write(f"{value:.9f} {count}\n")
+        text = f"{value:.9f}"
+        sink.write(f"{text.lstrip('-') if float(text) == 0 else text} {count}\n")
 
 
 def spectrum_record(spectrum: Spectrum, q: int, m: int) -> dict:

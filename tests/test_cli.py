@@ -148,6 +148,16 @@ def test_triangles_output(capsys):
     assert record["triangles"] == 0 and record["predictedTriangleFree"] is True
 
 
+def test_triangles_writes_its_record_to_out(capsys, tmp_path):
+    out = tmp_path / "t11.json"
+    code, stdout, _ = run(capsys, "triangles", "--q", "11", "--json", "--out", str(out))
+    assert code == 0
+    assert stdout == ""
+    assert json.loads(out.read_text()) == {
+        "q": 11, "m": 2, "triangles": 484, "predictedTriangleFree": None,
+    }
+
+
 def test_verify_round_trip(capsys, tmp_path):
     out = tmp_path / "c9.txt"
     code, _, _ = run(capsys, "color", "--q", "9", "--out", str(out))

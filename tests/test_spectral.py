@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import field_for, graph_for
+from conftest import field_for, graph_for, within_a_second
 from uqgraph import (
     DegenerateSpectrumError,
     NoConvergenceError,
@@ -18,6 +18,7 @@ from uqgraph import (
     eigen_bound_report,
     grouped_eigenvalues,
     hoffman_bound,
+    make_field,
     spectrum_record,
     triangle_count,
     unit_circle,
@@ -70,7 +71,10 @@ def test_dense_blocks_match_full_matrix(q, m):
     graph = graph_for(q, m)
     blocks = dense_spectrum(graph).eigenvalues
     assert blocks.shape == (graph.n_vertices,)
-    assert np.max(np.abs(blocks - full_matrix_eigenvalues(graph))) < 1e-9
+    expected = full_matrix_eigenvalues(graph)
+    assert np.max(np.abs(blocks - expected)) < 1e-9
+    # the Cayley FFT against the same oracle: graph build and index layout
+    assert np.max(np.abs(cayley_spectrum(graph.ctx, m).eigenvalues - expected)) < 1e-9
 
 
 def relabeled(graph, seed):
@@ -122,10 +126,66 @@ def scalar_cayley_eigenvalues(ctx, m):
     return np.sort(eig)[::-1]
 
 
+def grid_cayley_eigenvalues(ctx, m):
+    """Oracle: the route cayley_spectrum took before its FFT, a q**m grid of
+    field traces summed once per circle point and read in a cosine table."""
+    circle = unit_circle(ctx, m)
+    q, p = ctx.q, ctx.p
+    traces = ctx.trace_vector()
+    # Tr is F_p-linear: Tr(<c, s>) is the sum of Tr(c_j * s_j) mod p. The m
+    # coordinate traces sum below m*p, so m copies of the table take the mod.
+    cosines = np.tile(np.cos(2.0 * np.pi * np.arange(p) / p), m)
+    # Axis j of the grid is coordinate c_j, so it ravels to vertex order.
+    eig = np.zeros((q,) * m, dtype=np.float64)
+    for s in circle:
+        inner = sum(
+            traces[ctx.mul_vector(c)].reshape((q,) + (1,) * (m - 1 - j))
+            for j, c in enumerate(s.coords)
+        )
+        eig += cosines[inner]
+    eig = eig.ravel()
+    eig.sort()
+    return eig[::-1].copy()
+
+
 @pytest.mark.parametrize("q, m", [(5, 2), (9, 2), (25, 2), (27, 2), (49, 2), (5, 3), (3, 4)])
 def test_cayley_spectrum_matches_scalar_route_bit_for_bit(q, m):
+    # pins the grid oracle's use of trace linearity to the per-element route
     expected = scalar_cayley_eigenvalues(field_for(q), m)
-    assert np.array_equal(cayley_spectrum(field_for(q), m).eigenvalues, expected)
+    assert np.array_equal(grid_cayley_eigenvalues(field_for(q), m), expected)
+
+
+@pytest.mark.parametrize("q, m", [
+    *[(q, 2) for q in (3, 5, 7, 9, 11, 13, 25, 27, 49, 81, 121, 125, 243, 251)],
+    (3, 3), (5, 3), (7, 3), (9, 3), (13, 3), (25, 3), (27, 3),
+    (3, 4), (5, 4), (7, 4), (9, 4), (3, 5), (5, 5), (3, 6), (3, 7), (3, 8),
+])
+def test_cayley_fft_matches_grid_oracle(q, m):
+    expected = grid_cayley_eigenvalues(field_for(q), m)
+    assert np.max(np.abs(cayley_spectrum(field_for(q), m).eigenvalues - expected)) < 1e-9
+
+
+def test_cayley_spectrum_reaches_3_to_the_10_within_a_second():
+    ctx = make_field(3)
+    degree = len(unit_circle(ctx, 10))
+    eig = within_a_second(cayley_spectrum, ctx, 10).eigenvalues
+    n = 3**10
+    assert eig.shape == (n,)
+    assert eig[0] == pytest.approx(degree, abs=1e-9)
+    assert abs(eig.sum()) < 1e-6 * n * degree
+    assert abs((eig**2).sum() - n * degree) < 1e-6 * n * degree
+
+
+@pytest.mark.parametrize("q, m, zero_line", [(13, 3, "0.000000000 936"), (3, 5, "0.000000000 72")])
+def test_write_spectrum_prints_zero_unsigned_for_both_methods(q, m, zero_line):
+    texts = []
+    for spec in (dense_spectrum(graph_for(q, m)), cayley_spectrum(field_for(q), m)):
+        sink = io.StringIO()
+        write_spectrum(spec, sink)
+        texts.append(sink.getvalue())
+    assert texts[0] == texts[1]
+    assert "-0.000000000" not in texts[1]
+    assert zero_line in texts[1].splitlines()
 
 
 def test_moment_identities():
