@@ -65,6 +65,14 @@ def _field_for(q: int, m: int, what: str = "unit-quadrance graphs"):
     return ctx
 
 
+def _check_budget(args) -> None:
+    # perf_counter() > nan is never true, so a nan --timeout would lift chi's cap
+    if not args.timeout >= 0:
+        raise ValueError(f"--timeout must be a number of seconds >= 0, not {args.timeout}")
+    if args.nodes < 0:
+        raise ValueError(f"--nodes must be >= 0, not {args.nodes}")
+
+
 @contextmanager
 def _open_out(path):
     if path is None or path == "-":
@@ -113,6 +121,7 @@ def cmd_color(args) -> int:
 
 
 def cmd_chi(args) -> int:
+    _check_budget(args)
     ctx = _field_for(args.q, args.m)
     graph = build_graph(ctx, args.m)
     result = exact_chromatic(graph, time_limit=args.timeout, node_limit=args.nodes)
@@ -263,6 +272,7 @@ def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
 
 
 def cmd_report(args) -> int:
+    _check_budget(args)
     records = []
     for q in _parse_q_range(args.q):
         decomposition = prime_power(q)

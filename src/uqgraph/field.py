@@ -340,7 +340,8 @@ class FieldCtx:
         return self._digits
 
     def add_table(self) -> np.ndarray:
-        """q x q addition table over codes, for vectorized graph building."""
+        """q x q addition table over codes. Library sums all go through add_arrays;
+        this table stays as the tests' independent oracle, and perfbench traces it."""
         if self._add_tab is None:
             if self.q > TABLE_MAX_ORDER:
                 raise TooLargeError(

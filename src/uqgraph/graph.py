@@ -4,16 +4,16 @@ Vertices are the points of F_q^m indexed row-major over canonical
 element codes, last coordinate fastest; two points are adjacent exactly
 when their quadrance (the sum of squared coordinate differences) is 1.
 Adjacency is a Cayley structure on the additive group: u ~ v exactly when
-v - u lies on the unit circle S. The graph is one (N, |S|) int32 array
-whose row u holds the sorted neighbors u + S, grown one coordinate at a
-time through the addition table, and the triangle count follows from S
-alone: T = N * #{(s, s') in S^2 : s + s' in S} / 6. DIMACS export writes
-the edges in blocks of fixed-width records, so its memory stays flat.
+v - u lies on the unit circle S, which is one ascending array of vertex
+indices. The graph is one (N, |S|) int32 array whose row u holds the
+sorted neighbors u + S, grown one coordinate at a time from digit sums of
+the field codes, and the triangle count follows from S alone:
+T = N * #{(s, s') in S^2 : s + s' in S} / 6. DIMACS export writes the
+edges in blocks of fixed-width records, so its memory stays flat.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,14 +27,6 @@ from .errors import (
 from .field import FieldCtx, is_prime
 
 DEFAULT_MAX_VERTICES = 1 << 16
-
-
-@dataclass(frozen=True)
-class Point:
-    """A vertex of F_q^m: coordinate codes plus its canonical index."""
-
-    coords: tuple[int, ...]
-    index: int
 
 
 def vertex_index(q: int, coords: Sequence[int]) -> int:
@@ -54,16 +46,12 @@ def vertex_coords(q: int, m: int, index: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def _coords_of(x) -> tuple[int, ...]:
-    return x.coords if isinstance(x, Point) else tuple(x)
-
-
-def quadrance(ctx: FieldCtx, x, y) -> int:
+def quadrance(ctx: FieldCtx, x: Sequence[int], y: Sequence[int]) -> int:
     """Sum of squared coordinate differences, as an element code.
 
-    Accepts Points or plain coordinate sequences of equal dimension >= 2.
+    x and y are coordinate sequences of equal dimension >= 2.
     """
-    cx, cy = _coords_of(x), _coords_of(y)
+    cx, cy = tuple(x), tuple(y)
     if len(cx) != len(cy):
         raise DimensionMismatchError(
             f"points of dimension {len(cx)} and {len(cy)} cannot be compared"
@@ -98,19 +86,18 @@ def vertex_count(
 
 def unit_circle(
     ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> list[Point]:
-    """All points at quadrance 1 from the origin, in index order."""
+) -> np.ndarray:
+    """Ascending vertex indices of the points at quadrance 1 from the origin."""
     vertex_count(ctx.q, m, max_vertices)
-    add_tab = ctx.add_table()
     squares = ctx.square_vector()
     acc = np.zeros(1, dtype=np.int64)
     for _ in range(m):  # quadrances of every point, one more coordinate each pass
-        acc = add_tab[acc[:, None], squares].ravel()
-    return [Point(vertex_coords(ctx.q, m, i), i) for i in np.flatnonzero(acc == 1).tolist()]
+        acc = ctx.add_arrays(acc[:, None], squares).ravel()
+    return np.flatnonzero(acc == 1)
 
 
 class UnitQuadranceGraph:
-    """D_q^m as its connection set plus one (N, degree) array of sorted neighbor rows."""
+    """D_q^m as its unit circle S (ascending indices) plus (N, degree) sorted neighbor rows."""
 
     def __init__(self, ctx, m, connection_set, adjacency):
         self.ctx = ctx
@@ -140,8 +127,8 @@ class UnitQuadranceGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
-    def index_of(self, coords) -> int:
-        return vertex_index(self.q, _coords_of(coords))
+    def index_of(self, coords: Sequence[int]) -> int:
+        return vertex_index(self.q, coords)
 
     def coords_of(self, index: int) -> tuple[int, ...]:
         return vertex_coords(self.q, self.m, index)
@@ -158,18 +145,19 @@ def build_graph(
 ) -> UnitQuadranceGraph:
     """Build D_q^m by translating the unit circle across all vertices.
 
-    Rows grow one coordinate at a time: the rows over the first j
-    coordinates, times q, plus coordinate j of every u + s give the rows
-    over the first j + 1. int32 holds every index below the default
-    vertex bound and halves the array and its sort.
+    S's coordinates are the base-q digits of its indices. Rows grow one
+    coordinate at a time: the rows over the first j coordinates, times q,
+    plus coordinate j of every u + s (a (q, |S|) digit sum) give the rows
+    over the first j + 1. Every intermediate is int32, which holds every
+    index below the default vertex bound and halves the array and its sort.
     """
     circle = unit_circle(ctx, m, max_vertices)  # checks the vertex bound
-    add_tab = ctx.add_table().astype(np.int32)
-    offsets = np.array([s.coords for s in circle])
-    adjacency = add_tab[:, offsets[:, 0]]
-    for j in range(1, m):
-        adjacency = adjacency[:, None, :] * ctx.q + add_tab[:, offsets[:, j]]
-        adjacency = adjacency.reshape(-1, len(circle))
+    q, codes = ctx.q, np.arange(ctx.q)
+    offsets = circle[:, None] // q ** np.arange(m - 1, -1, -1) % q
+    adjacency = np.zeros((1, len(circle)), dtype=np.int32)
+    for j in range(m):
+        column = ctx.add_arrays(codes[:, None], offsets[:, j]).astype(np.int32)
+        adjacency = (adjacency[:, None, :] * q + column).reshape(-1, len(circle))
     adjacency.sort(axis=1)
     return UnitQuadranceGraph(ctx, m, circle, adjacency)
 
@@ -181,7 +169,7 @@ def triangle_count(graph: UnitQuadranceGraph) -> int:
     s + s' in S. Each triangle {0, s, s + s'} at the origin is counted
     twice, every vertex lies on as many, and a triangle has three vertices.
     """
-    circle = np.array([s.index for s in graph.connection_set], dtype=np.int64)
+    circle = graph.connection_set
     pairs = int(np.count_nonzero(np.isin(graph.adjacency[circle], circle)))
     return graph.n_vertices * pairs // 6
 

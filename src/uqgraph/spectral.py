@@ -135,7 +135,7 @@ def cayley_spectrum(
     """
     circle = unit_circle(ctx, m, max_vertices)  # checks q**m first
     indicator = np.zeros(ctx.q**m)
-    indicator[[s.index for s in circle]] = 1.0
+    indicator[circle] = 1.0
     eig = np.fft.fftn(indicator.reshape((ctx.p,) * (ctx.n * m))).real.ravel()
     eig.sort()
     return Spectrum(eigenvalues=eig[::-1].copy(), method="cayley", tol=tol)

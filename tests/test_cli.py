@@ -6,8 +6,9 @@ import tracemalloc
 import pytest
 
 from conftest import within_a_second
+from uqgraph import cli
 from uqgraph.cli import main
-from uqgraph.field import make_field
+from uqgraph.field import FieldCtx, make_field
 
 
 def run(capsys, *argv):
@@ -106,6 +107,24 @@ def test_chi_budget_gives_valid_bracket(capsys):
     assert code == 0
     record = json.loads(stdout)
     assert record["lower"] <= record["upper"]
+
+
+@pytest.mark.parametrize("command", [["chi", "--q", "7"], ["report", "--q", "5..7"]])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--timeout", "nan", "--timeout must be a number of seconds >= 0, not nan"),
+    ("--timeout", "-1", "--timeout must be a number of seconds >= 0, not -1.0"),
+    ("--timeout", "-0.5", "--timeout must be a number of seconds >= 0, not -0.5"),
+    ("--nodes", "-1", "--nodes must be >= 0, not -1"),
+])
+def test_budgets_reject_nan_and_negatives_before_building(
+    capsys, monkeypatch, command, flag, value, message
+):
+    # nan would lift chi's wall-clock cap: perf_counter() > nan is never true
+    def no_graph(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(cli, "build_graph", no_graph)
+    assert run(capsys, *command, flag, value) == (2, "", f"error: {message}\n")
 
 
 def test_spectrum_both_methods_agree(capsys):
@@ -344,3 +363,32 @@ def test_chi_writes_witness_coloring(capsys, tmp_path):
     code, stdout, _ = run(capsys, "verify", str(out))
     assert code == 0
     assert "3 colors" in stdout
+
+
+@pytest.fixture
+def no_add_table(monkeypatch):
+    """FieldCtx.add_table raises: the addition table is a test oracle only."""
+    def no_table(self):
+        raise AssertionError("FieldCtx.add_table was called")
+
+    monkeypatch.setattr(FieldCtx, "add_table", no_table)
+
+
+@pytest.mark.parametrize("q, m", [("9", "2"), ("5", "3")])
+def test_commands_never_read_the_addition_table(capsys, no_add_table, tmp_path, q, m):
+    coloring = tmp_path / "coloring.txt"
+    for argv in (
+        ["build", "--q", q, "--m", m, "--out", str(tmp_path / "graph.col")],
+        ["color", "--q", q, "--m", m, "--out", str(coloring)],
+        ["verify", str(coloring)],
+        ["triangles", "--q", q, "--m", m, "--json"],
+        ["spectrum", "--q", q, "--m", m, "--method", "both"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+
+
+def test_report_never_reads_the_addition_table(capsys, no_add_table):
+    code, stdout, _ = run(capsys, "report", "--q", "5..9", "--nodes", "2000", "--json")
+    assert code == 0
+    assert [record["q"] for record in json.loads(stdout)] == [5, 7, 9]

@@ -12,7 +12,6 @@ from uqgraph import (
     DimensionMismatchError,
     DimensionTooSmallError,
     IOFailureError,
-    Point,
     TooLargeError,
     build_graph,
     degree_formula,
@@ -54,9 +53,9 @@ def test_vertex_indexing_round_trip():
 
 def test_unit_circle_q5():
     circle = unit_circle(field_for(5), 2)
-    assert {p.coords for p in circle} == {(1, 0), (4, 0), (0, 1), (0, 4)}
+    assert {vertex_coords(5, 2, i) for i in circle} == {(1, 0), (4, 0), (0, 1), (0, 4)}
     assert len(circle) == degree_formula(5) == 4
-    indices = [p.index for p in circle]
+    indices = circle.tolist()
     assert indices == sorted(indices)
 
 
@@ -67,7 +66,7 @@ def test_unit_circle_q7_size():
 def test_unit_circle_is_symmetric():
     for q in (5, 7, 9, 13):
         ctx = field_for(q)
-        circle = {p.coords for p in unit_circle(ctx, 2)}
+        circle = {vertex_coords(q, 2, i) for i in unit_circle(ctx, 2)}
         for s in circle:
             assert (ctx.neg(s[0]), ctx.neg(s[1])) in circle
 
@@ -228,12 +227,13 @@ def test_export_dimacs_failure():
         export_dimacs(graph_for(5), None)
 
 
-def test_point_fields():
-    p = Point(coords=(1, 0), index=5)
-    assert p.coords == (1, 0) and p.index == 5
-    circle = unit_circle(field_for(5), 2)
-    for pt in circle:
-        assert vertex_index(5, pt.coords) == pt.index
+def test_unit_circle_lies_at_quadrance_one():
+    # the scalar quadrance over every vertex picks out exactly the circle
+    for q, m in [(5, 2), (9, 2), (3, 3), (5, 3)]:
+        ctx = field_for(q)
+        origin = (0,) * m
+        at_one = [i for i in range(q**m) if quadrance(ctx, origin, vertex_coords(q, m, i)) == 1]
+        assert unit_circle(ctx, m).tolist() == at_one
 
 
 # The column-by-column unit circle and neighbor-row builds and the per-row
@@ -252,8 +252,7 @@ def unit_circle_by_columns(ctx, m):
     acc = np.zeros(ctx.q**m, dtype=np.int64)
     for col in cols:
         acc = add_tab[acc, squares[col]]
-    hits = np.flatnonzero(acc == 1)
-    return [Point(tuple(int(col[i]) for col in cols), int(i)) for i in hits]
+    return np.flatnonzero(acc == 1)
 
 
 def adjacency_by_columns(ctx, m, circle):
@@ -262,9 +261,10 @@ def adjacency_by_columns(ctx, m, circle):
     cols = _digit_columns(q, m, n_vertices)
     adjacency = np.empty((n_vertices, len(circle)), dtype=np.int64)
     for k, s in enumerate(circle):
-        acc = add_tab[cols[0], s.coords[0]]
+        coords = vertex_coords(q, m, int(s))
+        acc = add_tab[cols[0], coords[0]]
         for j in range(1, m):
-            acc = acc * q + add_tab[cols[j], s.coords[j]]
+            acc = acc * q + add_tab[cols[j], coords[j]]
         adjacency[:, k] = acc
     adjacency.sort(axis=1)
     return adjacency
@@ -298,8 +298,9 @@ def test_build_and_export_match_column_and_row_oracles(q, m):
     ctx = field_for(q)
     graph = build_graph(ctx, m)
     circle = unit_circle_by_columns(ctx, m)
-    assert graph.connection_set == circle
+    assert np.array_equal(graph.connection_set, circle)
     assert graph.adjacency.dtype == np.int32
+    assert graph.adjacency.flags.c_contiguous
     assert graph.adjacency.nbytes == q**m * len(circle) * 4
     assert np.array_equal(graph.adjacency, adjacency_by_columns(ctx, m, circle))
     for binary, stream in ((False, io.StringIO), (True, io.BytesIO)):

@@ -22,6 +22,7 @@ from uqgraph import (
     spectrum_record,
     triangle_count,
     unit_circle,
+    vertex_coords,
     write_spectrum,
 )
 from uqgraph.graph import UnitQuadranceGraph
@@ -118,9 +119,10 @@ def scalar_cayley_eigenvalues(ctx, m):
     cols = [(idx // q ** (m - 1 - j)) % q for j in range(m)]
     eig = np.zeros(q**m)
     for s in unit_circle(ctx, m):
+        coords = vertex_coords(q, m, int(s))
         inner = None
         for j in range(m):
-            term = np.array([ctx.mul(x, s.coords[j]) for x in range(q)])[cols[j]]
+            term = np.array([ctx.mul(x, coords[j]) for x in range(q)])[cols[j]]
             inner = term if inner is None else add_tab[inner, term]
         eig += cosines[traces[inner]]
     return np.sort(eig)[::-1]
@@ -140,7 +142,7 @@ def grid_cayley_eigenvalues(ctx, m):
     for s in circle:
         inner = sum(
             traces[ctx.mul_vector(c)].reshape((q,) + (1,) * (m - 1 - j))
-            for j, c in enumerate(s.coords)
+            for j, c in enumerate(vertex_coords(q, m, int(s)))
         )
         eig += cosines[inner]
     eig = eig.ravel()
