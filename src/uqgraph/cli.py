@@ -105,7 +105,8 @@ def cmd_color(args) -> int:
     graph = build_graph(ctx, args.m)
     violation = verify_coloring(graph, coloring)
     if args.out:
-        write_coloring(coloring, args.out)
+        with _open_out(args.out) as sink:
+            write_coloring(coloring, sink)
     record = {
         "q": ctx.q,
         "m": args.m,
@@ -126,7 +127,8 @@ def cmd_chi(args) -> int:
     graph = build_graph(ctx, args.m)
     result = exact_chromatic(graph, time_limit=args.timeout, node_limit=args.nodes)
     if args.out:
-        write_coloring(result.witness, args.out)
+        with _open_out(args.out) as sink:
+            write_coloring(result.witness, sink)
     print(json.dumps(result.record(), sort_keys=True))
     return EXIT_OK
 

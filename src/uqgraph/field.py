@@ -8,6 +8,12 @@ the lexicographically smallest monic irreducible polynomial of degree n
 (coefficients compared constant term first), so a field of a given
 order is identical across runs.
 
+Polynomials act on digit rows as n x n matrices over F_p: multiplying
+by h maps the row v to v @ M_h. Rabin's irreducibility test on the
+matrix X of multiplication by x chooses the modulus, and the order test
+g**((q-1)/r) != 1 on M_g chooses g; both are powers mod p, no
+polynomial division.
+
 Arithmetic is table lookup. A sum adds the digit vectors mod p. On first
 use a context builds exp[k] = g**k for the smallest primitive element g
 and its inverse log: a product adds logarithms and the quadratic
@@ -51,59 +57,26 @@ def prime_power(q: int) -> tuple[int, int] | None:
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over F_p as trimmed little-endian coefficient lists.
+# Polynomials over F_p act on digit rows as n x n matrices: row j of the
+# matrix of h holds the digits of h * x**j mod f, so v @ M is v * h.
 
 
-def _trim(coeffs) -> list[int]:
-    out = list(coeffs)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def _times_x(f, p) -> np.ndarray:
+    """The matrix X of multiplication by x mod the monic f: row j holds x**(j+1)."""
+    x = np.eye(len(f) - 1, k=1, dtype=np.int64)
+    x[-1] = -np.asarray(f[:-1], dtype=np.int64) % p
+    return x
 
 
-def _poly_rem(a, b, p) -> list[int]:
-    a = _trim(a)
-    b = _trim(b)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) >= len(b):
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - len(b)
-        for j, bj in enumerate(b):
-            a[shift + j] = (a[shift + j] - c * bj) % p
-        a = _trim(a)
-        if not a:
-            break
-    return a
-
-
-def _poly_mul(a, b, p) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _poly_powmod(base, e, f, p) -> list[int]:
-    result = [1]
-    base = _poly_rem(base, f, p)
+def _mat_pow(a, e, p) -> np.ndarray:
+    """a**e mod p by square and multiply, for e >= 0."""
+    result = np.eye(len(a), dtype=np.int64)
     while e:
         if e & 1:
-            result = _poly_rem(_poly_mul(result, base, p), f, p)
-        base = _poly_rem(_poly_mul(base, base, p), f, p)
+            result = result @ a % p
+        a = a @ a % p
         e >>= 1
     return result
-
-
-def _poly_gcd(a, b, p) -> list[int]:
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -122,34 +95,22 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def _is_irreducible(coeffs, p) -> bool:
-    """Irreducibility of a monic polynomial over F_p.
+    """Irreducibility of a monic polynomial f of degree n over F_p (Rabin).
 
-    A root screen settles degree <= 3 (any factorization of such a
-    polynomial has a linear factor); the x**(p**k) - x gcd test covers
-    the general case.
+    X**(p**n) = X says f divides x**(p**n) - x, so F_p[x]/(f) is a product
+    of fields of orders dividing p**n. There h is a unit exactly when
+    h**(p**n - 1) = 1, which stands in for gcd(h, f) = 1 with
+    h = x**(p**(n/r)) - x for each prime r dividing n.
     """
     n = len(coeffs) - 1
-    if n == 1:
-        return True
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    if n <= 3:
-        return True
-    x_poly = [0, 1]
-    if _poly_powmod(x_poly, p**n, coeffs, p) != x_poly:
+    x = _times_x(coeffs, p)
+    if not np.array_equal(_mat_pow(x, p**n, p), x):
         return False
-    for r in _prime_divisors(n):
-        h = _poly_powmod(x_poly, p ** (n // r), coeffs, p)
-        diff = _trim(
-            [(hi - xi) % p for hi, xi in itertools.zip_longest(h, x_poly, fillvalue=0)]
-        )
-        if len(_poly_gcd(diff, coeffs, p)) > 1:
-            return False
-    return True
+    identity = np.eye(n, dtype=np.int64)
+    return all(
+        np.array_equal(_mat_pow((_mat_pow(x, p ** (n // r), p) - x) % p, p**n - 1, p), identity)
+        for r in _prime_divisors(n)
+    )
 
 
 def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -250,17 +211,16 @@ class FieldCtx:
         """
         if self._exp is None:
             p, n, q = self.p, self.n, self.q
-            for code in range(1, q):  # g is the first code of order q - 1
-                g = list(self.coeffs(code))
-                if all(_poly_powmod(g, (q - 1) // r, self.modulus, p) != [1]
-                       for r in _prime_divisors(q - 1)):
-                    break
             # Multiplying by h is F_p-linear: row j of step holds the digits
-            # of h * x**j, starting from h = g.
-            step = np.zeros((n, n), dtype=np.int64)
-            for j in range(n):
-                row = _poly_rem(_poly_mul(g, [0] * j + [1], p), self.modulus, p)
-                step[j, : len(row)] = row
+            # of h * x**j, that is h's digits times X**j, starting from h = g.
+            x = _times_x(self.modulus, p)
+            x_powers = np.stack([_mat_pow(x, j, p) for j in range(n)])
+            divisors = _prime_divisors(q - 1)
+            for code in range(1, q):  # g is the first code of order q - 1
+                step = np.array(self.coeffs(code)) @ x_powers % p
+                if all(not np.array_equal(_mat_pow(step, (q - 1) // r, p), x_powers[0])
+                       for r in divisors):
+                    break
             digits, exp = self.digits_matrix(), np.ones(1, dtype=np.int64)
             while len(exp) < q - 1:  # exp[L:2L] = exp[:L] * g**L, then h = g**2L
                 exp = np.concatenate(
@@ -314,12 +274,6 @@ class FieldCtx:
         if x == 0:
             return 0
         return -1 if self._log_tables()[1][x] % 2 else 1
-
-    def square_roots(self, x: int) -> set[int]:
-        """All y with y*y = x, found by exhaustive search."""
-        self._check(x)
-        squares = self.square_vector()
-        return {int(y) for y in np.flatnonzero(squares == x)}
 
     def abs_trace(self, x: int) -> int:
         """Sum of the Frobenius orbit x + x**p + ... + x**(p**(n-1)), in [0, p)."""

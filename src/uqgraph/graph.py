@@ -124,15 +124,6 @@ class UnitQuadranceGraph:
     def neighbors_of(self, u: int) -> np.ndarray:
         return self.adjacency[u]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
-    def index_of(self, coords: Sequence[int]) -> int:
-        return vertex_index(self.q, coords)
-
-    def coords_of(self, index: int) -> tuple[int, ...]:
-        return vertex_coords(self.q, self.m, index)
-
     def __repr__(self) -> str:
         return (
             f"UnitQuadranceGraph(q={self.q}, m={self.m},"

@@ -14,6 +14,8 @@ from uqgraph import (
     greedy_bound,
     hoffman_bound,
     verify_coloring,
+    vertex_coords,
+    vertex_index,
 )
 from uqgraph.chi import _search_k_coloring
 from uqgraph.construction import Coloring
@@ -99,12 +101,12 @@ def test_exact_chromatic_q5():
     # cross-check: D_5 is the 5x5 torus grid, whose edges join coordinate
     # neighbors; it is non-bipartite (odd cycles) and 3-colorable
     for u in range(g.n_vertices):
-        xu, yu = g.coords_of(u)
+        xu, yu = vertex_coords(g.q, g.m, u)
         expected = {
-            g.index_of(((xu + 1) % 5, yu)),
-            g.index_of(((xu - 1) % 5, yu)),
-            g.index_of((xu, (yu + 1) % 5)),
-            g.index_of((xu, (yu - 1) % 5)),
+            vertex_index(g.q, ((xu + 1) % 5, yu)),
+            vertex_index(g.q, ((xu - 1) % 5, yu)),
+            vertex_index(g.q, (xu, (yu + 1) % 5)),
+            vertex_index(g.q, (xu, (yu - 1) % 5)),
         }
         assert set(int(v) for v in g.neighbors_of(u)) == expected
 

@@ -177,6 +177,19 @@ def test_triangles_writes_its_record_to_out(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("command", [("color", "--json"), ("chi",)])
+def test_coloring_out_dash_goes_to_stdout(capsys, monkeypatch, tmp_path, command):
+    # '-' means stdout, as for build, spectrum, triangles and report
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run(capsys, *command, "--q", "7", "--out", "-")
+    assert code == 0
+    *coloring, record = stdout.splitlines()
+    assert json.loads(record)["q"] == 7
+    assert coloring[0] == "# q=7 m=2 k=4"
+    assert [int(line.split()[0]) for line in coloring[1:]] == list(range(49))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_round_trip(capsys, tmp_path):
     out = tmp_path / "c9.txt"
     code, _, _ = run(capsys, "color", "--q", "9", "--out", str(out))

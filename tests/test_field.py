@@ -1,4 +1,4 @@
-"""Field arithmetic, characters, roots, and traces."""
+"""Field arithmetic, characters, roots, traces, and the choice of modulus and g."""
 
 import itertools
 import random
@@ -20,7 +20,13 @@ from uqgraph import (
     make_field,
     prime_power,
 )
-from uqgraph.field import DEFAULT_MAX_ORDER, FieldCtx, _is_irreducible, _smallest_irreducible
+from uqgraph.field import (
+    DEFAULT_MAX_ORDER,
+    FieldCtx,
+    _is_irreducible,
+    _prime_divisors,
+    _smallest_irreducible,
+)
 
 
 def test_make_field_orders():
@@ -67,7 +73,8 @@ def test_modulus_is_smallest_irreducible():
     assert make_field(3, 2).modulus == (1, 0, 1)
     f25 = make_field(5, 2)
     assert f25.modulus[-1] == 1
-    assert _is_irreducible(list(f25.modulus), 5)
+    assert list_is_irreducible(list(f25.modulus), 5)
+    assert f25.modulus == list_smallest_irreducible(5, 2)
 
 
 def test_modulus_irreducible_for_higher_degrees():
@@ -75,7 +82,8 @@ def test_modulus_irreducible_for_higher_degrees():
         ctx = make_field(p, n)
         assert len(ctx.modulus) == n + 1
         assert ctx.modulus[-1] == 1
-        assert _is_irreducible(list(ctx.modulus), p)
+        assert list_is_irreducible(list(ctx.modulus), p)
+        assert ctx.modulus == list_smallest_irreducible(p, n)
 
 
 def test_prime_field_arithmetic():
@@ -132,9 +140,8 @@ def test_quadratic_character_prime_field():
 
 def test_square_roots():
     f7 = make_field(7)
-    assert f7.square_roots(2) == {3, 4}
-    assert f7.square_roots(0) == {0}
-    assert f7.square_roots(5) == set()
+    roots = {x: {y for y in range(7) if f7.mul(y, y) == x} for x in (2, 0, 5)}
+    assert roots == {2: {3, 4}, 0: {0}, 5: set()}
 
 
 def test_abs_trace_examples():
@@ -229,6 +236,146 @@ def test_is_prime_and_prime_power_match_a_sieve():
     for k in range(-3, limit):
         assert is_prime(k) == (k >= 0 and bool(sieve[k])), k
         assert prime_power(k) == powers.get(k), k
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the coefficient-list polynomials that chose the modulus and g
+# before field.py ran Rabin's test and the order test on n x n matrices.
+# Polynomials are trimmed little-endian coefficient lists over F_p; the
+# irreducibility test screens for roots, then takes gcds with
+# x**(p**(n/r)) - x.
+
+
+def _trim(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _poly_rem(a, b, p):
+    a = _trim(a)
+    b = _trim(b)
+    inv_lead = pow(b[-1], p - 2, p)
+    while len(a) >= len(b):
+        c = (a[-1] * inv_lead) % p
+        shift = len(a) - len(b)
+        for j, bj in enumerate(b):
+            a[shift + j] = (a[shift + j] - c * bj) % p
+        a = _trim(a)
+        if not a:
+            break
+    return a
+
+
+def _poly_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = (out[i + j] + ai * bj) % p
+    return _trim(out)
+
+
+def _poly_powmod(base, e, f, p):
+    result = [1]
+    base = _poly_rem(base, f, p)
+    while e:
+        if e & 1:
+            result = _poly_rem(_poly_mul(result, base, p), f, p)
+        base = _poly_rem(_poly_mul(base, base, p), f, p)
+        e >>= 1
+    return result
+
+
+def _poly_gcd(a, b, p):
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _poly_rem(a, b, p)
+    return a
+
+
+def list_is_irreducible(coeffs, p):
+    """A root screen settles degree <= 3; the gcd test covers the rest."""
+    n = len(coeffs) - 1
+    if n == 1:
+        return True
+    for x in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            return False
+    if n <= 3:
+        return True
+    x_poly = [0, 1]
+    if _poly_powmod(x_poly, p**n, coeffs, p) != x_poly:
+        return False
+    for r in _prime_divisors(n):
+        h = _poly_powmod(x_poly, p ** (n // r), coeffs, p)
+        diff = _trim(
+            [(hi - xi) % p for hi, xi in itertools.zip_longest(h, x_poly, fillvalue=0)]
+        )
+        if len(_poly_gcd(diff, coeffs, p)) > 1:
+            return False
+    return True
+
+
+def list_smallest_irreducible(p, n):
+    if n == 1:
+        return (0, 1)
+    for cs in itertools.product(range(p), repeat=n):
+        if cs[0] and list_is_irreducible(list(cs) + [1], p):
+            return cs + (1,)
+    raise AssertionError("no irreducible polynomial found")
+
+
+def list_primitive_element(p, n, modulus):
+    """The smallest code g with g**((q-1)/r) != 1 for every prime r | q - 1."""
+    q = p**n
+    for code in range(1, q):
+        g = [code // p**j % p for j in range(n)]
+        if all(_poly_powmod(g, (q - 1) // r, modulus, p) != [1]
+               for r in _prime_divisors(q - 1)):
+            return code
+    raise AssertionError("no primitive element found")
+
+
+def _fields_up_to_the_order_bound():
+    """Every (p, n) with p odd, n >= 2 and p**n <= 2**20."""
+    return [(p, n) for p in range(3, 1 << 10) if is_prime(p)
+            for n in range(2, 21) if p**n <= DEFAULT_MAX_ORDER]
+
+
+def test_smallest_irreducible_matches_the_list_oracle():
+    fields = _fields_up_to_the_order_bound()
+    assert len(fields) == 223
+    for p, n in fields:
+        assert _smallest_irreducible(p, n) == list_smallest_irreducible(p, n), (p, n)
+
+
+@pytest.mark.parametrize("p, max_degree", [(3, 6), (5, 4), (7, 4)])
+def test_is_irreducible_matches_the_list_oracle_on_every_monic(p, max_degree):
+    for n in range(2, max_degree + 1):
+        irreducible = 0
+        for cs in itertools.product(range(p), repeat=n):
+            f = list(cs) + [1]
+            assert _is_irreducible(f, p) == list_is_irreducible(f, p), f
+            irreducible += list_is_irreducible(f, p)
+        # Gauss: n times the number of monic irreducibles of degree n is the
+        # sum of mu(n/d) * p**d over the divisors d of n
+        mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
+        assert n * irreducible == sum(mobius[n // d] * p**d for d in range(1, n + 1) if n % d == 0)
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(3, 2000))
+def test_primitive_element_matches_the_list_oracle(q):
+    ctx = field_for(q)
+    assert ctx.modulus == list_smallest_irreducible(ctx.p, ctx.n)
+    assert ctx._log_tables()[0][1] == list_primitive_element(ctx.p, ctx.n, ctx.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +493,8 @@ def test_tables_match_digit_loops_at_the_order_bound(p, n):
     oracle = DigitLoopField(ctx)
     q = ctx.q
     assert q <= DEFAULT_MAX_ORDER
+    assert ctx.modulus == list_smallest_irreducible(p, n)
+    assert ctx._log_tables()[0][1] == list_primitive_element(p, n, ctx.modulus)
     assert np.array_equal(ctx.mul_vector(1), np.arange(q))  # exp and log are inverse
     rng = random.Random(q)
     sample = [0, 1, p - 1, q - 1] + [rng.randrange(q) for _ in range(100)]
