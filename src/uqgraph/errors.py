@@ -58,5 +58,5 @@ class DegenerateSpectrumError(UQGraphError):
 
 
 class NoConvergenceError(UQGraphError):
-    """The dense eigensolver failed, or the graph lacks the sign-flip
-    symmetry its blocks rest on."""
+    """The dense eigensolver failed, or the graph lacks the sign-flip or
+    coordinate-permutation symmetry its blocks rest on."""

@@ -1,9 +1,10 @@
 """Spectra of unit-quadrance graphs, computed two independent ways.
 
-The dense route diagonalizes the 0/1 adjacency matrix as 2**m blocks of
-about N / 2**m, one per sign pattern of the coordinate flips x_j -> -x_j,
-after checking that each flip is an automorphism of the built rows; it
-uses no character or field trace. The Cayley route is one FFT of the unit
+The dense route splits the 0/1 adjacency matrix into one block per sign
+pattern of the coordinate flips x_j -> -x_j and solves one block per
+popcount, after checking that generators of the signed coordinate
+permutations are automorphisms of the built rows; it uses no character
+or field trace. The Cayley route is one FFT of the unit
 circle's indicator over (Z_p)^(nm), the base-p digits of a vertex index
 (real because the circle is symmetric). Agreement of the two multisets
 validates the graph build and the vertex index layout, not the trace.
@@ -14,7 +15,7 @@ The extreme eigenvalues feed the spectral chromatic lower bound
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -67,17 +68,20 @@ def check_dense_bound(n_vertices: int, max_vertices: int = DENSE_MAX_VERTICES) -
 def dense_spectrum(
     graph, tol: float = DEFAULT_TOL, max_vertices: int = DENSE_MAX_VERTICES
 ) -> Spectrum:
-    """Eigenvalues of the adjacency matrix A, one dense solve per sign-flip block.
+    """Eigenvalues of the adjacency matrix A, one dense solve per popcount class.
 
-    The m coordinate flips x_j -> -x_j keep quadrance and fix 0, so A splits
-    into one block per character eps in {0,1}^m of the group they generate
+    The signed coordinate permutations B_m keep quadrance and fix 0. Their
+    m flips x_j -> -x_j split A into one block per character eps in {0,1}^m
     (Serre, Linear Representations of Finite Groups, 2.6). The orbit O_r of
     r (every coordinate c replaced by min(c, -c)) has 2**(nonzero coords
     of r) points. Block eps keeps the r nonzero wherever eps is 1, with
     entry sqrt(|O_r1| / |O_r2|) * sum of (-1)**(eps . sigma(y)) over the
     neighbors y of r1 in O_r2, sigma(y) marking y's flipped coordinates.
-    The block spectra together are spec(A). Each flip is first checked to
-    be an automorphism of the rows; if not, NoConvergenceError is raised.
+    A coordinate permutation pi carries block eps onto block pi(eps), so
+    blocks of equal popcount j are isospectral: only eps = 2**j - 1 is
+    solved, counted C(m, j) times. Negating coordinate 0, swapping 0 and 1
+    and cycling all coordinates generate B_m; each is first checked to be
+    an automorphism of the rows, or NoConvergenceError is raised.
     """
     n = graph.n_vertices
     check_dense_bound(n, max_vertices)
@@ -85,36 +89,48 @@ def dense_spectrum(
     neg = ctx.mul_vector(ctx.neg(1))
     places = ctx.q ** np.arange(m - 1, -1, -1)
     coords = np.arange(n)[:, None] // places % ctx.q
-    for j in range(m):  # flip j as a vertex permutation; row g(u) must be g(row u)
-        flip = (np.arange(n) + (neg[coords[:, j]] - coords[:, j]) * places[j]).astype(rows.dtype)
-        image = flip[rows]
-        image.sort(axis=1)
-        if not np.array_equal(rows[flip], image):
-            raise NoConvergenceError(f"negating coordinate {j} is not a graph automorphism")
+    generators = [  # as vertex permutations; at m = 2 the cycle is the swap
+        ("negating coordinate 0", np.column_stack((neg[coords[:, 0]], coords[:, 1:])) @ places),
+        ("swapping coordinates 0 and 1", coords[:, [1, 0, *range(2, m)]] @ places),
+        ("cycling the coordinates", np.roll(coords, 1, axis=1) @ places),
+    ][: 3 if m >= 3 else 2]
+    for name, g in generators:
+        g = g.astype(rows.dtype)
+        for lo in range(0, n, 256):  # 256 rows at a time, never a second N x |S| array
+            image = g[rows[lo : lo + 256]]
+            image.sort(axis=1)
+            if not np.array_equal(rows[g[lo : lo + 256]], image):  # row g(u) must be g(row u)
+                raise NoConvergenceError(f"{name} is not a graph automorphism")
     bits = 1 << np.arange(m)
     sigma = (coords > neg[coords]) @ bits  # coordinates flipped from the representative
     orbit = np.minimum(coords, neg[coords]) @ places  # the representative
     reps = np.flatnonzero(sigma == 0)
-    size = len(reps)
     neighbors = rows[reps]
-    pairs = np.arange(size)[:, None] * size + np.searchsorted(reps, orbit[neighbors])
+    columns = np.searchsorted(reps, orbit[neighbors])
     neighbor_sigma = sigma[neighbors]
     support = (coords[reps] != 0) @ bits
     patterns = np.arange(1 << m)
     ones = ((patterns[:, None] & bits) != 0).sum(axis=1)  # popcount of each pattern
     root_size = np.sqrt(2.0 ** ones[support])
+    scale = root_size[:, None] / root_size[columns]  # sqrt(|O_r1| / |O_r2|) per neighbor
     blocks = []
-    for eps in patterns:
+    for j in range(m + 1):
+        eps = (1 << j) - 1
         keep = (support & eps) == eps
+        size = np.count_nonzero(keep)
+        position = np.cumsum(keep) - 1  # block index of each kept representative
+        cols = columns[keep]
+        inside = keep[cols]  # neighbors whose orbit lies in the block
         signs = 1.0 - 2.0 * (ones[patterns & eps] % 2)
-        weights = signs[neighbor_sigma[keep]].ravel()  # rows outside the block are skipped
-        block = np.bincount(pairs[keep].ravel(), weights, minlength=size * size)
-        block = block.reshape(size, size)[np.ix_(keep, keep)]
-        block *= root_size[keep, None] / root_size[keep]
+        weights = (signs[neighbor_sigma[keep]] * scale[keep])[inside]
+        pairs = (np.arange(size)[:, None] * size + position[cols])[inside]
+        block = np.bincount(pairs, weights, minlength=size * size).reshape(size, size)
         try:
-            blocks.append(np.linalg.eigvalsh(block))
+            eig = np.linalg.eigvalsh(block)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"dense eigensolver failed: {exc}") from exc
+        del block  # summing the next block must not hold this one as well
+        blocks.append(np.tile(eig, comb(m, j)))
     eig = np.concatenate(blocks)
     eig.sort()
     return Spectrum(eigenvalues=eig[::-1].copy(), method="dense", tol=tol)

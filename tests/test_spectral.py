@@ -78,13 +78,80 @@ def test_dense_blocks_match_full_matrix(q, m):
     assert np.max(np.abs(cayley_spectrum(graph.ctx, m).eigenvalues - expected)) < 1e-9
 
 
+def flip_block_eigenvalues(graph):
+    """Oracle: the route dense_spectrum took before it solved one block per
+    popcount class, all 2**m sign-flip blocks behind m flip checks, in
+    descending order."""
+    n = graph.n_vertices
+    ctx, m, rows = graph.ctx, graph.m, graph.adjacency
+    neg = ctx.mul_vector(ctx.neg(1))
+    places = ctx.q ** np.arange(m - 1, -1, -1)
+    coords = np.arange(n)[:, None] // places % ctx.q
+    for j in range(m):  # flip j as a vertex permutation; row g(u) must be g(row u)
+        flip = (np.arange(n) + (neg[coords[:, j]] - coords[:, j]) * places[j]).astype(rows.dtype)
+        image = flip[rows]
+        image.sort(axis=1)
+        if not np.array_equal(rows[flip], image):
+            raise NoConvergenceError(f"negating coordinate {j} is not a graph automorphism")
+    bits = 1 << np.arange(m)
+    sigma = (coords > neg[coords]) @ bits  # coordinates flipped from the representative
+    orbit = np.minimum(coords, neg[coords]) @ places  # the representative
+    reps = np.flatnonzero(sigma == 0)
+    size = len(reps)
+    neighbors = rows[reps]
+    pairs = np.arange(size)[:, None] * size + np.searchsorted(reps, orbit[neighbors])
+    neighbor_sigma = sigma[neighbors]
+    support = (coords[reps] != 0) @ bits
+    patterns = np.arange(1 << m)
+    ones = ((patterns[:, None] & bits) != 0).sum(axis=1)  # popcount of each pattern
+    root_size = np.sqrt(2.0 ** ones[support])
+    blocks = []
+    for eps in patterns:
+        keep = (support & eps) == eps
+        signs = 1.0 - 2.0 * (ones[patterns & eps] % 2)
+        weights = signs[neighbor_sigma[keep]].ravel()  # rows outside the block are skipped
+        block = np.bincount(pairs[keep].ravel(), weights, minlength=size * size)
+        block = block.reshape(size, size)[np.ix_(keep, keep)]
+        block *= root_size[keep, None] / root_size[keep]
+        blocks.append(np.linalg.eigvalsh(block))
+    eig = np.concatenate(blocks)
+    eig.sort()
+    return eig[::-1]
+
+
+@pytest.mark.parametrize("q, m", [
+    (3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2), (49, 2),
+    (3, 3), (5, 3), (7, 3), (9, 3), (13, 3), (3, 4), (5, 4), (7, 4), (3, 5),
+    (61, 2), (3, 6), (3, 7),  # too slow for the full-matrix oracle
+])
+def test_popcount_classes_match_every_flip_block(q, m):
+    graph = graph_for(q, m)
+    assert np.max(np.abs(dense_spectrum(graph).eigenvalues - flip_block_eigenvalues(graph))) < 1e-9
+
+
+def renamed(graph, perm):
+    """The graph with vertex u renamed perm[u]."""
+    rows = np.empty_like(graph.adjacency)
+    rows[perm] = np.sort(perm[graph.adjacency], axis=1)
+    return UnitQuadranceGraph(graph.ctx, graph.m, graph.connection_set, rows)
+
+
 def relabeled(graph, seed):
     """The graph with its vertices renamed by a seeded permutation: the same
     spectrum, but coordinate sign flips no longer act as automorphisms."""
     perm = np.random.default_rng(seed).permutation(graph.n_vertices).astype(np.int32)
-    rows = np.empty_like(graph.adjacency)
-    rows[perm] = np.sort(perm[graph.adjacency], axis=1)
-    return UnitQuadranceGraph(graph.ctx, graph.m, graph.connection_set, rows)
+    return renamed(graph, perm)
+
+
+def doubled(graph, j):
+    """The graph with coordinate j of every vertex renamed 2 * x_j: the same
+    spectrum, and the sign flips still commute with the renaming, but a
+    coordinate permutation that moves j need not be an automorphism."""
+    ctx, m = graph.ctx, graph.m
+    places = ctx.q ** np.arange(m - 1, -1, -1)
+    coords = np.arange(graph.n_vertices)[:, None] // places % ctx.q
+    coords[:, j] = ctx.mul_vector(ctx.add(1, 1))[coords[:, j]]
+    return renamed(graph, (coords @ places).astype(np.int32))
 
 
 @pytest.mark.parametrize("q, m", [(7, 2), (5, 3)])
@@ -97,7 +164,63 @@ def test_dense_rejects_graph_whose_flips_are_not_automorphisms(q, m, seed):
         dense_spectrum(graph)
 
 
-@pytest.mark.parametrize("q, m", [(49, 2), (7, 4)])
+@pytest.mark.parametrize("q, m, j", [(7, 2, 1), (11, 2, 1), (5, 3, 2), (7, 3, 2)])
+def test_dense_rejects_graph_whose_coordinate_permutations_are_not_automorphisms(q, m, j):
+    graph = doubled(graph_for(q, m), j)
+    expected = full_matrix_eigenvalues(graph_for(q, m))
+    assert np.max(np.abs(full_matrix_eigenvalues(graph) - expected)) < 1e-9
+    # every flip passes the flip-only guard, and its blocks still give the spectrum
+    assert np.max(np.abs(flip_block_eigenvalues(graph) - expected)) < 1e-9
+    # the swap at m = 2 or the cycle at m = 3 is not an automorphism
+    with pytest.raises(NoConvergenceError, match="not a graph automorphism"):
+        dense_spectrum(graph)
+
+
+def switched(graph):
+    """The graph with edges {a, b} and {c, d} among its last vertices replaced
+    by {a, c} and {b, d}: every degree kept, and no longer a Cayley graph,
+    though only four rows differ, all far from vertex 0."""
+    rows = graph.adjacency.copy()
+    a = len(rows) - 1
+    for c in range(a - 1, 0, -1):
+        if c in rows[a]:
+            continue
+        for b in rows[a][::-1]:
+            d = next((d for d in rows[c][::-1] if d != b and d not in rows[b]), None)
+            if d is not None:
+                for u, old, new in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
+                    rows[u][rows[u] == old] = new
+                    rows[u].sort()
+                return UnitQuadranceGraph(graph.ctx, graph.m, graph.connection_set, rows)
+
+
+@pytest.mark.parametrize("q, m", [(7, 2), (5, 4), (3, 7)])
+def test_dense_rejects_a_switch_among_the_last_vertices(q, m):
+    graph = switched(graph_for(q, m))
+    assert (np.diff(graph.adjacency, axis=1) > 0).all()
+    with pytest.raises(NoConvergenceError, match="not a graph automorphism"):
+        dense_spectrum(graph)
+
+
+@pytest.mark.parametrize("q, m, sizes", [
+    (49, 2, [625, 600, 576]),
+    (13, 3, [343, 294, 252, 216]),
+    (7, 4, [256, 192, 144, 108, 81]),
+])
+def test_dense_solves_one_block_per_popcount_class(q, m, sizes, monkeypatch):
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(block):
+        solved.append(len(block))
+        return eigvalsh(block)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert dense_spectrum(graph_for(q, m)).n == q**m
+    assert solved == sizes
+
+
+@pytest.mark.parametrize("q, m", [(49, 2), (7, 4), (3, 7)])
 def test_dense_peak_memory_stays_below_the_full_matrix(q, m):
     graph = graph_for(q, m)  # built outside the measurement
     tracemalloc.start()
