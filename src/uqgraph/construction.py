@@ -32,7 +32,13 @@ from .errors import (
     TooLargeError,
 )
 from .field import FieldCtx, prime_power
-from .graph import DEFAULT_MAX_VERTICES, UnitQuadranceGraph, vertex_count
+from .graph import (
+    DEFAULT_MAX_VERTICES,
+    UnitQuadranceGraph,
+    circle_coords,
+    coordinate_sums,
+    vertex_count,
+)
 
 
 @dataclass(frozen=True)
@@ -247,7 +253,16 @@ def build_coloring_md(
 
 def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):
     """Return None when proper, else the first conflicting edge (u, v) in
-    lexicographic order."""
+    lexicographic order.
+
+    Reads the unit circle S, never the neighbor rows. The colors form a
+    grid over F_q^m, and u clashes with u + s exactly where the grid equals
+    itself translated by s: one take per coordinate along the addition row
+    of s's coordinate, the takes for a prefix shared with the previous point
+    reused. One point of each pair {s, -s} covers every edge. The smallest
+    vertex on a clashing edge is the smaller end of that edge, so it is the
+    first u, and its smallest clashing neighbor is the first v.
+    """
     n = graph.n_vertices
     if (
         coloring.q != graph.q
@@ -261,18 +276,32 @@ def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):
     colors = coloring.colors
     if np.any(colors < 0):
         raise IncompleteColoringError("some vertices are uncolored")
-    # Rows are sorted and symmetric, so the first clash in row-major order is
-    # the first conflicting edge: a clashing neighbor below u clashes earlier.
-    # Blocks of about 2**16 entries keep the gather and its intp copy of the
-    # int32 rows small, so memory stays flat at every N.
-    step = max(1, (1 << 16) // graph.degree)
-    for start in range(0, n, step):
-        rows = graph.adjacency[start : start + step]
-        clash = colors[rows] == colors[start : start + len(rows), None]
+    q, m = graph.q, graph.m
+    sums, coords = coordinate_sums(graph.ctx), circle_coords(graph)
+    neg = sums.argmin(axis=1)  # row a holds 0 at -a
+    # the s with s < -s, one of each pair, and the leading coordinates each
+    # shares with the one before it
+    shifts = coords[graph.connection_set < neg[coords] @ q ** np.arange(m - 1, -1, -1)]
+    shared = np.cumprod(shifts[1:] == shifts[:-1], axis=1).sum(axis=1)
+    grid = colors.reshape((q,) * m)
+    moved = [grid]  # moved[j]: the grid translated by the first j coordinates of s
+    first = n  # smallest vertex on a clashing edge so far
+    for s, keep in zip(shifts, np.concatenate(([0], shared))):
+        del moved[keep + 1 :]
+        for j in range(keep, m):
+            moved.append(moved[j].take(sums[s[j]], axis=j))
+        clash = moved[m] == grid  # u clashes with u + s
         if clash.any():
-            u, k = divmod(int(clash.argmax()), graph.degree)
-            return (start + u, int(rows[u, k]))
-    return None
+            back = clash  # back[u + s] = clash[u]
+            for j in range(m):
+                back = back.take(sums[neg[s[j]]], axis=j)
+            first = min(first, int(clash.argmax()), int(back.argmax()))
+    if first == n:
+        return None
+    total = 0
+    for j, c in enumerate(np.unravel_index(first, grid.shape)):
+        total = total * q + sums[c, coords[:, j]]  # first + s for every s in S
+    return (first, int(total[colors[total] == colors[first]].min()))
 
 
 # ---------------------------------------------------------------------------

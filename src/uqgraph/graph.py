@@ -5,11 +5,15 @@ element codes, last coordinate fastest; two points are adjacent exactly
 when their quadrance (the sum of squared coordinate differences) is 1.
 Adjacency is a Cayley structure on the additive group: u ~ v exactly when
 v - u lies on the unit circle S, which is one ascending array of vertex
-indices. The graph is one (N, |S|) int32 array whose row u holds the
-sorted neighbors u + S, grown one coordinate at a time from digit sums of
-the field codes, and the triangle count follows from S alone:
-T = N * #{(s, s') in S^2 : s + s' in S} / 6. DIMACS export writes the
-edges in blocks of fixed-width records, so its memory stays flat.
+indices. A graph is S; its (N, |S|) int32 array of sorted neighbor rows
+u + S is grown one coordinate at a time from digit sums of the field
+codes the first time `adjacency` is read. DIMACS export, the chromatic
+search and the dense spectrum read the rows (the CLI's build, chi, report
+and dense spectrum); the triangle count and the coloring check
+(construction.verify_coloring) read only S, so color, verify and
+triangles never build them; T = N * #{(s, s') in S^2 : s + s' in S} / 6.
+DIMACS export writes the edges in blocks of fixed-width records, so its
+memory stays flat.
 """
 
 from __future__ import annotations
@@ -96,14 +100,50 @@ def unit_circle(
     return np.flatnonzero(acc == 1)
 
 
-class UnitQuadranceGraph:
-    """D_q^m as its unit circle S (ascending indices) plus (N, degree) sorted neighbor rows."""
+def coordinate_sums(ctx: FieldCtx) -> np.ndarray:
+    """(q, q) codes a + x, row a: a take along row a translates one coordinate by a."""
+    codes = np.arange(ctx.q)
+    return ctx.add_arrays(codes[:, None], codes)
 
-    def __init__(self, ctx, m, connection_set, adjacency):
+
+def circle_coords(graph: UnitQuadranceGraph) -> np.ndarray:
+    """(|S|, m) coordinates of the unit circle, the base-q digits of its indices."""
+    return graph.connection_set[:, None] // graph.q ** np.arange(graph.m - 1, -1, -1) % graph.q
+
+
+def circle_columns(graph: UnitQuadranceGraph) -> list[np.ndarray]:
+    """columns[j][a, k] = a + s_k[j] for the circle points s_k, as C-ordered int32."""
+    sums = coordinate_sums(graph.ctx)
+    return [sums[:, c].astype(np.int32, order="C") for c in circle_coords(graph).T]
+
+
+class UnitQuadranceGraph:
+    """D_q^m as its unit circle S (ascending indices); the neighbor rows are
+    built from S on first use, unless they were given."""
+
+    def __init__(self, ctx, m, connection_set, adjacency=None):
         self.ctx = ctx
         self.m = m
         self.connection_set = connection_set
-        self.adjacency = adjacency
+        self._adjacency = adjacency
+
+    @property
+    def adjacency(self) -> np.ndarray:
+        """(N, degree) int32 rows u + S, each sorted, C-contiguous.
+
+        Rows grow one coordinate at a time: the rows over the first j
+        coordinates, times q, plus coordinate j of every u + s (circle
+        column j) give the rows over the first j + 1. Every intermediate
+        is int32, which holds every index below the default vertex bound
+        and halves the array and its sort.
+        """
+        if self._adjacency is None:
+            rows = np.zeros((1, self.degree), dtype=np.int32)
+            for column in circle_columns(self):
+                rows = (rows[:, None, :] * self.q + column).reshape(-1, self.degree)
+            rows.sort(axis=1)
+            self._adjacency = rows
+        return self._adjacency
 
     @property
     def q(self) -> int:
@@ -111,7 +151,7 @@ class UnitQuadranceGraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.adjacency)
+        return self.q**self.m
 
     @property
     def degree(self) -> int:
@@ -134,34 +174,34 @@ class UnitQuadranceGraph:
 def build_graph(
     ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> UnitQuadranceGraph:
-    """Build D_q^m by translating the unit circle across all vertices.
-
-    S's coordinates are the base-q digits of its indices. Rows grow one
-    coordinate at a time: the rows over the first j coordinates, times q,
-    plus coordinate j of every u + s (a (q, |S|) digit sum) give the rows
-    over the first j + 1. Every intermediate is int32, which holds every
-    index below the default vertex bound and halves the array and its sort.
-    """
-    circle = unit_circle(ctx, m, max_vertices)  # checks the vertex bound
-    q, codes = ctx.q, np.arange(ctx.q)
-    offsets = circle[:, None] // q ** np.arange(m - 1, -1, -1) % q
-    adjacency = np.zeros((1, len(circle)), dtype=np.int32)
-    for j in range(m):
-        column = ctx.add_arrays(codes[:, None], offsets[:, j]).astype(np.int32)
-        adjacency = (adjacency[:, None, :] * q + column).reshape(-1, len(circle))
-    adjacency.sort(axis=1)
-    return UnitQuadranceGraph(ctx, m, circle, adjacency)
+    """D_q^m from its unit circle; the neighbor rows wait for their first reader."""
+    return UnitQuadranceGraph(ctx, m, unit_circle(ctx, m, max_vertices))
 
 
 def triangle_count(graph: UnitQuadranceGraph) -> int:
     """Exact number of triangles, from the unit circle S alone.
 
-    Looking S's own rows s + S up in S counts the pairs (s, s') with
-    s + s' in S. Each triangle {0, s, s + s'} at the origin is counted
-    twice, every vertex lies on as many, and a triangle has three vertices.
+    Summing S + S coordinate by coordinate and looking the sums up in S
+    counts the pairs (s, s') with s + s' in S. Each triangle {0, s, s + s'}
+    at the origin is counted twice, every vertex lies on as many, and a
+    triangle has three vertices. columns[j][a, k] is a + s_k[j], so the sums
+    of a block of circle points with all of S take one row gather per
+    coordinate. Blocks of about 2**16 int32 sums keep memory at
+    O(m * q * |S|), far below the N x |S| rows.
     """
-    circle = graph.connection_set
-    pairs = int(np.count_nonzero(np.isin(graph.adjacency[circle], circle)))
+    q, m, circle = graph.q, graph.m, graph.connection_set
+    coords, columns = circle_coords(graph), circle_columns(graph)
+    on_circle = np.zeros(graph.n_vertices, dtype=bool)
+    on_circle[circle] = True
+    step = max(1, (1 << 16) // len(circle))
+    pairs = 0
+    for start in range(0, len(circle), step):
+        block = coords[start : start + step]
+        total = columns[0][block[:, 0]]  # row i, column k: index of block[i] + s_k
+        for j in range(1, m):
+            total *= q
+            total += columns[j][block[:, j]]
+        pairs += int(np.count_nonzero(on_circle[total]))
     return graph.n_vertices * pairs // 6
 
 

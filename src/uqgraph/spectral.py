@@ -82,6 +82,11 @@ def dense_spectrum(
     solved, counted C(m, j) times. Negating coordinate 0, swapping 0 and 1
     and cycling all coordinates generate B_m; each is first checked to be
     an automorphism of the rows, or NoConvergenceError is raised.
+
+    Its tracemalloc peak misses eigvalsh's copy of each block and its
+    LAPACK workspace, which numpy allocates outside tracemalloc. When this
+    is the first read of graph.adjacency, the peak includes building the
+    rows.
     """
     n = graph.n_vertices
     check_dense_bound(n, max_vertices)

@@ -19,6 +19,7 @@ from uqgraph import (
     expected_color_count,
     find_shift,
     find_slope,
+    greedy_bound,
     make_plan,
     read_coloring,
     validate_plan,
@@ -422,21 +423,48 @@ def _first_violation_by_rows(graph, colors):
     return None
 
 
-# (13, 3) and (121, 2) span several row blocks, the last one partial.
-@pytest.mark.parametrize("q, m", [(5, 2), (7, 2), (9, 2), (5, 3), (13, 3), (121, 2)])
+def verify_by_row_blocks(graph, coloring):
+    """Oracle: the route verify_coloring took before it read only the unit
+    circle, a gather of the colors over blocks of neighbor rows."""
+    n, colors = graph.n_vertices, coloring.colors
+    # Rows are sorted and symmetric, so the first clash in row-major order is
+    # the first conflicting edge: a clashing neighbor below u clashes earlier.
+    step = max(1, (1 << 16) // graph.degree)
+    for start in range(0, n, step):
+        rows = graph.adjacency[start : start + step]
+        clash = colors[rows] == colors[start : start + len(rows), None]
+        if clash.any():
+            u, k = divmod(int(clash.argmax()), graph.degree)
+            return (start + u, int(rows[u, k]))
+    return None
+
+
+# (13, 3) and (121, 2) span several row blocks of the oracle; F_25, F_27 and
+# F_125 add digit-wise, not mod q, and (7, 4), (3, 5) translate four and five
+# coordinates. F_3 has no construction, so its base is the greedy coloring.
+@pytest.mark.parametrize("q, m", [
+    (5, 2), (7, 2), (9, 2), (25, 2), (27, 2), (121, 2), (125, 2),
+    (5, 3), (9, 3), (13, 3), (7, 4), (3, 5),
+])
 def test_verify_coloring_against_row_scan_oracle(q, m):
     ctx = field_for(q)
     g = graph_for(q, m)
-    base = build_coloring_md(ctx, m, make_plan(ctx))
+    base = build_coloring_md(ctx, m, make_plan(ctx)) if q > 3 else greedy_bound(g)
     rng = np.random.default_rng(1000 * q + m)
     assert verify_coloring(g, base) is None
     assert _first_violation_by_rows(g, base.colors) is None
+    n = g.n_vertices
+    constant = Coloring(q=q, m=m, colors=np.zeros(n, dtype=np.int64), k=1)
+    identity = Coloring(q=q, m=m, colors=np.arange(n, dtype=np.int64), k=n)
+    assert verify_coloring(g, constant) == verify_by_row_blocks(g, constant) == (0, 1)
+    assert verify_coloring(g, identity) is verify_by_row_blocks(g, identity) is None
     for trial in range(40):
         colors = base.colors.copy()
-        changed = rng.choice(g.n_vertices, size=1 + trial % 4, replace=False)
+        changed = rng.choice(n, size=1 + trial % 4, replace=False)
         colors[changed] = rng.integers(0, base.k, size=changed.size)
         recolored = Coloring(q=q, m=m, colors=colors, k=base.k)
-        assert verify_coloring(g, recolored) == _first_violation_by_rows(g, colors)
+        expected = _first_violation_by_rows(g, colors)
+        assert verify_coloring(g, recolored) == verify_by_row_blocks(g, recolored) == expected
 
 
 def test_verify_coloring_memory_stays_flat():

@@ -1,6 +1,7 @@
 """Graph construction, degrees, triangles, and DIMACS export."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,17 +10,23 @@ from hypothesis import strategies as st
 
 from conftest import field_for, graph_for, odd_prime_powers
 from uqgraph import (
+    Coloring,
     DimensionMismatchError,
     DimensionTooSmallError,
+    FieldCtx,
     IOFailureError,
     TooLargeError,
+    build_coloring_md,
     build_graph,
+    cayley_spectrum,
     degree_formula,
     export_dimacs,
+    make_plan,
     quadrance,
     triangle_count,
     triangle_free_predicted,
     unit_circle,
+    verify_coloring,
     vertex_coords,
     vertex_index,
 )
@@ -172,6 +179,75 @@ def test_triangle_count_against_enumeration_oracle(q, m, expected):
             if v > u:
                 count += sum(1 for w in adj[u] & adj[v] if w > v)
     assert triangle_count(g) == count == expected
+
+
+def triangles_by_row_lookup(graph):
+    """Oracle: the route triangle_count took before it read only the unit
+    circle, S's own neighbor rows s + S looked up in S."""
+    circle = graph.connection_set
+    pairs = int(np.count_nonzero(np.isin(graph.adjacency[circle], circle)))
+    return graph.n_vertices * pairs // 6
+
+
+@pytest.mark.parametrize(
+    "q, m",
+    [(5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2), (49, 2), (3, 3), (5, 3),
+     (7, 4)],
+)
+def test_triangle_count_against_row_lookup_oracle(q, m):
+    g = graph_for(q, m)
+    assert triangle_count(g) == triangles_by_row_lookup(g)
+
+
+def test_first_adjacency_read_builds_int32_rows_within_budget():
+    # build_graph keeps only the circle, so its traced peak no longer spans the rows
+    g = build_graph(field_for(127), 2)
+    tracemalloc.start()
+    try:
+        rows = g.adjacency
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.nbytes == 127**2 * 128 * 4
+    assert g.adjacency is rows  # built once
+    # the rows are 8.3 MB in int32; an int64 intermediate would be about 16 MB
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("q, m", [(5, 6), (3, 9)])
+def test_triangles_and_verify_never_build_the_rows(q, m):
+    # the rows alone would take 190 MB at (5, 6) and 520 MB at (3, 9)
+    n = q**m
+    colors = np.arange(n, dtype=np.int64)
+    colors[-1] = colors[-2]  # vertex n - 1 is n - 2 plus (0, ..., 0, 1)
+    damaged = Coloring(q=q, m=m, colors=colors, k=n)
+    # 6T is the sum of the cubed eigenvalues, the closed walks of length 3
+    cubes = float(np.sum(cayley_spectrum(field_for(q), m).eigenvalues ** 3))
+    for call, expected in ((triangle_count, round(cubes / 6)),
+                           (lambda g: verify_coloring(g, damaged), (n - 2, n - 1))):
+        graph = build_graph(field_for(q), m)
+        tracemalloc.start()
+        try:
+            result = call(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < 16 * 2**20
+
+
+def test_triangles_and_verify_make_no_scalar_field_calls(monkeypatch):
+    ctx = field_for(125)
+    graph = build_graph(ctx, 2)
+    coloring = build_coloring_md(ctx, 2, make_plan(ctx))
+
+    def refuse(*args):
+        raise AssertionError("scalar FieldCtx call")
+
+    for name in ("add", "sub", "neg", "mul", "pow", "inv", "quadratic_character", "abs_trace"):
+        monkeypatch.setattr(FieldCtx, name, refuse)
+    assert triangle_count(graph) == 0
+    assert verify_coloring(graph, coloring) is None
 
 
 def test_triangle_free_predicted():
