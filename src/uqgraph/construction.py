@@ -36,6 +36,7 @@ from .graph import (
     DEFAULT_MAX_VERTICES,
     UnitQuadranceGraph,
     circle_coords,
+    circle_translates,
     coordinate_sums,
     vertex_count,
 )
@@ -296,12 +297,12 @@ def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):
             for j in range(m):
                 back = back.take(sums[neg[s[j]]], axis=j)
             first = min(first, int(clash.argmax()), int(back.argmax()))
+            if first == 0:  # no vertex is smaller
+                break
     if first == n:
         return None
-    total = 0
-    for j, c in enumerate(np.unravel_index(first, grid.shape)):
-        total = total * q + sums[c, coords[:, j]]  # first + s for every s in S
-    return (first, int(total[colors[total] == colors[first]].min()))
+    ends = circle_translates(graph, first)
+    return (first, int(ends[colors[ends] == colors[first]].min()))
 
 
 # ---------------------------------------------------------------------------

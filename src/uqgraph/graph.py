@@ -11,7 +11,8 @@ codes the first time `adjacency` is read. DIMACS export, the chromatic
 search and the dense spectrum read the rows (the CLI's build, chi, report
 and dense spectrum); the triangle count and the coloring check
 (construction.verify_coloring) read only S, so color, verify and
-triangles never build them; T = N * #{(s, s') in S^2 : s + s' in S} / 6.
+triangles never build them. Every edge lies on the same number
+lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
 DIMACS export writes the edges in blocks of fixed-width records, so its
 memory stays flat.
 """
@@ -111,10 +112,11 @@ def circle_coords(graph: UnitQuadranceGraph) -> np.ndarray:
     return graph.connection_set[:, None] // graph.q ** np.arange(graph.m - 1, -1, -1) % graph.q
 
 
-def circle_columns(graph: UnitQuadranceGraph) -> list[np.ndarray]:
-    """columns[j][a, k] = a + s_k[j] for the circle points s_k, as C-ordered int32."""
-    sums = coordinate_sums(graph.ctx)
-    return [sums[:, c].astype(np.int32, order="C") for c in circle_coords(graph).T]
+def circle_translates(graph: UnitQuadranceGraph, u: int) -> np.ndarray:
+    """u + s for every s in the unit circle, in circle order: the neighbors of u."""
+    q, m = graph.q, graph.m
+    coords = graph.ctx.add_arrays(np.array(vertex_coords(q, m, u)), circle_coords(graph))
+    return coords @ q ** np.arange(m - 1, -1, -1)
 
 
 class UnitQuadranceGraph:
@@ -132,14 +134,16 @@ class UnitQuadranceGraph:
         """(N, degree) int32 rows u + S, each sorted, C-contiguous.
 
         Rows grow one coordinate at a time: the rows over the first j
-        coordinates, times q, plus coordinate j of every u + s (circle
-        column j) give the rows over the first j + 1. Every intermediate
+        coordinates, times q, plus coordinate j of every u + s (column[a, k]
+        = a + s_k[j]) give the rows over the first j + 1. Every intermediate
         is int32, which holds every index below the default vertex bound
         and halves the array and its sort.
         """
         if self._adjacency is None:
+            sums = coordinate_sums(self.ctx)
             rows = np.zeros((1, self.degree), dtype=np.int32)
-            for column in circle_columns(self):
+            for c in circle_coords(self).T:
+                column = sums[:, c].astype(np.int32, order="C")
                 rows = (rows[:, None, :] * self.q + column).reshape(-1, self.degree)
             rows.sort(axis=1)
             self._adjacency = rows
@@ -181,28 +185,17 @@ def build_graph(
 def triangle_count(graph: UnitQuadranceGraph) -> int:
     """Exact number of triangles, from the unit circle S alone.
 
-    Summing S + S coordinate by coordinate and looking the sums up in S
-    counts the pairs (s, s') with s + s' in S. Each triangle {0, s, s + s'}
-    at the origin is counted twice, every vertex lies on as many, and a
-    triangle has three vertices. columns[j][a, k] is a + s_k[j], so the sums
-    of a block of circle points with all of S take one row gather per
-    coordinate. Blocks of about 2**16 int32 sums keep memory at
-    O(m * q * |S|), far below the N x |S| rows.
+    S is the unit circle, so translations and the orthogonal group of the
+    quadrance act transitively on the arcs (Witt's theorem makes O(Q)
+    transitive on S): every edge has the common neighbors of 0 and s0 =
+    S[0], lambda = |S & (s0 + S)| of them. There are N * |S| / 2 edges and
+    a triangle has three, so T = N * |S| * lambda / 6.
     """
-    q, m, circle = graph.q, graph.m, graph.connection_set
-    coords, columns = circle_coords(graph), circle_columns(graph)
+    circle = graph.connection_set
     on_circle = np.zeros(graph.n_vertices, dtype=bool)
     on_circle[circle] = True
-    step = max(1, (1 << 16) // len(circle))
-    pairs = 0
-    for start in range(0, len(circle), step):
-        block = coords[start : start + step]
-        total = columns[0][block[:, 0]]  # row i, column k: index of block[i] + s_k
-        for j in range(1, m):
-            total *= q
-            total += columns[j][block[:, j]]
-        pairs += int(np.count_nonzero(on_circle[total]))
-    return graph.n_vertices * pairs // 6
+    common = int(np.count_nonzero(on_circle[circle_translates(graph, int(circle[0]))]))
+    return graph.n_vertices * len(circle) * common // 6
 
 
 def triangle_free_predicted(q: int) -> bool | None:

@@ -30,6 +30,7 @@ from uqgraph import (
     vertex_coords,
     vertex_index,
 )
+from uqgraph.graph import circle_coords, circle_translates, coordinate_sums
 
 
 def test_quadrance_examples():
@@ -189,14 +190,74 @@ def triangles_by_row_lookup(graph):
     return graph.n_vertices * pairs // 6
 
 
-@pytest.mark.parametrize(
-    "q, m",
-    [(5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2), (49, 2), (3, 3), (5, 3),
-     (7, 4)],
-)
+ROW_LOOKUP_POINTS = [
+    (5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2), (49, 2), (3, 3), (5, 3), (7, 4),
+]
+
+
+@pytest.mark.parametrize("q, m", ROW_LOOKUP_POINTS)
 def test_triangle_count_against_row_lookup_oracle(q, m):
     g = graph_for(q, m)
     assert triangle_count(g) == triangles_by_row_lookup(g)
+
+
+def triangles_by_circle_pairs(graph):
+    """Oracle: the S-pair count triangle_count made before it read one edge.
+
+    Summing S + S coordinate by coordinate and looking the sums up in S
+    counts the pairs (s, s') with s + s' in S. Each triangle {0, s, s + s'}
+    at the origin is counted twice, every vertex lies on as many, and a
+    triangle has three vertices. columns[j][a, k] is a + s_k[j], so the sums
+    of a block of circle points with all of S take one row gather per
+    coordinate, in blocks of about 2**16 sums.
+    """
+    q, m, circle = graph.q, graph.m, graph.connection_set
+    coords, sums = circle_coords(graph), coordinate_sums(graph.ctx)
+    columns = [sums[:, c] for c in coords.T]
+    on_circle = np.zeros(graph.n_vertices, dtype=bool)
+    on_circle[circle] = True
+    step = max(1, (1 << 16) // len(circle))
+    pairs = 0
+    for start in range(0, len(circle), step):
+        block = coords[start : start + step]
+        total = columns[0][block[:, 0]]  # row i, column k: index of block[i] + s_k
+        for j in range(1, m):
+            total = total * q + columns[j][block[:, j]]
+        pairs += int(np.count_nonzero(on_circle[total]))
+    return graph.n_vertices * pairs // 6
+
+
+@pytest.mark.parametrize("q, m", ROW_LOOKUP_POINTS + [(5, 6), (3, 8), (3, 9)])
+def test_triangle_count_against_circle_pair_oracle(q, m):
+    # past (7, 4) the rows are too large to build, so only the pair count checks there
+    g = build_graph(field_for(q), m)
+    assert triangle_count(g) == triangles_by_circle_pairs(g)
+
+
+@pytest.mark.parametrize(
+    "q, m",
+    [(q, 2) for q in odd_prime_powers(5, 27)]
+    + [(5, 3), (7, 3), (9, 3), (3, 4), (5, 4), (3, 5)],
+)
+def test_every_edge_has_the_same_common_neighbor_count(q, m):
+    # the premise of triangle_count: |S & (s + S)| does not depend on s in S
+    g = graph_for(q, m)
+    circle = g.connection_set
+    common = np.isin(g.adjacency[circle], circle).sum(axis=1)
+    assert len(set(common.tolist())) == 1
+
+
+@pytest.mark.parametrize("q, m", [(9, 2), (13, 2), (5, 3), (3, 4)])
+def test_circle_translates_are_the_neighbors_in_circle_order(q, m):
+    g = graph_for(q, m)
+    assert np.array_equal(circle_translates(g, 0), g.connection_set)
+    for u in (1, g.n_vertices // 3, g.n_vertices - 1):
+        translates = circle_translates(g, u)
+        assert np.array_equal(np.sort(translates), g.adjacency[u])
+        # the k-th translate is u + S[k], coordinate by coordinate
+        k = len(translates) // 2
+        su, sk = vertex_coords(q, m, u), vertex_coords(q, m, int(g.connection_set[k]))
+        assert translates[k] == vertex_index(q, [g.ctx.add(a, b) for a, b in zip(su, sk)])
 
 
 def test_first_adjacency_read_builds_int32_rows_within_budget():
