@@ -3,23 +3,30 @@
 The solver is DSATUR-ordered backtracking with branch and bound: the
 upper bound is seeded from a greedy DSATUR coloring and, when the graph
 carries a field context, from the line-pairing construction; the lower
-bound comes from a bounded clique search and a bipartiteness test. Each
-round tries to exhaust (upper-1)-colorings with color-permutation
+bound is the larger of a bounded clique search and min(greedy colors, 3).
+Each round tries to exhaust (upper-1)-colorings with color-permutation
 symmetry removed (the first vertex is fixed to color 0 and new colors
 are introduced in order). A completed exhaustion proves optimality; an
 exhausted budget degrades the result to a valid bracket.
 
-Both the greedy pass and the search branch on the argmax of the key
-sat * (N + 1) + deg: saturation, then degree, then the lowest index.
-The keys live in one int64 array that argmax reads and a memoryview of
-it updates with Python ints; in the search a colored vertex sinks below
-zero by (k + 1) * (N + 1). A colored vertex holds forbid = -1, so one bit
-test skips colored and already-forbidden neighbors alike; the search
-frame keeps the vertex's real forbid value and restores it on undo.
+The greedy coloring is the search's first descent with k = N colors: no
+vertex can see N colors, so it never backtracks and takes the argmax
+vertex and its lowest free color at every step. DSATUR colors every
+bipartite graph with at most 2 colors (Brelaz, CACM 22, 1979), and an
+odd cycle needs 3, so min(greedy colors, 3) is the exact odd-cycle bound.
+
+The search branches on the argmax of the key sat * (N + 1) + deg:
+saturation, then degree, then the lowest index. The keys live in one
+int64 array that argmax reads and a memoryview of it updates with Python
+ints; a colored vertex sinks below zero by (k + 1) * (N + 1). A colored
+vertex holds forbid = -1, so one bit test skips colored and
+already-forbidden neighbors alike; the search frame keeps the vertex's
+real forbid value and restores it on undo.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -68,28 +75,10 @@ def greedy_bound(graph) -> Coloring:
     """Proper coloring from greedy assignment in DSATUR order.
 
     Ties break by degree, then by smallest vertex index, so the result is
-    deterministic.
+    deterministic. It is the search's first descent with N colors, which
+    never backtracks, and it 2-colors every bipartite graph (Brelaz 1979).
     """
-    n = graph.n_vertices
-    nbrs = [graph.neighbors_of(u).tolist() for u in range(n)]
-    colors = [-1] * n
-    forbid = [0] * n
-    big = n + 1  # outranks any degree, so saturation dominates the score
-    keys = np.array([len(x) for x in nbrs], dtype=np.int64)
-    score = memoryview(keys)
-    for _ in range(n):
-        v = int(keys.argmax())
-        c = ((forbid[v] + 1) & ~forbid[v]).bit_length() - 1  # lowest free color
-        colors[v] = c
-        forbid[v] = -1
-        score[v] = -1
-        bit = 1 << c
-        for w in nbrs[v]:
-            if not forbid[w] & bit:
-                forbid[w] |= bit
-                score[w] += big
-    return Coloring(q=graph.q, m=graph.m, colors=np.array(colors, dtype=np.int64),
-                    k=max(colors, default=-1) + 1)
+    return _search_k_coloring(graph, graph.n_vertices, math.inf, math.inf, 0)[1]
 
 
 def clique_lower(graph, node_budget: int = 100_000) -> int:
@@ -135,32 +124,6 @@ def clique_lower(graph, node_budget: int = 100_000) -> int:
     return best
 
 
-def _structural_lower(graph) -> int:
-    """1 for edgeless, 2 for bipartite with edges, 3 when an odd cycle exists."""
-    n = graph.n_vertices
-    if n == 0:
-        return 0
-    side = [-1] * n
-    has_edge = False
-    for start in range(n):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in graph.neighbors_of(u).tolist():
-                if w == u:
-                    continue
-                has_edge = True
-                if side[w] < 0:
-                    side[w] = side[u] ^ 1
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return 3
-    return 2 if has_edge else 1
-
-
 def _construction_seed(graph) -> Coloring | None:
     ctx = getattr(graph, "ctx", None)
     if ctx is None:
@@ -192,7 +155,7 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
 
     v0 = int(keys.argmax())
     # frame: [vertex, colors left to try, bit of current try, touched, saved max_used, saved forbid]
-    stack = [[v0, (~forbid[v0]) & full & ((1 << (max_used + 2)) - 1), 0, [], -1, 0]]
+    stack = [[v0, (~forbid[v0]) & ((1 << (max_used + 2)) - 1) & full, 0, [], -1, 0]]
     while stack:
         frame = stack[-1]
         v = frame[0]
@@ -244,7 +207,8 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
             )
             return "found", witness, nodes
         nv = int(keys.argmax())
-        allowed = (~forbid[nv]) & full & ((1 << (max_used + 2)) - 1)
+        # mask before meeting full, which has N bits in greedy_bound
+        allowed = (~forbid[nv]) & ((1 << (max_used + 2)) - 1) & full
         if allowed == 0:
             continue
         stack.append([nv, allowed, 0, [], -1, 0])
@@ -262,11 +226,12 @@ def exact_chromatic(
     deadline = t0 + time_limit
     witness = greedy_bound(graph)
     upper = witness.k
+    odd_cycle = min(upper, 3)  # exact: DSATUR 2-colors every bipartite graph
     seed = _construction_seed(graph)
     if seed is not None and seed.k < upper:
         upper, witness = seed.k, seed
     lower = max(
-        _structural_lower(graph),
+        odd_cycle,
         clique_lower(graph, node_budget=min(100_000, node_limit)),
     )
     nodes = 0

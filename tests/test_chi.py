@@ -143,16 +143,26 @@ def test_exact_matches_brute_force_on_random_graphs():
         assert all(witness[u] != witness[v] for u, v in edges)
 
 
-def test_exact_known_structured_graphs():
-    c5 = StubGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-    c6 = StubGraph(6, [(i, (i + 1) % 6) for i in range(6)])
-    k4 = StubGraph(4, list(combinations(range(4), 2)))
+def small_stub_graphs():
+    """(graph, chromatic number) for n = 0 and n = 1, C5, C6, K4 and the
+    Petersen graph."""
     petersen = StubGraph(
         10,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6), (6, 8),
          (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
     )
-    for graph, expected in [(c5, 3), (c6, 2), (k4, 4), (petersen, 3)]:
+    return [
+        (StubGraph(0, []), 0),
+        (StubGraph(1, []), 1),
+        (StubGraph(5, [(i, (i + 1) % 5) for i in range(5)]), 3),
+        (StubGraph(6, [(i, (i + 1) % 6) for i in range(6)]), 2),
+        (StubGraph(4, list(combinations(range(4), 2))), 4),
+        (petersen, 3),
+    ]
+
+
+def test_exact_known_structured_graphs():
+    for graph, expected in small_stub_graphs():
         result = exact_chromatic(graph)
         assert (result.status, result.lower, result.upper) == ("exact", expected, expected)
 
@@ -355,7 +365,7 @@ def array_greedy_bound(graph) -> Coloring:
             if colors[w] < 0 and not forbid[w] & bit:
                 forbid[w] |= bit
                 score[w] += big
-    return Coloring(q=graph.q, m=graph.m, colors=colors, k=int(colors.max()) + 1)
+    return Coloring(q=graph.q, m=graph.m, colors=colors, k=int(colors.max(initial=-1)) + 1)
 
 
 def array_search_k_coloring(graph, k, deadline, node_limit, nodes):
@@ -453,11 +463,104 @@ def test_search_matches_score_array_oracle_on_uneven_degrees():
 
 
 def test_greedy_matches_array_oracle():
-    for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs()):
+    extra = list(bipartite_stub_graphs()) + [StubGraph(0, []), StubGraph(1, [])]
+    for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs()) + extra:
         new, old = greedy_bound(g), array_greedy_bound(g)
         assert new.k == old.k
         assert new.colors.dtype == old.colors.dtype
         assert np.array_equal(new.colors, old.colors)
+
+
+def bfs_structural_lower(graph) -> int:
+    """1 for edgeless, 2 for bipartite with edges, 3 when an odd cycle
+    exists, by breadth-first 2-coloring, as exact_chromatic computed it
+    before it read min(k, 3) off the greedy coloring. Kept as the oracle
+    for that bound."""
+    n = graph.n_vertices
+    if n == 0:
+        return 0
+    side = [-1] * n
+    has_edge = False
+    for start in range(n):
+        if side[start] >= 0:
+            continue
+        side[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop()
+            for w in graph.neighbors_of(u).tolist():
+                if w == u:
+                    continue
+                has_edge = True
+                if side[w] < 0:
+                    side[w] = side[u] ^ 1
+                    queue.append(w)
+                elif side[w] == side[u]:
+                    return 3
+    return 2 if has_edge else 1
+
+
+def bipartite_stub_graphs():
+    """120 seeded graphs that are bipartite by construction: up to four
+    components, each with random sides and edges only across them, plus
+    isolated vertices, all under a random relabeling."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(120):
+        sizes = rng.integers(1, 16, size=int(rng.integers(1, 5)))
+        n = int(sizes.sum() + rng.integers(0, 6))
+        label = rng.permutation(n).tolist()
+        edges, start = [], 0
+        for size in sizes.tolist():
+            side = rng.integers(0, 2, size=size)
+            density = rng.uniform(0.1, 0.9)
+            edges += [
+                (label[start + u], label[start + v])
+                for u, v in combinations(range(size), 2)
+                if side[u] != side[v] and rng.random() < density
+            ]
+            start += size
+        yield StubGraph(n, edges)
+
+
+def structural_test_graphs():
+    return ([graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs())
+            + list(bipartite_stub_graphs()) + [g for g, _ in small_stub_graphs()])
+
+
+def test_odd_cycle_bound_from_greedy_matches_bfs_oracle():
+    """DSATUR 2-colors every bipartite graph (Brelaz 1979), so min(k, 3) of
+    the greedy coloring is 0, 1, 2 or 3 exactly as the BFS finds it."""
+    bounds = [(min(greedy_bound(g).k, 3), bfs_structural_lower(g)) for g in structural_test_graphs()]
+    assert all(bound == oracle for bound, oracle in bounds)
+    assert {oracle for _, oracle in bounds} == {0, 1, 2, 3}
+    assert sum(oracle == 2 for _, oracle in bounds) >= 100
+
+
+def test_greedy_is_the_search_first_descent():
+    """With k = n colors no vertex can see every color, so the search
+    never backtracks: it finds a coloring after exactly n nodes."""
+    for g in structural_test_graphs():
+        status, _, nodes = _search_k_coloring(g, g.n_vertices, float("inf"), float("inf"), 0)
+        assert (status, nodes) == ("found", g.n_vertices)
+
+
+BRACKETS_BEFORE_SEARCH = {
+    (3, 2): 3, (5, 2): 3, (7, 2): 4, (9, 2): 3, (11, 2): 6, (13, 2): 7, (17, 2): 8,
+    (19, 2): 9, (23, 2): 11, (25, 2): 10, (27, 2): 11, (29, 2): 11, (31, 2): 12,
+    (3, 3): 3, (5, 3): 10, (7, 3): 15, (3, 4): 14, (5, 4): 30,
+}
+
+
+@pytest.mark.parametrize("q, m", list(BRACKETS_BEFORE_SEARCH))
+def test_bracket_before_any_search(q, m):
+    """At node_limit=1 only the greedy, construction, odd-cycle and clique
+    bounds act: the bracket is [3, upper] with upper the smaller of the
+    greedy and construction colors."""
+    result = exact_chromatic(graph_for(q, m), node_limit=1)
+    upper = BRACKETS_BEFORE_SEARCH[q, m]
+    assert (result.lower, result.upper) == (3, upper)
+    assert result.status == ("exact" if upper == 3 else "bounded")
+    assert result.witness.k == upper
 
 
 class WatchedScore:
