@@ -74,11 +74,12 @@ def _check_budget(args) -> None:
 
 
 @contextmanager
-def _open_out(path):
+def _open_out(path, binary=False):
+    # perfbench and pytest swap in a sys.stdout without .buffer: '-' stays text
     if path is None or path == "-":
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as stream:
+        with open(path, "wb") if binary else open(path, "w", encoding="utf-8") as stream:
             yield stream
 
 
@@ -93,7 +94,7 @@ def _dump(record, as_json: bool, sink=None) -> None:
 def cmd_build(args) -> int:
     ctx = _field_for(args.q, args.m)
     graph = build_graph(ctx, args.m)
-    with _open_out(args.out) as sink:
+    with _open_out(args.out, binary=True) as sink:
         export_dimacs(graph, sink)
     return EXIT_OK
 
@@ -105,7 +106,7 @@ def cmd_color(args) -> int:
     graph = build_graph(ctx, args.m)
     violation = verify_coloring(graph, coloring)
     if args.out:
-        with _open_out(args.out) as sink:
+        with _open_out(args.out, binary=True) as sink:
             write_coloring(coloring, sink)
     record = {
         "q": ctx.q,
@@ -127,7 +128,7 @@ def cmd_chi(args) -> int:
     graph = build_graph(ctx, args.m)
     result = exact_chromatic(graph, time_limit=args.timeout, node_limit=args.nodes)
     if args.out:
-        with _open_out(args.out) as sink:
+        with _open_out(args.out, binary=True) as sink:
             write_coloring(result.witness, sink)
     print(json.dumps(result.record(), sort_keys=True))
     return EXIT_OK

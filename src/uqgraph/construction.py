@@ -38,7 +38,9 @@ from .graph import (
     circle_coords,
     circle_translates,
     coordinate_sums,
+    decimal_names,
     vertex_count,
+    write_ascii,
 )
 
 
@@ -310,34 +312,41 @@ def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):
 # lines, both 0-based, UTF-8.
 
 _HEADER_RE = re.compile(r"#\s*q=(\d+)\s+m=(\d+)\s+k=(\d+)\s*$")
+_CANONICAL_HEADER_RE = re.compile(rb"# q=(\d+) m=(\d+) k=(\d+)\n")
 
 
 def write_coloring(coloring: Coloring, sink) -> None:
-    """Write a coloring in the text format; sink is a path or text stream."""
-    data = f"# q={coloring.q} m={coloring.m} k={coloring.k}\n" + "".join(
-        [f"{i} {c}\n" for i, c in enumerate(coloring.colors.tolist())]
-    )
+    """Write a coloring in the text format as ASCII bytes; sink is a path or a
+    binary or text stream. An uncolored (negative) vertex raises IncompleteColoringError."""
+    colors = coloring.colors
+    if np.any(colors < 0):
+        raise IncompleteColoringError("some vertices are uncolored")
+    index_names, top = decimal_names(0, len(colors)), int(colors.max(initial=0)) + 1
+    # a table of color names, unless it would hold more names than there are vertices
+    color_names = (decimal_names(0, top)[colors] if top <= len(colors)
+                   else colors.astype(f"S{len(str(top - 1))}"))
+    fields = [("i", index_names.dtype), ("sp", "S1"), ("c", color_names.dtype), ("nl", "S1")]
+    lines = np.empty(len(colors), dtype=fields)
+    lines["i"], lines["sp"], lines["c"], lines["nl"] = index_names, b" ", color_names, b"\n"
+    data = f"# q={coloring.q} m={coloring.m} k={coloring.k}\n".encode("ascii")
+    data += lines.tobytes().translate(None, b"\0")  # deletes the padding
     if isinstance(sink, (str, Path)):
-        Path(sink).write_text(data, encoding="utf-8")
+        Path(sink).write_bytes(data)
     else:
-        sink.write(data)
+        write_ascii(sink, data)
 
 
 def read_coloring(source) -> Coloring:
-    """Read a coloring file; raises IncompleteColoringError when vertices
-    are missing and ValueError on malformed content."""
-    if isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source.read()
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise ValueError("empty coloring file")
-    header = _HEADER_RE.match(lines[0])
-    if header is None:
-        raise ValueError(f"bad coloring header: {lines[0]!r}")
-    q, m, k = (int(g) for g in header.groups())
-    # Checked before anything is sized by the header.
+    """Read a UTF-8 coloring file from a path or a binary or text stream; raises
+    IncompleteColoringError when vertices are missing and ValueError on malformed
+    content. A file as write_coloring writes it is parsed in bulk, others line by line."""
+    data = Path(source).read_bytes() if isinstance(source, (str, Path)) else source.read()
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return (text.isascii() and _read_canonical(text.encode("ascii"))) or _read_lines(text)
+
+
+def _header_vertices(q: int, m: int) -> int:
+    """q**m for a coloring header, checked before anything is sized by it."""
     decomposition = prime_power(q) if q <= DEFAULT_MAX_VERTICES else None
     try:
         n = vertex_count(q, m) if decomposition and decomposition[0] != 2 else None
@@ -346,6 +355,43 @@ def read_coloring(source) -> Coloring:
     if n is None:
         raise ValueError(f"coloring header q={q} m={m} needs an odd prime power q,"
                          f" m >= 2 and q**m <= {DEFAULT_MAX_VERTICES}")
+    return n
+
+
+def _read_canonical(data: bytes) -> Coloring | None:
+    """A file exactly as write_coloring writes it, parsed in bulk: the header, then n lines
+    "digits SP digits LF" of at most 18 digits a token (each fits an int64), the indices a
+    permutation of 0..n-1 and every color below k. None for any other file."""
+    header = _CANONICAL_HEADER_RE.match(data)
+    if header is None:
+        return None
+    q, m, k = (int(g) for g in header.groups())
+    n = _header_vertices(q, m)
+    body = np.frombuffer(data, dtype=np.uint8, offset=header.end())
+    ends = np.flatnonzero(body - ord("0") >= 10)  # every byte but the digits
+    gaps = np.diff(ends, prepend=-1)  # token lengths plus one
+    if (len(ends) != 2 * n or not data.endswith(b"\n") or not 2 <= gaps.min() <= gaps.max() <= 19
+            or not (body[ends].reshape(n, 2) == (ord(" "), ord("\n"))).all()):
+        return None
+    index, color = np.fromstring(data[header.end() :], dtype=np.int64, sep=" ").reshape(n, 2).T
+    if index.max() >= n or color.max() >= k:
+        return None
+    colors = np.full(n, -1, dtype=np.int64)
+    colors[index] = color
+    # n indices below n leave a vertex uncolored exactly when one repeats
+    return Coloring(q=q, m=m, colors=colors, k=k) if colors.min() >= 0 else None
+
+
+def _read_lines(text: str) -> Coloring:
+    """Read a coloring file's text line by line; errors name the first offending line."""
+    lines = [line.strip() for line in text.splitlines() if line.strip()]
+    if not lines:
+        raise ValueError("empty coloring file")
+    header = _HEADER_RE.match(lines[0])
+    if header is None:
+        raise ValueError(f"bad coloring header: {lines[0]!r}")
+    q, m, k = (int(g) for g in header.groups())
+    n = _header_vertices(q, m)
     colors = [-1] * n
     for line in lines[1:]:
         if line.startswith("#"):

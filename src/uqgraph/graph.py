@@ -13,8 +13,8 @@ and dense spectrum); the triangle count and the coloring check
 (construction.verify_coloring) read only S, so color, verify and
 triangles never build them. Every edge lies on the same number
 lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
-DIMACS export writes the edges in blocks of fixed-width records, so its
-memory stays flat.
+DIMACS export writes the edges as ASCII bytes in blocks of fixed-width
+records, so its memory stays flat.
 """
 
 from __future__ import annotations
@@ -207,14 +207,34 @@ def triangle_free_predicted(q: int) -> bool | None:
     return None
 
 
+def decimal_names(start: int, stop: int) -> np.ndarray:
+    """The decimal names of start..stop-1, NUL-padded to the digit count of stop - 1."""
+    width = len(str(max(stop - 1, 0)))
+    digits = np.zeros((max(stop - start, 0), width), dtype=np.uint8)
+    for d in range(1, width + 1):  # the values with d digits: one run, between powers of ten
+        lo, hi = max(start, 10 ** (d - 1) if d > 1 else 0), min(stop, 10**d)
+        if lo < hi:
+            run = np.arange(lo, hi)[:, None] // 10 ** np.arange(d - 1, -1, -1)
+            digits[lo - start : hi - start, :d] = run % 10 + ord("0")
+    return digits.view(f"S{width}").ravel()
+
+
+def write_ascii(sink, data: bytes) -> None:
+    """Write ASCII bytes to a binary stream, or as text to a text stream."""
+    try:
+        sink.write(data)
+    except TypeError:  # a text stream refuses bytes before writing any
+        sink.write(data.decode("ascii"))
+
+
 def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
     """Write the graph in DIMACS coloring format.
 
     Header comments record q, p, n, m and the field modulus; edges are
-    1-based, u < v, in lexicographic order. The sink may be a text or a
-    binary stream. Edges are written in blocks of about 2**17 fixed-width
-    'e U V' records, gathered from one table of vertex names and stripped
-    of their NUL padding.
+    1-based, u < v, in lexicographic order. The sink may be a binary or a
+    text stream. Edges are written in blocks of about 2**17 fixed-width
+    'e U V' records, gathered from one table of vertex names into one
+    record buffer and stripped of their NUL padding.
     """
     ctx = graph.ctx
     header = (
@@ -223,28 +243,22 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
         f"c modulus={','.join(str(c) for c in ctx.modulus)}\n"
         f"p edge {graph.n_vertices} {graph.n_edges}\n"
     )
-    width = len(str(graph.n_vertices))
-    names = np.arange(1, graph.n_vertices + 1).astype(f"S{width}")
+    names = decimal_names(1, graph.n_vertices + 1)
     record = np.dtype(
-        [("e", "S2"), ("u", f"S{width}"), ("sp", "S1"), ("v", f"S{width}"), ("nl", "S1")]
+        [("e", "S2"), ("u", names.dtype), ("sp", "S1"), ("v", names.dtype), ("nl", "S1")]
     )
     step = max(1, (1 << 18) // graph.degree)  # rows per block: half of a row is v > u
+    edges = np.empty(min(step * graph.degree, graph.n_edges), dtype=record)
+    edges["e"], edges["sp"], edges["nl"] = b"e ", b" ", b"\n"  # each block fills a prefix
     try:
-        try:
-            sink.write(header)
-            binary = False
-        except TypeError:
-            sink.write(header.encode("ascii"))
-            binary = True
+        write_ascii(sink, header.encode("ascii"))
         for start in range(0, graph.n_vertices, step):
             rows = graph.adjacency[start : start + step]
             later = rows > np.arange(start, start + len(rows))[:, None]
-            edges = np.empty(np.count_nonzero(later), dtype=record)
-            edges["e"], edges["sp"], edges["nl"] = b"e ", b" ", b"\n"
-            edges["u"] = np.repeat(names[start : start + len(rows)], later.sum(axis=1))
-            edges["v"] = names[rows[later]]
-            block = edges.tobytes().translate(None, b"\0")  # deletes the padding
-            sink.write(block if binary else block.decode("ascii"))
+            block = edges[: np.count_nonzero(later)]
+            block["u"] = np.repeat(names[start : start + len(rows)], later.sum(axis=1))
+            block["v"] = names[rows[later]]
+            write_ascii(sink, block.tobytes().translate(None, b"\0"))  # deletes the padding
     except (OSError, ValueError, AttributeError) as exc:
         raise IOFailureError(f"could not write DIMACS output: {exc}") from exc
 

@@ -1,4 +1,5 @@
-"""Shared helpers: cached graph construction, prime-power enumeration and a one-second alarm."""
+"""Shared helpers: cached graph construction, prime-power enumeration, a
+one-second alarm and the per-vertex coloring file writer."""
 
 import signal
 from functools import lru_cache
@@ -42,3 +43,11 @@ def within_a_second(call, *args):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def coloring_text_by_lines(coloring) -> str:
+    """The coloring file text, one f-string per vertex: the writer that the
+    fixed-width records replaced, kept as an oracle."""
+    return f"# q={coloring.q} m={coloring.m} k={coloring.k}\n" + "".join(
+        [f"{i} {c}\n" for i, c in enumerate(coloring.colors.tolist())]
+    )

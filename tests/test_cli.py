@@ -1,12 +1,14 @@
 """CLI subcommands, exit codes, and output stability."""
 
+import contextlib
+import io
 import json
 import tracemalloc
 
 import pytest
 
-from conftest import within_a_second
-from uqgraph import cli
+from conftest import coloring_text_by_lines, field_for, graph_for, within_a_second
+from uqgraph import build_coloring_md, cli, exact_chromatic, make_plan
 from uqgraph.cli import main
 from uqgraph.field import FieldCtx, make_field
 
@@ -188,6 +190,40 @@ def test_coloring_out_dash_goes_to_stdout(capsys, monkeypatch, tmp_path, command
     assert coloring[0] == "# q=7 m=2 k=4"
     assert [int(line.split()[0]) for line in coloring[1:]] == list(range(49))
     assert list(tmp_path.iterdir()) == []
+
+
+def _stdout_of(argv):
+    # perfbench's worker redirects stdout to a StringIO, which has no .buffer
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_color_out_dash_prints_text_to_a_plain_stdout():
+    code, stdout = _stdout_of(["color", "--q", "7", "--out", "-"])
+    assert code == 0
+    ctx = field_for(7)
+    record = "a: 2\nexpectedK: 4\nk: 4\nm: 2\nproper: True\nq: 7\nt: 3\nviolation: None\n"
+    assert stdout == coloring_text_by_lines(build_coloring_md(ctx, 2, make_plan(ctx))) + record
+
+
+def test_chi_out_dash_prints_text_to_a_plain_stdout():
+    code, stdout = _stdout_of(["chi", "--q", "5", "--out", "-"])
+    assert code == 0
+    coloring, _, record = stdout.rstrip("\n").rpartition("\n")
+    assert coloring + "\n" == coloring_text_by_lines(exact_chromatic(graph_for(5)).witness)
+    record = json.loads(record)
+    del record["millis"]
+    assert record == {"lower": 3, "m": 2, "nodes": 0, "q": 5, "status": "exact", "upper": 3}
+
+
+def test_verify_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"# q=5 m=2 k=3\n0 \xff\n")
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_verify_round_trip(capsys, tmp_path):

@@ -5,8 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import field_for, graph_for, odd_prime_powers
+from conftest import coloring_text_by_lines, field_for, graph_for, odd_prime_powers
 from uqgraph import (
     Coloring,
     ConstructionUnavailableError,
@@ -16,6 +18,7 @@ from uqgraph import (
     build_coloring_2d,
     build_coloring_md,
     count_Aq,
+    exact_chromatic,
     expected_color_count,
     find_shift,
     find_slope,
@@ -28,7 +31,8 @@ from uqgraph import (
     verify_line_lemma,
     write_coloring,
 )
-from uqgraph.construction import _coset_reps, _require_shift, _require_slope
+from uqgraph import construction
+from uqgraph.construction import _coset_reps, _read_lines, _require_shift, _require_slope
 from uqgraph.graph import quadrance
 
 
@@ -496,12 +500,48 @@ def test_coloring_file_round_trip(tmp_path):
     back = read_coloring(path)
     assert back.q == 7 and back.m == 2 and back.k == 4
     assert np.array_equal(back.colors, coloring.colors)
-    # stream round trip as well
-    buf = io.StringIO()
-    write_coloring(coloring, buf)
-    buf.seek(0)
-    again = read_coloring(buf)
-    assert np.array_equal(again.colors, coloring.colors)
+    # text and binary stream round trips as well
+    for stream in (io.StringIO, io.BytesIO):
+        buf = stream()
+        write_coloring(coloring, buf)
+        buf.seek(0)
+        again = read_coloring(buf)
+        assert (again.q, again.m, again.k) == (7, 2, 4)
+        assert np.array_equal(again.colors, coloring.colors)
+
+
+def test_read_coloring_rejects_bytes_that_are_not_utf8():
+    with pytest.raises(ValueError):
+        read_coloring(io.BytesIO(Q5_HEADER.encode() + b"0 \xff\n"))
+
+
+def _colorings_for_writer():
+    for q, m in [(7, 2), (11, 2), (5, 3), (101, 2)]:
+        ctx = field_for(q)
+        yield build_coloring_md(ctx, m, make_plan(ctx))
+    yield exact_chromatic(graph_for(5)).witness
+    # colors past k, and colors past the vertex count, which get no table
+    yield Coloring(q=5, m=2, colors=np.arange(25) % 13, k=3)
+    yield Coloring(q=3, m=2, colors=np.array([0, 10**15, 7, 9, 10, 99, 100, 1, 0]), k=2)
+
+
+@pytest.mark.parametrize("coloring", list(_colorings_for_writer()))
+def test_write_coloring_matches_the_line_writer(tmp_path, coloring):
+    expected = coloring_text_by_lines(coloring)
+    path = tmp_path / "coloring.txt"
+    write_coloring(coloring, path)
+    assert path.read_bytes() == expected.encode("ascii")
+    text, binary = io.StringIO(), io.BytesIO()
+    write_coloring(coloring, text)
+    write_coloring(coloring, binary)
+    assert text.getvalue() == expected
+    assert binary.getvalue() == expected.encode("ascii")
+
+
+def test_write_coloring_refuses_an_uncolored_vertex():
+    coloring = Coloring(q=3, m=2, colors=np.array([0, 1, 2, 0, 1, 2, 0, 1, -1]), k=3)
+    with pytest.raises(IncompleteColoringError):
+        write_coloring(coloring, io.BytesIO())
 
 
 def test_read_coloring_missing_vertex(tmp_path):
@@ -603,3 +643,117 @@ def test_read_coloring_accepts_comments_blanks_and_int_spellings():
     assert (coloring.q, coloring.m, coloring.k) == (5, 2, 3)
     assert coloring.colors.dtype == np.int64
     assert coloring.colors.tolist() == [i % 3 for i in range(25)]
+
+
+# Files exactly as write_coloring writes them take the bulk route; the line
+# reader is the only source of errors and the oracle for every other file.
+
+CANONICAL_POINTS = [(3, 2), (9, 2), (25, 2), (13, 3), (3, 4)]
+
+
+def _outcome(read, source):
+    try:
+        coloring = read(source)
+    except (ValueError, OverflowError) as exc:  # IncompleteColoringError is a ValueError
+        return type(exc), str(exc)
+    return coloring.q, coloring.m, coloring.k, coloring.colors.dtype, coloring.colors.tolist()
+
+
+def _random_coloring(q, m, k, seed):
+    colors = np.random.default_rng(seed).integers(0, k, q**m)
+    return Coloring(q=q, m=m, colors=colors, k=k)
+
+
+def _mutate(lines, n, k, kind, data):
+    """One change to a canonical file's lines (header first), drawn from data."""
+    if kind in ("replace", "drop", "repeat"):  # the header included
+        row = data.draw(st.integers(0, n))
+        if kind == "replace":
+            lines[row] = f"{data.draw(st.integers(0, n + 1))} {data.draw(st.integers(0, k + 1))}"
+        elif kind == "drop":
+            del lines[row]
+        else:
+            lines.insert(row, lines[row])
+        return
+    row, over = data.draw(st.integers(1, n)), data.draw(st.integers(0, 9))
+    index, color = lines[row].split(" ")
+    # 19 digits: zero-padded (a valid color) or at least 10**18
+    long_token = f"{int(color):019d}" if over % 2 else str(10**18 + over)
+    lines[row] = {
+        "tab": f"{index}\t{color}",
+        "plus": f"+{index} {color}",
+        "underscore": f"{index} 0_{color}",
+        "arabic-digit": f"{index} \u0662",  # 2, when k > 2
+        "comment": f"# a comment\n{index} {color}",
+        "index-high": f"{n + over} {color}",
+        "color-high": f"{index} {k + over}",
+        "19-digit": f"{index} {long_token}",
+    }[kind]
+
+
+MUTATIONS = ["none", "replace", "drop", "repeat", "crlf", "tab", "plus", "underscore",
+             "arabic-digit", "comment", "index-high", "color-high", "19-digit",
+             "no-final-newline", "trailing-digits"]
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_read_coloring_agrees_with_the_line_reader(data):
+    q, m = data.draw(st.sampled_from(CANONICAL_POINTS))
+    k = data.draw(st.integers(1, 30))
+    coloring = _random_coloring(q, m, k, data.draw(st.integers(0, 2**32 - 1)))
+    lines = coloring_text_by_lines(coloring).split("\n")[:-1]
+    kind = data.draw(st.sampled_from(MUTATIONS))
+    if kind not in ("none", "crlf", "no-final-newline", "trailing-digits"):
+        _mutate(lines, q**m, k, kind, data)
+    end = "\r\n" if kind == "crlf" else "\n"
+    text = end.join(lines) + ("" if kind == "no-final-newline" else end)
+    if kind == "trailing-digits":
+        text += str(data.draw(st.integers(0, 99)))
+    expected = _outcome(_read_lines, text)
+    assert _outcome(read_coloring, io.StringIO(text)) == expected
+    assert _outcome(read_coloring, io.BytesIO(text.encode("utf-8"))) == expected
+
+
+# the bytes next to the digits, and a few that int or the line reader treat specially
+@pytest.mark.parametrize("stray", "/:;.,-+x#")
+def test_read_coloring_agrees_with_the_line_reader_on_a_stray_byte(stray):
+    lines = coloring_text_by_lines(_random_coloring(5, 2, 3, seed=1)).split("\n")
+    for row, line in ((3, lines[3].replace(" ", stray)), (4, lines[4] + stray)):
+        text = "\n".join(lines[:row] + [line] + lines[row + 1 :])
+        assert _outcome(read_coloring, io.StringIO(text)) == _outcome(_read_lines, text)
+
+
+def _refuse_line_reader(text):
+    raise AssertionError("a canonical file went to the line reader")
+
+
+@pytest.mark.parametrize("q, m", CANONICAL_POINTS)
+def test_canonical_files_never_reach_the_line_reader(monkeypatch, tmp_path, q, m):
+    coloring = _random_coloring(q, m, 5, seed=q * m)
+    path = tmp_path / "coloring.txt"
+    write_coloring(coloring, path)
+    expected = _outcome(_read_lines, path.read_text())
+    monkeypatch.setattr(construction, "_read_lines", _refuse_line_reader)
+    assert _outcome(read_coloring, path) == expected
+    assert expected[:3] == (q, m, 5) and expected[4] == coloring.colors.tolist()
+
+
+def _huge_k_file(k, colors):
+    return f"# q=5 m=2 k={k}\n" + "".join(f"{i} {c}\n" for i, c in enumerate(colors))
+
+
+def test_bulk_route_reads_18_digit_colors_exactly(monkeypatch):
+    colors = [10**18 - 1 - 7 * i for i in range(25)]
+    text = _huge_k_file(10**18, colors)
+    expected = _outcome(_read_lines, text)
+    monkeypatch.setattr(construction, "_read_lines", _refuse_line_reader)
+    assert _outcome(read_coloring, io.StringIO(text)) == expected
+    assert expected[4] == colors
+
+
+def test_19_digit_colors_go_to_the_line_reader():
+    # past int64 they would not parse exactly in bulk
+    for top in (10**18, 2**63, 10**19 - 1):
+        text = _huge_k_file(10**19, [top] + [0] * 24)
+        assert _outcome(read_coloring, io.StringIO(text)) == _outcome(_read_lines, text)

@@ -30,7 +30,7 @@ from uqgraph import (
     vertex_coords,
     vertex_index,
 )
-from uqgraph.graph import circle_coords, circle_translates, coordinate_sums
+from uqgraph.graph import circle_coords, circle_translates, coordinate_sums, decimal_names
 
 
 def test_quadrance_examples():
@@ -355,6 +355,18 @@ def test_export_dimacs_binary_sink():
     assert b"p edge 25 50" in sink.getvalue()
 
 
+@pytest.mark.parametrize("start", [0, 1])
+def test_decimal_names_match_numpy_string_cast(start):
+    # every stop at a decade boundary, and the vertex bound plus one
+    stops = [10**j + d for j in range(5) for d in (-1, 0, 1)] + [65536, 65537]
+    for stop in stops:
+        width = len(str(max(stop - 1, 0)))
+        names = decimal_names(start, stop)
+        expected = np.arange(start, stop).astype(f"S{width}")
+        assert names.dtype == expected.dtype and np.array_equal(names, expected), stop
+    assert decimal_names(1000, 1003).tolist() == [b"1000", b"1001", b"1002"]
+
+
 def test_export_dimacs_failure():
     closed = io.StringIO()
     closed.close()
@@ -428,7 +440,7 @@ def export_dimacs_by_rows(graph, sink, binary):
 # q = 121 and (13, 3) write several DIMACS blocks, the last one partial.
 @pytest.mark.parametrize(
     "q, m",
-    [(3, 2), (5, 2), (9, 2), (25, 2), (27, 2), (49, 2), (121, 2),
+    [(3, 2), (5, 2), (9, 2), (11, 2), (25, 2), (27, 2), (49, 2), (121, 2),
      (3, 3), (5, 3), (13, 3), (7, 4)],
 )
 def test_build_and_export_match_column_and_row_oracles(q, m):
