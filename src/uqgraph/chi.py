@@ -10,18 +10,24 @@ are introduced in order). A completed exhaustion proves optimality; an
 exhausted budget degrades the result to a valid bracket.
 
 The greedy coloring is the search's first descent with k = N colors: no
-vertex can see N colors, so it never backtracks and takes the argmax
-vertex and its lowest free color at every step. DSATUR colors every
-bipartite graph with at most 2 colors (Brelaz, CACM 22, 1979), and an
-odd cycle needs 3, so min(greedy colors, 3) is the exact odd-cycle bound.
+vertex can see N colors, so it never backtracks, keeps no snapshot and
+takes the most saturated vertex and its lowest free color at every
+step. DSATUR colors every bipartite graph with at most 2 colors (Brelaz,
+CACM 22, 1979), and an odd cycle needs 3, so min(greedy colors, 3) is
+the exact odd-cycle bound.
 
-The search branches on the argmax of the key sat * (N + 1) + deg:
-saturation, then degree, then the lowest index. The keys live in one
-int64 array that argmax reads and a memoryview of it updates with Python
-ints; a colored vertex sinks below zero by (k + 1) * (N + 1). A colored
-vertex holds forbid = -1, so one bit test skips colored and
-already-forbidden neighbors alike; the search frame keeps the vertex's
-real forbid value and restores it on undo.
+The search state is a few Python-int bitsets over vertex ranks: ranks
+sort vertices by degree, descending, then by index, so the lowest set
+bit of a candidate set is the DSATUR tie-break (on a field graph every
+degree is equal and rank = index). Each vertex has one neighbor mask,
+N**2 / 8 bytes in all. forbid[c] holds the uncolored vertices with a
+neighbor of color c (exact on uncolored vertices only), and saturation
+is a bit-sliced counter over them. Coloring v with c touches
+nbr[v] & uncolored & ~forbid[c]; the next vertex is the lowest bit of
+the counter's maximum, and a try is dead when that vertex has no
+allowed color. A frame with a second color to try keeps forbid and
+max_used as they were before its first try, and a retry restores them
+and rebuilds the counter; a popped frame only returns its vertex.
 """
 
 from __future__ import annotations
@@ -135,6 +141,40 @@ def _construction_seed(graph) -> Coloring | None:
         return None
 
 
+def _neighbor_masks(graph) -> tuple[list[int], list[int]]:
+    """(order, masks): order[r] is the vertex of rank r, and bit s of
+    masks[r] is set when the vertex of rank s is a neighbor. Ranks sort
+    by degree, descending, then by index. Rows are scattered a block of
+    a few MB at a time into one bool array and packed with one packbits."""
+    n = graph.n_vertices
+    degrees = np.array([len(graph.neighbors_of(u)) for u in range(n)], dtype=np.int64)
+    order = np.argsort(-degrees, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    step = max(1, (1 << 22) // n)
+    bits = np.zeros((min(step, n), n), dtype=bool)
+    masks = []
+    for start in range(0, n, step):
+        rows = order[start : start + step]
+        cols = rank[np.concatenate([graph.neighbors_of(int(u)) for u in rows])]
+        at = np.repeat(np.arange(len(rows)), degrees[rows])
+        bits[at, cols] = True
+        packed = np.packbits(bits[: len(rows)], axis=1, bitorder="little")
+        bits[at, cols] = False
+        masks += [int.from_bytes(row, "little") for row in packed]
+    return order.tolist(), masks
+
+
+def _add_one(sat: list[int], carry: int) -> None:
+    """Add 1 to the bit-sliced counters of the vertices in carry."""
+    j = 0
+    while carry:
+        s = sat[j]
+        sat[j] = s ^ carry
+        carry &= s
+        j += 1
+
+
 def _search_k_coloring(graph, k, deadline, node_limit, nodes):
     """Try to k-color the graph; returns (status, coloring, nodes) with
     status in {"found", "none", "budget"}."""
@@ -143,35 +183,34 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
         return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
     if k < 1:
         return "none", None, nodes
-    nbrs = [graph.neighbors_of(u).tolist() for u in range(n)]
-    colors = [-1] * n
-    forbid = [0] * n  # -1 while colored
-    big = n + 1  # outranks any degree, so saturation dominates the score
-    done = (k + 1) * big  # outranks any saturation, so colored vertices sink
-    keys = np.array([len(x) for x in nbrs], dtype=np.int64)
-    score = memoryview(keys)
-    full = (1 << k) - 1
+    vertex, nbr = _neighbor_masks(graph)
+    max_degree = nbr[0].bit_count()
+    # with more colors than any degree no vertex runs out, so nothing is undone
+    snapshots = k <= max_degree
+    k = min(k, max_degree + 1)  # no vertex's lowest free color exceeds its degree
+    width = k.bit_length()
+    colors = [0] * n
+    forbid = [0] * k  # forbid[c]: uncolored vertices with a neighbor of color c
+    sat = [0] * width  # bit j of each uncolored vertex's saturation
+    unc = (1 << n) - 2  # uncolored, less rank 0: the first frame's vertex
     max_used = -1
-
-    v0 = int(keys.argmax())
-    # frame: [vertex, colors left to try, bit of current try, touched, saved max_used, saved forbid]
-    stack = [[v0, (~forbid[v0]) & ((1 << (max_used + 2)) - 1) & full, 0, [], -1, 0]]
+    retry = False
+    # frame: [rank, colors left to try, (forbid, max_used) before its first try]
+    stack = [[0, 1, None]]
     while stack:
         frame = stack[-1]
-        v = frame[0]
-        if frame[2]:
-            bit = frame[2]
-            for w in frame[3]:
-                forbid[w] ^= bit
-                score[w] -= big
-            forbid[v] = frame[5]
-            score[v] += done
-            max_used = frame[4]
-            frame[2] = 0
-        rem = frame[1]
+        r, rem, saved = frame
         if rem == 0:
             stack.pop()
+            unc |= 1 << r
+            retry = True
             continue
+        if retry:  # only a frame with a second color gets here, and it kept a snapshot
+            forbid, max_used = list(saved[0]), saved[1]
+            sat = [0] * width
+            for f in forbid[: max_used + 1]:
+                _add_one(sat, f & unc)
+            retry = False
         bit = rem & -rem
         c = bit.bit_length() - 1
         frame[1] = rem ^ bit
@@ -180,25 +219,14 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
             (nodes & 1023) == 0 and perf_counter() > deadline
         ):
             return "budget", None, nodes
-        colors[v] = c
-        frame[5] = forbid[v]
-        forbid[v] = -1
-        score[v] -= done
-        frame[2] = bit
-        frame[4] = max_used
+        colors[vertex[r]] = c
         if c > max_used:
             max_used = c
-        touched = frame[3] = [w for w in nbrs[v] if not forbid[w] & bit]
-        dead = False
-        for w in touched:
-            fw = forbid[w] | bit
-            forbid[w] = fw
-            score[w] += big
-            if fw == full:
-                dead = True
-        if dead:
-            continue
-        if len(stack) == n:  # every frame on the stack holds a colored vertex
+        f = forbid[c]
+        touched = nbr[r] & unc & ~f
+        forbid[c] = f | touched
+        _add_one(sat, touched)
+        if not unc:
             witness = Coloring(
                 q=graph.q,
                 m=graph.m,
@@ -206,12 +234,24 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
                 k=max_used + 1,
             )
             return "found", witness, nodes
-        nv = int(keys.argmax())
-        # mask before meeting full, which has N bits in greedy_bound
-        allowed = (~forbid[nv]) & ((1 << (max_used + 2)) - 1) & full
-        if allowed == 0:
+        best = unc  # narrowed to the uncolored vertices of highest saturation
+        for s in reversed(sat):
+            top = best & s
+            if top:
+                best = top
+        low = best & -best
+        allowed = 0
+        for c in range(min(max_used + 2, k)):
+            if not forbid[c] & low:
+                allowed |= 1 << c
+                if not snapshots:  # a frame that never retries tries only its lowest color
+                    break
+        if allowed == 0:  # the most saturated vertex sees all k colors: this try is dead
+            retry = True
             continue
-        stack.append([nv, allowed, 0, [], -1, 0])
+        unc ^= low
+        saved = (tuple(forbid), max_used) if snapshots and allowed & (allowed - 1) else None
+        stack.append([low.bit_length() - 1, allowed, saved])
     return "none", None, nodes
 
 

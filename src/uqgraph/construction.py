@@ -404,6 +404,8 @@ def _read_lines(text: str) -> Coloring:
             raise ValueError(f"vertex index {idx} outside [0, {n})")
         if not 0 <= color < k:
             raise ValueError(f"color {color} outside [0, {k})")
+        if color >= 1 << 63:
+            raise ValueError(f"color on line {line!r} does not fit in 64 bits")
         if colors[idx] >= 0:
             raise ValueError(f"vertex index {idx} is colored twice")
         colors[idx] = color

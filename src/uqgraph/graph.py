@@ -232,9 +232,10 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
 
     Header comments record q, p, n, m and the field modulus; edges are
     1-based, u < v, in lexicographic order. The sink may be a binary or a
-    text stream. Edges are written in blocks of about 2**17 fixed-width
-    'e U V' records, gathered from one table of vertex names into one
-    record buffer and stripped of their NUL padding.
+    text stream. Edges are written in blocks of at most 2**18 fixed-width
+    'e U V' records (a block holds 2**18 // |S| rows, and a low vertex
+    leads on nearly all of its edges), gathered from one table of vertex
+    names into one record buffer and stripped of their NUL padding.
     """
     ctx = graph.ctx
     header = (
@@ -247,7 +248,7 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
     record = np.dtype(
         [("e", "S2"), ("u", names.dtype), ("sp", "S1"), ("v", names.dtype), ("nl", "S1")]
     )
-    step = max(1, (1 << 18) // graph.degree)  # rows per block: half of a row is v > u
+    step = max(1, (1 << 18) // graph.degree)  # rows per block
     edges = np.empty(min(step * graph.degree, graph.n_edges), dtype=record)
     edges["e"], edges["sp"], edges["nl"] = b"e ", b" ", b"\n"  # each block fills a prefix
     try:

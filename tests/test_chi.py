@@ -17,7 +17,7 @@ from uqgraph import (
     vertex_coords,
     vertex_index,
 )
-from uqgraph.chi import _search_k_coloring
+from uqgraph.chi import _neighbor_masks, _search_k_coloring
 from uqgraph.construction import Coloring
 
 
@@ -338,6 +338,153 @@ def test_score_array_search_matches_scan_oracle_on_uneven_degrees():
         )
 
 
+def memoryview_search_k_coloring(graph, k, deadline, node_limit, nodes):
+    """The DSATUR search as it was before the bitsets: neighbor lists, a -1
+    forbid value on colored vertices and score updates through a memoryview
+    of the int64 key array, undone neighbor by neighbor. Kept as the oracle
+    for the bitset search."""
+    n = graph.n_vertices
+    if n == 0:
+        return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
+    if k < 1:
+        return "none", None, nodes
+    nbrs = [graph.neighbors_of(u).tolist() for u in range(n)]
+    colors = [-1] * n
+    forbid = [0] * n  # -1 while colored
+    big = n + 1  # outranks any degree, so saturation dominates the score
+    done = (k + 1) * big  # outranks any saturation, so colored vertices sink
+    keys = np.array([len(x) for x in nbrs], dtype=np.int64)
+    score = memoryview(keys)
+    full = (1 << k) - 1
+    max_used = -1
+
+    v0 = int(keys.argmax())
+    # frame: [vertex, colors left to try, bit of current try, touched, saved max_used, saved forbid]
+    stack = [[v0, (~forbid[v0]) & ((1 << (max_used + 2)) - 1) & full, 0, [], -1, 0]]
+    while stack:
+        frame = stack[-1]
+        v = frame[0]
+        if frame[2]:
+            bit = frame[2]
+            for w in frame[3]:
+                forbid[w] ^= bit
+                score[w] -= big
+            forbid[v] = frame[5]
+            score[v] += done
+            max_used = frame[4]
+            frame[2] = 0
+        rem = frame[1]
+        if rem == 0:
+            stack.pop()
+            continue
+        bit = rem & -rem
+        c = bit.bit_length() - 1
+        frame[1] = rem ^ bit
+        nodes += 1
+        if nodes >= node_limit or (
+            (nodes & 1023) == 0 and perf_counter() > deadline
+        ):
+            return "budget", None, nodes
+        colors[v] = c
+        frame[5] = forbid[v]
+        forbid[v] = -1
+        score[v] -= done
+        frame[2] = bit
+        frame[4] = max_used
+        if c > max_used:
+            max_used = c
+        touched = frame[3] = [w for w in nbrs[v] if not forbid[w] & bit]
+        dead = False
+        for w in touched:
+            fw = forbid[w] | bit
+            forbid[w] = fw
+            score[w] += big
+            if fw == full:
+                dead = True
+        if dead:
+            continue
+        if len(stack) == n:  # every frame on the stack holds a colored vertex
+            witness = Coloring(
+                q=graph.q,
+                m=graph.m,
+                colors=np.array(colors, dtype=np.int64),
+                k=max_used + 1,
+            )
+            return "found", witness, nodes
+        nv = int(keys.argmax())
+        # mask before meeting full, which has N bits in greedy_bound
+        allowed = (~forbid[nv]) & ((1 << (max_used + 2)) - 1) & full
+        if allowed == 0:
+            continue
+        stack.append([nv, allowed, 0, [], -1, 0])
+    return "none", None, nodes
+
+
+@pytest.mark.parametrize("q, m", ORACLE_POINTS)
+def test_bitset_search_matches_memoryview_oracle(q, m):
+    g = graph_for(q, m)
+    assert search_outcomes(_search_k_coloring, g) == search_outcomes(
+        memoryview_search_k_coloring, g
+    )
+
+
+def test_bitset_search_matches_memoryview_oracle_on_uneven_degrees():
+    """Degrees differ, so a vertex's rank is not its index."""
+    for g in uneven_stub_graphs():
+        assert search_outcomes(_search_k_coloring, g) == search_outcomes(
+            memoryview_search_k_coloring, g
+        )
+
+
+def test_bitset_greedy_descent_matches_memoryview_oracle():
+    """k = N: more colors than any degree, so no frame keeps a snapshot."""
+    for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs()):
+        n = g.n_vertices
+        new = _search_k_coloring(g, n, float("inf"), float("inf"), 0)
+        old = memoryview_search_k_coloring(g, n, float("inf"), float("inf"), 0)
+        assert (new[0], new[2], new[1].k) == (old[0], old[2], old[1].k)
+        assert np.array_equal(new[1].colors, old[1].colors)
+
+
+def test_bitset_search_matches_memoryview_oracle_when_retries_dominate():
+    """D_13 has no 4-coloring and the search backtracks throughout its
+    first 20 000 nodes: 1 678 of them restore a frame's color masks."""
+    g = graph_for(13)
+    new = _search_k_coloring(g, 4, float("inf"), 20000, 0)
+    assert new == memoryview_search_k_coloring(g, 4, float("inf"), 20000, 0)
+    assert new == ("budget", None, 20000)
+
+
+def masks_one_vertex_at_a_time(graph):
+    """Neighbor masks in rank order, one packbits per vertex: the oracle for
+    the blocked build in _neighbor_masks."""
+    n = graph.n_vertices
+    degrees = np.array([len(graph.neighbors_of(u)) for u in range(n)], dtype=np.int64)
+    order = np.argsort(-degrees, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    masks = []
+    for u in order.tolist():
+        row = np.zeros(n, dtype=bool)
+        row[rank[graph.neighbors_of(u)]] = True
+        masks.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
+    return order.tolist(), masks
+
+
+def test_blocked_neighbor_masks_match_one_vertex_at_a_time():
+    """On uneven stubs rank is not index; at (3,8), N = 6561, the build
+    packs more than one block."""
+    for g in list(uneven_stub_graphs())[:5]:
+        order, masks = _neighbor_masks(g)
+        assert order != list(range(g.n_vertices))
+        assert (order, masks) == masks_one_vertex_at_a_time(g)
+    g = graph_for(3, 8)
+    assert g.n_vertices > (1 << 22) // g.n_vertices  # rows per block
+    order, masks = _neighbor_masks(g)
+    assert order == list(range(g.n_vertices))  # a field graph is regular
+    assert (order, masks) == masks_one_vertex_at_a_time(g)
+
+
 def test_pinned_search_counts():
     assert exact_chromatic(graph_for(7)).nodes == 41
     for q in (11, 13):
@@ -561,42 +708,6 @@ def test_bracket_before_any_search(q, m):
     assert (result.lower, result.upper) == (3, upper)
     assert result.status == ("exact" if upper == 3 else "bounded")
     assert result.witness.k == upper
-
-
-class WatchedScore:
-    """Stands in for memoryview(score) and records every key written through
-    any instance as (old, new)."""
-
-    writes = []
-
-    def __init__(self, keys):
-        self.view = memoryview(keys)
-
-    def __getitem__(self, i):
-        return self.view[i]
-
-    def __setitem__(self, i, value):
-        self.writes.append((self.view[i], value))
-        self.view[i] = value
-
-
-@pytest.mark.parametrize("q, m", [(7, 2), (11, 2), (3, 3)])
-def test_saturation_updates_skip_colored_vertices(q, m, monkeypatch):
-    """A colored vertex holds forbid = -1, so coloring a vertex raises the
-    keys of its uncolored neighbors only: a key moves by the saturation step
-    n + 1 only while it is non-negative, that is, while its vertex is
-    uncolored. The results stay those of the oracles."""
-    import uqgraph.chi as chi
-
-    g = graph_for(q, m)
-    monkeypatch.setattr(chi, "memoryview", WatchedScore, raising=False)
-    monkeypatch.setattr(WatchedScore, "writes", [])
-    assert search_outcomes(_search_k_coloring, g) == search_outcomes(array_search_k_coloring, g)
-    assert np.array_equal(greedy_bound(g).colors, array_greedy_bound(g).colors)
-    step = g.n_vertices + 1
-    moves = [(old, new) for old, new in WatchedScore.writes if abs(new - old) == step]
-    assert moves
-    assert all(old >= 0 and new >= 0 for old, new in moves)
 
 
 def global_clique_lower(graph, node_budget=100_000):

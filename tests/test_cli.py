@@ -281,6 +281,24 @@ def test_verify_duplicate_vertex_is_input_error(capsys, tmp_path):
     assert err.startswith("error: vertex index 0 ")
 
 
+HUGE_K_HEADER = "# q=3 m=2 k=100000000000000000000\n"
+
+
+def test_verify_rejects_a_color_past_int64_as_input_error(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text(HUGE_K_HEADER + "".join(f"{i} 10000000000000000000\n" for i in range(9)))
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert (code, stdout) == (2, "")
+    assert err == "error: color on line '0 10000000000000000000' does not fit in 64 bits\n"
+
+
+def test_verify_accepts_small_colors_under_a_huge_k(capsys, tmp_path):
+    path = tmp_path / "small.txt"
+    path.write_text(HUGE_K_HEADER + "".join(f"{i} {i}\n" for i in range(9)))
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert (code, stdout, err) == (0, "proper: 100000000000000000000 colors on 9 vertices\n", "")
+
+
 def test_report_rejects_oversized_range(capsys):
     code, stdout, err = run(capsys, "report", "--q", "3..1000000000000000", "--json")
     assert code == 2
