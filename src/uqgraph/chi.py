@@ -2,7 +2,7 @@
 
 The solver is DSATUR-ordered backtracking with branch and bound: the
 upper bound is seeded from a greedy DSATUR coloring and, when the graph
-carries a field context, from the line-pairing construction; the lower
+carries a field (m >= 2), from the line-pairing construction; the lower
 bound is the larger of a bounded clique search and min(greedy colors, 3).
 Each round tries to exhaust (upper-1)-colorings with color-permutation
 symmetry removed (the first vertex is fixed to color 0 and new colors
@@ -20,9 +20,10 @@ The search state is a few Python-int bitsets over vertex ranks: ranks
 sort vertices by degree, descending, then by index, so the lowest set
 bit of a candidate set is the DSATUR tie-break (on a field graph every
 degree is equal and rank = index). Each vertex has one neighbor mask,
-N**2 / 8 bytes in all. forbid[c] holds the uncolored vertices with a
-neighbor of color c (exact on uncolored vertices only), and saturation
-is a bit-sliced counter over them. Coloring v with c touches
+N**2 / 8 bytes in all, built once per graph for the greedy descent and
+every round. forbid[c] holds the uncolored vertices with a neighbor of
+color c (exact on uncolored vertices only), and saturation is a
+bit-sliced counter over them. Coloring v with c touches
 nbr[v] & uncolored & ~forbid[c]; the next vertex is the lowest bit of
 the counter's maximum, and a try is dead when that vertex has no
 allowed color. A frame with a second color to try keeps forbid and
@@ -33,6 +34,7 @@ and rebuilds the counter; a popped frame only returns its vertex.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -51,6 +53,7 @@ from .errors import (
 
 DEFAULT_TIME_LIMIT = 60.0
 DEFAULT_NODE_LIMIT = 10**8
+_MASKS = weakref.WeakKeyDictionary()  # graph -> (order, masks), freed with the graph
 
 
 @dataclass(frozen=True)
@@ -132,7 +135,7 @@ def clique_lower(graph, node_budget: int = 100_000) -> int:
 
 def _construction_seed(graph) -> Coloring | None:
     ctx = getattr(graph, "ctx", None)
-    if ctx is None:
+    if ctx is None or graph.m < 2:  # the construction colors F_q^m for m >= 2
         return None
     try:
         plan = make_plan(ctx)
@@ -183,7 +186,9 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
         return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
     if k < 1:
         return "none", None, nodes
-    vertex, nbr = _neighbor_masks(graph)
+    if graph not in _MASKS:  # greedy_bound and every search round share one build
+        _MASKS[graph] = _neighbor_masks(graph)
+    vertex, nbr = _MASKS[graph]
     max_degree = nbr[0].bit_count()
     # with more colors than any degree no vertex runs out, so nothing is undone
     snapshots = k <= max_degree

@@ -36,7 +36,6 @@ from .graph import (
 )
 from .spectral import (
     cayley_spectrum,
-    check_dense_bound,
     dense_spectrum,
     eigen_bound_report,
     hoffman_bound,
@@ -99,12 +98,15 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _construct(graph, a=None, t=None):
+    plan = make_plan(graph.ctx, a=a, t=t)
+    coloring = build_coloring_md(graph.ctx, graph.m, plan)
+    return plan, coloring, verify_coloring(graph, coloring)
+
+
 def cmd_color(args) -> int:
     ctx = _field_for(args.q, args.m, what="colorings")
-    plan = make_plan(ctx, a=args.a, t=args.t)
-    coloring = build_coloring_md(ctx, args.m, plan)
-    graph = build_graph(ctx, args.m)
-    violation = verify_coloring(graph, coloring)
+    plan, coloring, violation = _construct(build_graph(ctx, args.m), args.a, args.t)
     if args.out:
         with _open_out(args.out, binary=True) as sink:
             write_coloring(coloring, sink)
@@ -134,30 +136,30 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
+def _diagnostics(spectrum, q: int) -> dict:
+    """The magnitude flags that spectrum prints at m = 2 and report carries."""
+    bounds = eigen_bound_report(spectrum, q)
+    return {
+        "maxNonprincipalAbs": round(bounds.max_nonprincipal_abs, 9),
+        "withinSqrtQ": bounds.within_sqrt_q,
+        "withinTwoSqrtQ": bounds.within_two_sqrt_q,
+    }
+
+
 def cmd_spectrum(args) -> int:
     ctx = _field_for(args.q, args.m)
     methods = ["dense", "cayley"] if args.method == "both" else [args.method]
-    if "dense" in methods:
-        check_dense_bound(ctx.q**args.m)  # before the graph is built
-    spectra = {}
-    for method in methods:
-        if method == "dense":
-            spectra[method] = dense_spectrum(build_graph(ctx, args.m))
-        else:
-            spectra[method] = cayley_spectrum(ctx, args.m)
-    preferred = spectra.get("cayley", next(iter(spectra.values())))
+    spectra = [  # dense first: its bound is checked before the Cayley route runs
+        dense_spectrum(build_graph(ctx, args.m)) if method == "dense"
+        else cayley_spectrum(ctx, args.m)
+        for method in methods
+    ]
+    preferred = spectra[-1]  # the Cayley spectrum whenever it was computed
     if args.out:
         with _open_out(args.out) as sink:
             write_spectrum(preferred, sink)
-    records = [spectrum_record(spectra[m_], ctx.q, args.m) for m_ in methods]
-    diagnostics = None
-    if args.m == 2:
-        report = eigen_bound_report(preferred, ctx.q)
-        diagnostics = {
-            "maxNonprincipalAbs": round(report.max_nonprincipal_abs, 9),
-            "withinSqrtQ": report.within_sqrt_q,
-            "withinTwoSqrtQ": report.within_two_sqrt_q,
-        }
+    records = [spectrum_record(spectrum, ctx.q, args.m) for spectrum in spectra]
+    diagnostics = _diagnostics(preferred, ctx.q) if args.m == 2 else None
     if args.json:
         print(json.dumps({"spectra": records, "diagnostics": diagnostics}, sort_keys=True))
     else:
@@ -175,17 +177,19 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _triangles_record(graph) -> dict:
+    return {
+        "q": graph.q,
+        "m": graph.m,
+        "triangles": triangle_count(graph),
+        "predictedTriangleFree": triangle_free_predicted(graph.q) if graph.m == 2 else None,
+    }
+
+
 def cmd_triangles(args) -> int:
     ctx = _field_for(args.q, args.m)
-    graph = build_graph(ctx, args.m)
-    record = {
-        "q": ctx.q,
-        "m": args.m,
-        "triangles": triangle_count(graph),
-        "predictedTriangleFree": triangle_free_predicted(ctx.q) if args.m == 2 else None,
-    }
     with _open_out(args.out) as sink:
-        _dump(record, args.json, sink)
+        _dump(_triangles_record(build_graph(ctx, args.m)), args.json, sink)
     return EXIT_OK
 
 
@@ -227,9 +231,7 @@ def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
         "circleSize": len(graph.connection_set),
     }
     try:
-        plan = make_plan(ctx)
-        coloring = build_coloring_md(ctx, m, plan)
-        violation = verify_coloring(graph, coloring)
+        _, coloring, violation = _construct(graph)
         record["constructionColors"] = coloring.k
         record["constructionProper"] = violation is None
     except UQGraphError as exc:
@@ -241,17 +243,13 @@ def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
     record["chiLower"] = result.lower
     record["chiUpper"] = result.upper
     spectrum = cayley_spectrum(ctx, m)
-    hoffman = hoffman_bound(spectrum)
-    bounds = eigen_bound_report(spectrum, q)
-    record["lambda1"] = round(spectrum.lambda1, 9)
-    record["lambdaMin"] = round(spectrum.lambda_min, 9)
-    record["hoffman"] = round(hoffman, 9)
-    record["maxNonprincipalAbs"] = round(bounds.max_nonprincipal_abs, 9)
-    record["withinSqrtQ"] = bounds.within_sqrt_q if m == 2 else None
-    record["withinTwoSqrtQ"] = bounds.within_two_sqrt_q if m == 2 else None
-    record["triangles"] = triangle_count(graph)
-    predicted = triangle_free_predicted(q) if m == 2 else None
-    record["predictedTriangleFree"] = predicted
+    hoffman = hoffman_bound(spectrum)  # raises on a degenerate spectrum
+    spectral = spectrum_record(spectrum, q, m)
+    del spectral["method"]
+    record.update(spectral)
+    within = ("withinSqrtQ", "withinTwoSqrtQ")  # the magnitude flags, at m = 2 only
+    record.update(_diagnostics(spectrum, q) if m == 2 else dict.fromkeys(within))
+    record.update(_triangles_record(graph))
     # i -> u*u*i carries the count at t onto the count at u*u*t, and u*u*t runs
     # through every nonsquare: the smallest nonsquare stands for all of them
     aq = count_Aq(ctx, ctx.character_vector().tolist().index(-1))
@@ -264,7 +262,9 @@ def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
             if record["constructionColors"] is not None
             else None
         ),
-        "trianglePrediction": (record["triangles"] == 0) if predicted else None,
+        "trianglePrediction": (
+            record["triangles"] == 0 if record["predictedTriangleFree"] else None
+        ),
         "hoffmanLeChi": (
             math.ceil(hoffman - 1e-9) <= result.upper
             if result.status == "exact"
@@ -356,10 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UQGraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (UQGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

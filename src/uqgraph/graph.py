@@ -121,7 +121,12 @@ def circle_translates(graph: UnitQuadranceGraph, u: int) -> np.ndarray:
 
 class UnitQuadranceGraph:
     """D_q^m as its unit circle S (ascending indices); the neighbor rows are
-    built from S on first use, unless they were given."""
+    built from S on first use, unless they were given.
+
+    The rows, chi and verify_coloring accept any symmetric connection set
+    at any m >= 1 (chi's construction witness at m >= 2 colors only the
+    unit-circle graph); triangle_count assumes the unit circle.
+    """
 
     def __init__(self, ctx, m, connection_set, adjacency=None):
         self.ctx = ctx

@@ -33,7 +33,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     method: str  # "dense" | "cayley"
-    tol: float
 
     @property
     def n(self) -> int:
@@ -47,6 +46,11 @@ class Spectrum:
     def lambda_min(self) -> float:
         return float(self.eigenvalues[-1])
 
+    @property
+    def slack(self) -> float:
+        """DEFAULT_TOL scaled by max(1, |lambda1|): values closer than this are equal."""
+        return DEFAULT_TOL * max(1.0, abs(self.lambda1))
+
 
 @dataclass(frozen=True)
 class EigenBoundReport:
@@ -59,15 +63,7 @@ class EigenBoundReport:
     within_two_sqrt_q: bool
 
 
-def check_dense_bound(n_vertices: int, max_vertices: int = DENSE_MAX_VERTICES) -> None:
-    """Raise TooLargeError when a graph on n_vertices is over the dense bound."""
-    if n_vertices > max_vertices:
-        raise TooLargeError(f"{n_vertices} vertices exceed the dense bound {max_vertices}")
-
-
-def dense_spectrum(
-    graph, tol: float = DEFAULT_TOL, max_vertices: int = DENSE_MAX_VERTICES
-) -> Spectrum:
+def dense_spectrum(graph, max_vertices: int = DENSE_MAX_VERTICES) -> Spectrum:
     """Eigenvalues of the adjacency matrix A, one dense solve per popcount class.
 
     The signed coordinate permutations B_m keep quadrance and fix 0. Their
@@ -89,7 +85,8 @@ def dense_spectrum(
     rows.
     """
     n = graph.n_vertices
-    check_dense_bound(n, max_vertices)
+    if n > max_vertices:  # before the rows are read
+        raise TooLargeError(f"{n} vertices exceed the dense bound {max_vertices}")
     ctx, m, rows = graph.ctx, graph.m, graph.adjacency
     neg = ctx.mul_vector(ctx.neg(1))
     places = ctx.q ** np.arange(m - 1, -1, -1)
@@ -138,14 +135,11 @@ def dense_spectrum(
         blocks.append(np.tile(eig, comb(m, j)))
     eig = np.concatenate(blocks)
     eig.sort()
-    return Spectrum(eigenvalues=eig[::-1].copy(), method="dense", tol=tol)
+    return Spectrum(eigenvalues=eig[::-1].copy(), method="dense")
 
 
 def cayley_spectrum(
-    ctx: FieldCtx,
-    m: int = 2,
-    tol: float = DEFAULT_TOL,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
+    ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
 ) -> Spectrum:
     """Exact eigenvalues as character sums over the unit circle S.
 
@@ -159,7 +153,7 @@ def cayley_spectrum(
     indicator[circle] = 1.0
     eig = np.fft.fftn(indicator.reshape((ctx.p,) * (ctx.n * m))).real.ravel()
     eig.sort()
-    return Spectrum(eigenvalues=eig[::-1].copy(), method="cayley", tol=tol)
+    return Spectrum(eigenvalues=eig[::-1].copy(), method="cayley")
 
 
 def hoffman_bound(spectrum: Spectrum) -> float:
@@ -168,8 +162,7 @@ def hoffman_bound(spectrum: Spectrum) -> float:
     Callers take the ceiling for an integer bound. Raises when no safely
     negative eigenvalue exists.
     """
-    floor = -spectrum.tol * max(1.0, abs(spectrum.lambda1))
-    if spectrum.lambda_min >= floor:
+    if spectrum.lambda_min >= -spectrum.slack:
         raise DegenerateSpectrumError(
             f"lambda_min={spectrum.lambda_min} is not negative"
         )
@@ -181,19 +174,18 @@ def eigen_bound_report(spectrum: Spectrum, q: int) -> EigenBoundReport:
     2*sqrt(q). One copy of the principal (largest) eigenvalue is excluded."""
     rest = spectrum.eigenvalues[1:]
     max_abs = float(np.max(np.abs(rest))) if rest.size else 0.0
-    slack = spectrum.tol * max(1.0, abs(spectrum.lambda1))
     return EigenBoundReport(
         q=q,
         max_nonprincipal_abs=max_abs,
-        within_sqrt_q=max_abs <= sqrt(q) + slack,
-        within_two_sqrt_q=max_abs <= 2.0 * sqrt(q) + slack,
+        within_sqrt_q=max_abs <= sqrt(q) + spectrum.slack,
+        within_two_sqrt_q=max_abs <= 2.0 * sqrt(q) + spectrum.slack,
     )
 
 
 def grouped_eigenvalues(spectrum: Spectrum) -> list[tuple[float, int]]:
     """Cluster the descending eigenvalues into (value, multiplicity) pairs,
-    merging values closer than the scaled tolerance."""
-    slack = spectrum.tol * max(1.0, abs(spectrum.lambda1))
+    merging values closer than the spectrum's slack."""
+    slack = spectrum.slack
     groups = []
     for value in spectrum.eigenvalues:
         value = float(value)

@@ -6,8 +6,9 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from conftest import graph_for
+from conftest import field_for, graph_for
 from uqgraph import (
+    build_graph,
     cayley_spectrum,
     clique_lower,
     exact_chromatic,
@@ -17,8 +18,10 @@ from uqgraph import (
     vertex_coords,
     vertex_index,
 )
+from uqgraph import chi
 from uqgraph.chi import _neighbor_masks, _search_k_coloring
 from uqgraph.construction import Coloring
+from uqgraph.graph import UnitQuadranceGraph
 
 
 class StubGraph:
@@ -762,3 +765,77 @@ def test_clique_lower_matches_global_oracle_on_uneven_degrees():
 def test_clique_numbers_reach_five():
     points = [(31, 2), (11, 2), (7, 3), (3, 4), (5, 4)]
     assert [clique_lower(graph_for(q, m)) for q, m in points] == [2, 3, 4, 4, 5]
+
+
+def counted(monkeypatch, name):
+    """Replace uqgraph.chi's function name by a wrapper that lists the
+    arguments of every call, and return that list."""
+    calls = []
+    call = getattr(chi, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return call(*args)
+
+    monkeypatch.setattr(chi, name, wrapper)
+    return calls
+
+
+def test_masks_are_built_once_per_exact_chromatic(monkeypatch):
+    """greedy_bound and every search round share one mask build; the runs
+    keep the nodes, bracket and witness they had with a build per call."""
+    builds = counted(monkeypatch, "_neighbor_masks")
+    rounds = counted(monkeypatch, "_search_k_coloring")
+    g = build_graph(field_for(13), 2)
+    result = exact_chromatic(g, node_limit=20000)
+    assert len(builds) == 1 and [k for _, k, *_ in rounds] == [169, 6, 5]
+    assert (result.status, result.lower, result.upper, result.nodes) == ("bounded", 3, 6, 20000)
+    assert result.witness.k == 6 and verify_coloring(g, result.witness) is None
+    builds.clear()
+    rounds.clear()
+    result = exact_chromatic(list(uneven_stub_graphs())[1], node_limit=100000)
+    assert len(builds) == 1 and [k for _, k, *_ in rounds] == [52, 8, 7]
+    assert (result.status, result.lower, result.nodes) == ("exact", 8, 263)
+    assert result.witness.colors[:10].tolist() == [7, 3, 3, 1, 4, 5, 1, 1, 0, 2]
+
+
+def test_masks_live_as_long_as_their_graph(monkeypatch):
+    """A second run on the same graph builds nothing, and the masks go
+    when the graph goes."""
+    builds = counted(monkeypatch, "_neighbor_masks")
+    kept = len(chi._MASKS)
+    g = build_graph(field_for(7), 2)
+    first = exact_chromatic(g)
+    assert exact_chromatic(g).witness.colors.tolist() == first.witness.colors.tolist()
+    assert len(builds) == 1 and len(chi._MASKS) == kept + 1
+    del g, builds[0]  # the last references to the graph
+    assert len(chi._MASKS) == kept
+
+
+def line_quotient(q):
+    """Cay(F_q, T) with T = {b*x - y : (x, y) in S}, b the smallest code
+    with 1 + b**2 a nonsquare (so 0 is not in T), and the map
+    f(x, y) = b*x - y from F_q**2. f carries every edge of D_q onto an
+    edge of the quotient, so a coloring c of the quotient lifts to c o f."""
+    ctx = field_for(q)
+    nonsquare = ctx.character_vector() == -1
+    b = next(b for b in range(q) if nonsquare[ctx.add(ctx.mul(b, b), 1)])
+    f = np.array([ctx.sub(ctx.mul(b, x), y) for x, y in
+                  (vertex_coords(q, 2, u) for u in range(q * q))])
+    return UnitQuadranceGraph(ctx, 1, np.unique(f[graph_for(q).connection_set])), f
+
+
+def test_chi_of_the_13_cycle():
+    """At m = 1 the unit circle is {1, -1}: D_13^1 is the 13-cycle."""
+    result = exact_chromatic(UnitQuadranceGraph(field_for(13), 1, np.array([1, 12])))
+    assert (result.status, result.lower, result.upper) == ("exact", 3, 3)
+    assert result.witness.m == 1
+
+
+@pytest.mark.parametrize("q, expected, nodes", [(11, 6, 88), (13, 5, 12), (23, 8, 4616)])
+def test_chi_of_line_quotients_lifts_to_the_plane(q, expected, nodes):
+    quotient, f = line_quotient(q)
+    result = exact_chromatic(quotient)
+    assert (result.status, result.upper, result.nodes) == ("exact", expected, nodes)
+    lift = Coloring(q, 2, result.witness.colors[f], result.witness.k)
+    assert verify_coloring(graph_for(q), lift) is None

@@ -417,6 +417,31 @@ def test_report_text_mode(capsys):
     assert "chiStatus: exact" in stdout
 
 
+@pytest.mark.parametrize("q_range, m", [("5..31", 2), ("3..13", 3)])
+def test_report_fields_equal_the_spectrum_and_triangles_records(capsys, q_range, m):
+    """report's spectral and triangle fields are the records that spectrum
+    and triangles print for the same q; the flags are null off the plane."""
+    code, stdout, _ = run(capsys, "report", "--q", q_range, "--m", f"{m}", "--json", "--nodes", "1")
+    assert code == 0
+    records = json.loads(stdout)
+    assert len(records) == (12 if m == 2 else 6)  # odd prime powers in range
+    for record in records:
+        point = ["--q", f"{record['q']}", "--m", f"{m}", "--json"]
+        _, stdout, _ = run(capsys, "spectrum", *point, "--method", "cayley")
+        printed = json.loads(stdout)
+        (spectral,) = printed["spectra"]
+        for key in ("lambda1", "lambdaMin", "hoffman", "maxNonprincipalAbs"):
+            assert record[key] == spectral[key], (record["q"], key)
+        flags = printed["diagnostics"] or {"withinSqrtQ": None, "withinTwoSqrtQ": None}
+        assert (printed["diagnostics"] is None) == (m != 2)
+        for key in ("withinSqrtQ", "withinTwoSqrtQ"):
+            assert record[key] == flags[key], (record["q"], key)
+        _, stdout, _ = run(capsys, "triangles", *point)
+        triangles = json.loads(stdout)
+        for key in ("triangles", "predictedTriangleFree"):
+            assert record[key] == triangles[key], (record["q"], key)
+
+
 def test_report_empty_range_is_input_error(capsys):
     code, _, err = run(capsys, "report", "--q", "9..5")
     assert code == 2

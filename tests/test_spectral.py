@@ -341,22 +341,18 @@ def test_cayley_m3():
 def test_hoffman_complete_graph():
     for n in (3, 5, 8):
         spec = Spectrum(
-            eigenvalues=np.array([float(n - 1)] + [-1.0] * (n - 1)),
-            method="dense",
-            tol=1e-6,
+            eigenvalues=np.array([float(n - 1)] + [-1.0] * (n - 1)), method="dense"
         )
         assert hoffman_bound(spec) == pytest.approx(n)
 
 
 def test_hoffman_bipartite_regular():
-    spec = Spectrum(
-        eigenvalues=np.array([3.0, 0.0, 0.0, -3.0]), method="dense", tol=1e-6
-    )
+    spec = Spectrum(eigenvalues=np.array([3.0, 0.0, 0.0, -3.0]), method="dense")
     assert hoffman_bound(spec) == pytest.approx(2.0)
 
 
 def test_hoffman_degenerate():
-    spec = Spectrum(eigenvalues=np.zeros(4), method="dense", tol=1e-6)
+    spec = Spectrum(eigenvalues=np.zeros(4), method="dense")
     with pytest.raises(DegenerateSpectrumError):
         hoffman_bound(spec)
 
@@ -369,9 +365,7 @@ def test_hoffman_q7_below_exact_chi():
 
 
 def test_eigen_bound_report_excludes_principal():
-    spec = Spectrum(
-        eigenvalues=np.array([8.0, 2.0, -1.0]), method="dense", tol=1e-6
-    )
+    spec = Spectrum(eigenvalues=np.array([8.0, 2.0, -1.0]), method="dense")
     report = eigen_bound_report(spec, 7)
     assert report.max_nonprincipal_abs == pytest.approx(2.0)
     assert report.within_sqrt_q is True
