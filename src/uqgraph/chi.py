@@ -2,7 +2,8 @@
 
 The solver is DSATUR-ordered backtracking with branch and bound: the
 upper bound is seeded from a greedy DSATUR coloring and, when the graph
-carries a field (m >= 2), from the line-pairing construction; the lower
+carries a field (m >= 2), from the line-pairing construction, taken only
+when it is proper on the graph's own connection set; the lower
 bound is the larger of a bounded clique search and min(greedy colors, 3).
 Each round tries to exhaust (upper-1)-colorings with color-permutation
 symmetry removed (the first vertex is fixed to color 0 and new colors
@@ -44,6 +45,7 @@ from .construction import (
     Coloring,
     build_coloring_md,
     make_plan,
+    verify_coloring,
 )
 from .errors import (
     ConstructionUnavailableError,
@@ -273,7 +275,8 @@ def exact_chromatic(
     upper = witness.k
     odd_cycle = min(upper, 3)  # exact: DSATUR 2-colors every bipartite graph
     seed = _construction_seed(graph)
-    if seed is not None and seed.k < upper:
+    # the construction colors the unit-circle graph, which this one need not be
+    if seed is not None and seed.k < upper and verify_coloring(graph, seed) is None:
         upper, witness = seed.k, seed
     lower = max(
         odd_cycle,

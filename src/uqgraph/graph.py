@@ -124,8 +124,8 @@ class UnitQuadranceGraph:
     built from S on first use, unless they were given.
 
     The rows, chi and verify_coloring accept any symmetric connection set
-    at any m >= 1 (chi's construction witness at m >= 2 colors only the
-    unit-circle graph); triangle_count assumes the unit circle.
+    at any m >= 1 (chi takes its construction witness at m >= 2 only when
+    it is proper on that set); triangle_count assumes the unit circle.
     """
 
     def __init__(self, ctx, m, connection_set, adjacency=None):

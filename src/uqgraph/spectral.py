@@ -1,10 +1,11 @@
 """Spectra of unit-quadrance graphs, computed two independent ways.
 
 The dense route splits the 0/1 adjacency matrix into one block per sign
-pattern of the coordinate flips x_j -> -x_j and solves one block per
-popcount, after checking that generators of the signed coordinate
-permutations are automorphisms of the built rows; it uses no character
-or field trace. The Cayley route is one FFT of the unit
+pattern of the coordinate flips x_j -> -x_j, solves one block per
+popcount, and splits that block in two by a coordinate swap that fixes
+its sign pattern, after checking that generators of the signed
+coordinate permutations are automorphisms of the built rows; it uses no
+character or field trace. The Cayley route is one FFT of the unit
 circle's indicator over (Z_p)^(nm), the base-p digits of a vertex index
 (real because the circle is symmetric). Agreement of the two multisets
 validates the graph build and the vertex index layout, not the trace.
@@ -63,8 +64,43 @@ class EigenBoundReport:
     within_two_sqrt_q: bool
 
 
+def _swap(m: int, j: int) -> np.ndarray:
+    """The coordinate order of the swap that splits popcount block j. It
+    exchanges two coordinates on which eps = 2**j - 1 agrees, so it fixes
+    eps; at m = 2, j = 1 none does, and the order is unmoved."""
+    order = np.arange(m)
+    a, b = (1, 2) if j == 1 else (0, 1)
+    if b < m:
+        order[[a, b]] = b, a
+    return order
+
+
+def _halves(top, tau) -> list[np.ndarray]:
+    """B+ and B-: the symmetric block B in the orthonormal bases
+    (e_r + e_tau(r))/sqrt(2) then e_f, and (e_r - e_tau(r))/sqrt(2), for the
+    r < tau(r) and the f = tau(f) in index order. tau is an involution of
+    B's indices with B[tau(r), tau(k)] = B[r, k], so B has no entry between
+    the two bases and eig(B) = eig(B+) u eig(B-). top holds the rows
+    r <= tau(r) of B, in index order; no other row is read.
+    """
+    at = np.arange(len(tau))
+    lo, fixed = np.flatnonzero(tau > at), np.flatnonzero(tau == at)
+    if not len(lo):  # tau is the identity: B is solved whole
+        return [top, top[:0, :0]]
+    row = np.cumsum(tau >= at) - 1  # the row of top that holds row r of B
+    even = np.concatenate((lo, fixed))
+    plus = top[np.ix_(row[even], even)]
+    cross = top[np.ix_(row[lo], tau[lo])]  # B[r, tau(k)] for r < tau(r), k < tau(k)
+    pairs = len(lo)
+    minus = plus[:pairs, :pairs] - cross
+    plus[:pairs, :pairs] += cross
+    plus[:pairs, pairs:] *= sqrt(2.0)
+    plus[pairs:, :pairs] *= sqrt(2.0)
+    return [plus, minus]
+
+
 def dense_spectrum(graph, max_vertices: int = DENSE_MAX_VERTICES) -> Spectrum:
-    """Eigenvalues of the adjacency matrix A, one dense solve per popcount class.
+    """Eigenvalues of the adjacency matrix A, at most two dense solves per popcount class.
 
     The signed coordinate permutations B_m keep quadrance and fix 0. Their
     m flips x_j -> -x_j split A into one block per character eps in {0,1}^m
@@ -79,10 +115,19 @@ def dense_spectrum(graph, max_vertices: int = DENSE_MAX_VERTICES) -> Spectrum:
     and cycling all coordinates generate B_m; each is first checked to be
     an automorphism of the rows, or NoConvergenceError is raised.
 
-    Its tracemalloc peak misses eigvalsh's copy of each block and its
-    LAPACK workspace, which numpy allocates outside tracemalloc. When this
-    is the first read of graph.adjacency, the peak includes building the
-    rows.
+    A swap tau of two coordinates on which eps agrees maps representatives
+    to representatives and keeps the block's support, eps . sigma and the
+    orbit sizes, so it permutes the block's basis and commutes with it. The
+    block splits into its tau-even and tau-odd halves, solved apart; an
+    eigensolve costs O(size**3), so each half costs about a quarter of the
+    block. Swapping 0 and 1 serves j = 0 and j >= 2, swapping 1 and 2 serves
+    j = 1 at m >= 3, and at m = 2 block j = 1 is solved whole. Swapping 1
+    and 2 needs no check of its own: it is the cycle, then the swap of 0 and
+    1, then the cycle undone, all three checked.
+
+    Its tracemalloc peak misses eigvalsh's copy of each half and its LAPACK
+    workspace, which numpy allocates outside tracemalloc. When this is the
+    first read of graph.adjacency, the peak includes building the rows.
     """
     n = graph.n_vertices
     if n > max_vertices:  # before the rows are read
@@ -107,8 +152,10 @@ def dense_spectrum(graph, max_vertices: int = DENSE_MAX_VERTICES) -> Spectrum:
     sigma = (coords > neg[coords]) @ bits  # coordinates flipped from the representative
     orbit = np.minimum(coords, neg[coords]) @ places  # the representative
     reps = np.flatnonzero(sigma == 0)
+    slot = np.zeros(n, dtype=np.intp)
+    slot[reps] = np.arange(len(reps))  # index in reps of each representative
     neighbors = rows[reps]
-    columns = np.searchsorted(reps, orbit[neighbors])
+    columns = slot[orbit[neighbors]]
     neighbor_sigma = sigma[neighbors]
     support = (coords[reps] != 0) @ bits
     patterns = np.arange(1 << m)
@@ -121,17 +168,20 @@ def dense_spectrum(graph, max_vertices: int = DENSE_MAX_VERTICES) -> Spectrum:
         keep = (support & eps) == eps
         size = np.count_nonzero(keep)
         position = np.cumsum(keep) - 1  # block index of each kept representative
-        cols = columns[keep]
+        tau = position[slot[coords[reps[keep]][:, _swap(m, j)] @ places]]  # on block indices
+        top = np.flatnonzero(keep)[tau >= np.arange(size)]  # the rows _halves reads
+        cols = columns[top]
         inside = keep[cols]  # neighbors whose orbit lies in the block
         signs = 1.0 - 2.0 * (ones[patterns & eps] % 2)
-        weights = (signs[neighbor_sigma[keep]] * scale[keep])[inside]
-        pairs = (np.arange(size)[:, None] * size + position[cols])[inside]
-        block = np.bincount(pairs, weights, minlength=size * size).reshape(size, size)
+        weights = (signs[neighbor_sigma[top]] * scale[top])[inside]
+        pairs = (np.arange(len(top))[:, None] * size + position[cols])[inside]
+        block = np.bincount(pairs, weights, minlength=len(top) * size).reshape(len(top), size)
+        halves = _halves(block, tau)
         try:
-            eig = np.linalg.eigvalsh(block)
+            eig = np.concatenate([np.linalg.eigvalsh(half) for half in halves if len(half)])
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"dense eigensolver failed: {exc}") from exc
-        del block  # summing the next block must not hold this one as well
+        del block, halves  # summing the next block must not hold these as well
         blocks.append(np.tile(eig, comb(m, j)))
     eig = np.concatenate(blocks)
     eig.sort()

@@ -839,3 +839,18 @@ def test_chi_of_line_quotients_lifts_to_the_plane(q, expected, nodes):
     assert (result.status, result.upper, result.nodes) == ("exact", expected, nodes)
     lift = Coloring(q, 2, result.witness.colors[f], result.witness.k)
     assert verify_coloring(graph_for(q), lift) is None
+
+
+def test_chi_takes_the_construction_witness_only_when_it_is_proper():
+    """The line-pairing construction colors the unit-circle graph. With the
+    24 points of quadrance 1 or 2 as the connection set its coloring
+    clashes, so the witness comes from the search instead."""
+    q, ctx = 13, field_for(13)
+    quadrance = [ctx.add(ctx.mul(x, x), ctx.mul(y, y)) for x, y in
+                 (vertex_coords(q, 2, u) for u in range(q * q))]
+    graph = UnitQuadranceGraph(ctx, 2, np.flatnonzero(np.isin(quadrance, (1, 2))))
+    assert len(graph.connection_set) == 24
+    assert verify_coloring(graph, chi._construction_seed(graph)) == (0, 14)
+    result = exact_chromatic(graph, node_limit=1)
+    assert verify_coloring(graph, result.witness) is None
+    assert result.upper == result.witness.k == greedy_bound(graph).k

@@ -25,7 +25,9 @@ from uqgraph import (
     vertex_coords,
     write_spectrum,
 )
+from uqgraph import spectral
 from uqgraph.graph import UnitQuadranceGraph
+from uqgraph.spectral import _halves, _swap
 
 
 def test_dense_lambda1_is_degree():
@@ -129,6 +131,101 @@ def test_popcount_classes_match_every_flip_block(q, m):
     assert np.max(np.abs(dense_spectrum(graph).eigenvalues - flip_block_eigenvalues(graph))) < 1e-9
 
 
+def popcount_block_eigenvalues(graph):
+    """Oracle: the route dense_spectrum took before it split each block by a
+    coordinate swap, one solve per popcount class eps = 2**j - 1, counted
+    C(m, j) times, in descending order. It checks no automorphism."""
+    n = graph.n_vertices
+    ctx, m, rows = graph.ctx, graph.m, graph.adjacency
+    neg = ctx.mul_vector(ctx.neg(1))
+    places = ctx.q ** np.arange(m - 1, -1, -1)
+    coords = np.arange(n)[:, None] // places % ctx.q
+    bits = 1 << np.arange(m)
+    sigma = (coords > neg[coords]) @ bits  # coordinates flipped from the representative
+    orbit = np.minimum(coords, neg[coords]) @ places  # the representative
+    reps = np.flatnonzero(sigma == 0)
+    neighbors = rows[reps]
+    columns = np.searchsorted(reps, orbit[neighbors])
+    neighbor_sigma = sigma[neighbors]
+    support = (coords[reps] != 0) @ bits
+    patterns = np.arange(1 << m)
+    ones = ((patterns[:, None] & bits) != 0).sum(axis=1)  # popcount of each pattern
+    root_size = np.sqrt(2.0 ** ones[support])
+    scale = root_size[:, None] / root_size[columns]  # sqrt(|O_r1| / |O_r2|) per neighbor
+    blocks = []
+    for j in range(m + 1):
+        eps = (1 << j) - 1
+        keep = (support & eps) == eps
+        size = np.count_nonzero(keep)
+        position = np.cumsum(keep) - 1  # block index of each kept representative
+        cols = columns[keep]
+        inside = keep[cols]  # neighbors whose orbit lies in the block
+        signs = 1.0 - 2.0 * (ones[patterns & eps] % 2)
+        weights = (signs[neighbor_sigma[keep]] * scale[keep])[inside]
+        pairs = (np.arange(size)[:, None] * size + position[cols])[inside]
+        block = np.bincount(pairs, weights, minlength=size * size).reshape(size, size)
+        blocks.append(np.tile(np.linalg.eigvalsh(block), math.comb(m, j)))
+    eig = np.concatenate(blocks)
+    eig.sort()
+    return eig[::-1]
+
+
+@pytest.mark.parametrize("q, m", [
+    (3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2), (49, 2),
+    (3, 3), (5, 3), (7, 3), (9, 3), (13, 3), (3, 4), (5, 4), (7, 4), (3, 5),
+    (61, 2), (3, 6), (3, 7),
+])
+def test_swap_halves_match_one_solve_per_popcount_block(q, m):
+    graph = graph_for(q, m)
+    expected = popcount_block_eigenvalues(graph)
+    assert np.max(np.abs(dense_spectrum(graph).eigenvalues - expected)) < 1e-9
+
+
+@pytest.mark.parametrize("size, pairs", [(1, 0), (5, 0), (6, 3), (9, 2), (40, 17)])
+def test_halves_split_a_swap_invariant_block_into_two_spectra(size, pairs):
+    rng = np.random.default_rng(size)
+    tau = np.arange(size)
+    ends = rng.permutation(size)[: 2 * pairs].reshape(pairs, 2)
+    tau[ends[:, 0]], tau[ends[:, 1]] = ends[:, 1], ends[:, 0]
+    block = rng.normal(size=(size, size))
+    block += block.T
+    block += block[np.ix_(tau, tau)]  # B[tau(r), tau(k)] = B[r, k]
+    plus, minus = _halves(block[tau >= np.arange(size)], tau)
+    assert (len(plus), len(minus)) == (size - pairs, pairs)
+    assert np.array_equal(plus, plus.T) and np.array_equal(minus, minus.T)
+    both = np.sort(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)]))
+    assert np.max(np.abs(both - np.linalg.eigvalsh(block))) < 1e-9
+
+
+@pytest.mark.parametrize("q, m", [(5, 2), (5, 3), (5, 4), (3, 5)])
+def test_each_block_splits_by_a_swap_that_fixes_its_sign_pattern(q, m, monkeypatch):
+    for j in range(m + 1):
+        eps, order = (1 << j) - 1, _swap(m, j)
+        moved = np.flatnonzero(order != np.arange(m))
+        if len(moved) == 0:
+            assert (m, j) == (2, 1)  # no swap fixes eps = (1, 0)
+        else:
+            assert len(moved) == 2
+            a, b = moved
+            assert (order[a], order[b]) == (b, a)
+            assert (eps >> a) & 1 == (eps >> b) & 1
+    split = []
+
+    def recorded(top, tau):
+        halves = _halves(top, tau)
+        split.append((len(tau), *map(len, halves)))
+        return halves
+
+    monkeypatch.setattr(spectral, "_halves", recorded)
+    dense_spectrum(graph_for(q, m))
+    # (q + 1) / 2 representatives per coordinate, (q - 1) / 2 of them nonzero
+    sizes = [((q - 1) // 2) ** j * ((q + 1) // 2) ** (m - j) for j in range(m + 1)]
+    assert [size for size, _, _ in split] == sizes
+    assert all(plus + minus == size for size, plus, minus in split)
+    if m == 2:
+        assert split[1] == (sizes[1], sizes[1], 0)  # solved whole
+
+
 def renamed(graph, perm):
     """The graph with vertex u renamed perm[u]."""
     rows = np.empty_like(graph.adjacency)
@@ -203,11 +300,11 @@ def test_dense_rejects_a_switch_among_the_last_vertices(q, m):
 
 
 @pytest.mark.parametrize("q, m, sizes", [
-    (49, 2, [625, 600, 576]),
-    (13, 3, [343, 294, 252, 216]),
-    (7, 4, [256, 192, 144, 108, 81]),
+    (49, 2, [325, 300, 600, 300, 276]),  # blocks of 625, 600 (whole) and 576
+    (13, 3, [196, 147, 168, 126, 147, 105, 126, 90]),  # 343, 294, 252, 216
+    (7, 4, [160, 96, 120, 72, 96, 48, 72, 36, 54, 27]),  # 256, 192, 144, 108, 81
 ])
-def test_dense_solves_one_block_per_popcount_class(q, m, sizes, monkeypatch):
+def test_dense_solves_two_swap_halves_per_popcount_class(q, m, sizes, monkeypatch):
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
