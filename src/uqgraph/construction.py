@@ -46,11 +46,11 @@ from .graph import (
 
 @dataclass(frozen=True)
 class ColoringPlan:
-    """Slope a, shift t, and coset representatives partitioning F_q."""
+    """Slope a and shift t, the certificates of the line-pairing coloring;
+    the cosets of F_p*t follow from t."""
 
     a: int
     t: int
-    coset_reps: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -161,30 +161,20 @@ def make_plan(ctx: FieldCtx, a: int | None = None, t: int | None = None) -> Colo
     """Assemble a validated plan, honoring optional slope/shift overrides."""
     slope = find_slope(ctx, override=a)
     shift = find_shift(ctx, slope, override=t)
-    return ColoringPlan(a=slope, t=shift, coset_reps=_coset_reps(ctx, shift))
+    return ColoringPlan(a=slope, t=shift)
 
 
 def validate_plan(ctx: FieldCtx, plan: ColoringPlan) -> None:
-    """Check the slope/shift certificates and the coset partition."""
+    """Check the slope and shift certificates."""
     _require_slope(ctx, plan.a)
     _require_shift(ctx, plan.a, plan.t)
-    expected = ctx.p ** (ctx.n - 1)
-    if len(plan.coset_reps) != expected:
-        raise InvalidPlanError(
-            f"expected {expected} coset representatives, got {len(plan.coset_reps)}"
-        )
-    for r in plan.coset_reps:
-        if not 0 <= r < ctx.q:
-            raise InvalidPlanError(f"coset representative {r} outside [0, {ctx.q})")
-    # p**(n-1) cosets of p points each: without an overlap they cover F_q
-    if np.bincount(_coset_lines(ctx, plan).ravel(), minlength=ctx.q).max() > 1:
-        raise InvalidPlanError("coset representatives overlap")
 
 
 def _coset_lines(ctx: FieldCtx, plan: ColoringPlan) -> np.ndarray:
-    """Row r lists the intercepts rep_r + k*t for k in F_p. The codes below p
-    are the prime field, so mul_vector(t)[:p] lists the k*t."""
-    reps = np.array(plan.coset_reps, dtype=np.int64)
+    """Row r lists the intercepts rep_r + k*t for k in F_p, one row per coset
+    of F_p*t. The codes below p are the prime field, so mul_vector(t)[:p]
+    lists the k*t."""
+    reps = np.array(_coset_reps(ctx, plan.t), dtype=np.int64)
     return ctx.add_arrays(reps[:, None], ctx.mul_vector(plan.t)[: ctx.p])
 
 
@@ -236,15 +226,10 @@ def build_coloring_2d(ctx: FieldCtx, plan: ColoringPlan) -> Coloring:
     return Coloring(q=q, m=2, colors=colors, k=len(lines) * per_coset)
 
 
-def build_coloring_md(
-    ctx: FieldCtx,
-    m: int,
-    plan: ColoringPlan,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> Coloring:
+def build_coloring_md(ctx: FieldCtx, m: int, plan: ColoringPlan) -> Coloring:
     """Color F_q^m by the plane coloring of the last two coordinates
     crossed with the identity on the leading ones."""
-    n_vertices = vertex_count(ctx.q, m, max_vertices, what="colorings")
+    n_vertices = vertex_count(ctx.q, m, what="colorings")
     base = build_coloring_2d(ctx, plan)
     if m == 2:
         return base
@@ -345,8 +330,9 @@ def read_coloring(source) -> Coloring:
     return (text.isascii() and _read_canonical(text.encode("ascii"))) or _read_lines(text)
 
 
-def _header_vertices(q: int, m: int) -> int:
-    """q**m for a coloring header, checked before anything is sized by it."""
+def _header_vertices(q: int, m: int, k: int) -> int:
+    """q**m for a coloring header, checked before anything is sized by it; a
+    header with more colors k than vertices is refused."""
     decomposition = prime_power(q) if q <= DEFAULT_MAX_VERTICES else None
     try:
         n = vertex_count(q, m) if decomposition and decomposition[0] != 2 else None
@@ -355,6 +341,8 @@ def _header_vertices(q: int, m: int) -> int:
     if n is None:
         raise ValueError(f"coloring header q={q} m={m} needs an odd prime power q,"
                          f" m >= 2 and q**m <= {DEFAULT_MAX_VERTICES}")
+    if k > n:
+        raise ValueError(f"coloring header k={k} exceeds the {n} vertices of q={q} m={m}")
     return n
 
 
@@ -366,7 +354,7 @@ def _read_canonical(data: bytes) -> Coloring | None:
     if header is None:
         return None
     q, m, k = (int(g) for g in header.groups())
-    n = _header_vertices(q, m)
+    n = _header_vertices(q, m, k)
     body = np.frombuffer(data, dtype=np.uint8, offset=header.end())
     ends = np.flatnonzero(body - ord("0") >= 10)  # every byte but the digits
     gaps = np.diff(ends, prepend=-1)  # token lengths plus one
@@ -391,7 +379,7 @@ def _read_lines(text: str) -> Coloring:
     if header is None:
         raise ValueError(f"bad coloring header: {lines[0]!r}")
     q, m, k = (int(g) for g in header.groups())
-    n = _header_vertices(q, m)
+    n = _header_vertices(q, m, k)
     colors = [-1] * n
     for line in lines[1:]:
         if line.startswith("#"):
@@ -404,8 +392,6 @@ def _read_lines(text: str) -> Coloring:
             raise ValueError(f"vertex index {idx} outside [0, {n})")
         if not 0 <= color < k:
             raise ValueError(f"color {color} outside [0, {k})")
-        if color >= 1 << 63:
-            raise ValueError(f"color on line {line!r} does not fit in 64 bits")
         if colors[idx] >= 0:
             raise ValueError(f"vertex index {idx} is colored twice")
         colors[idx] = color

@@ -14,7 +14,7 @@ class EvenCharacteristicError(UQGraphError):
 
 
 class TooLargeError(UQGraphError):
-    """The requested object exceeds the configured size bound."""
+    """The requested object exceeds its fixed size bound."""
 
 
 class DivisionByZeroError(UQGraphError, ZeroDivisionError):
@@ -46,7 +46,7 @@ class ConstructionUnavailableError(UQGraphError):
 
 
 class InvalidPlanError(UQGraphError, ValueError):
-    """A coloring plan violates its slope, shift, or coset requirements."""
+    """A coloring plan violates its slope or shift requirement."""
 
 
 class IncompleteColoringError(UQGraphError, ValueError):

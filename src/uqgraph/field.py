@@ -350,7 +350,7 @@ class FieldCtx:
 
 
 @functools.lru_cache(maxsize=None)
-def make_field(p: int, n: int = 1, max_order: int = DEFAULT_MAX_ORDER) -> FieldCtx:
+def make_field(p: int, n: int = 1) -> FieldCtx:
     """Build the canonical F_{p^n} context for an odd prime p.
 
     The modulus is deterministic (smallest irreducible, constant term
@@ -361,13 +361,13 @@ def make_field(p: int, n: int = 1, max_order: int = DEFAULT_MAX_ORDER) -> FieldC
         raise ValueError("extension degree must be at least 1")
     if p == 2:
         raise EvenCharacteristicError("characteristic 2 is not supported")
-    # With p >= 3 an n of max_order.bit_length() or more is over the bound
-    # already, so a huge p or n is rejected before trial division and p**n.
-    if p > max_order or n >= max_order.bit_length():
-        raise TooLargeError(f"q={p}**{n} exceeds the order bound {max_order}")
+    # With p >= 3 an n of DEFAULT_MAX_ORDER.bit_length() or more is over the
+    # bound already, so a huge p or n is rejected before trial division and p**n.
+    if p > DEFAULT_MAX_ORDER or n >= DEFAULT_MAX_ORDER.bit_length():
+        raise TooLargeError(f"q={p}**{n} exceeds the order bound {DEFAULT_MAX_ORDER}")
     if not is_prime(p):
         raise NonPrimeError(f"{p} is not prime")
     q = p**n
-    if q > max_order:
-        raise TooLargeError(f"q={q} exceeds the order bound {max_order}")
+    if q > DEFAULT_MAX_ORDER:
+        raise TooLargeError(f"q={q} exceeds the order bound {DEFAULT_MAX_ORDER}")
     return FieldCtx(p, n, _smallest_irreducible(p, n))

@@ -70,30 +70,25 @@ def quadrance(ctx: FieldCtx, x: Sequence[int], y: Sequence[int]) -> int:
     return acc
 
 
-def vertex_count(
-    q: int, m: int, max_vertices: int = DEFAULT_MAX_VERTICES,
-    what: str = "unit-quadrance graphs",
-) -> int:
-    """q**m for a dimension m >= 2, checked against max_vertices.
+def vertex_count(q: int, m: int, what: str = "unit-quadrance graphs") -> int:
+    """q**m for a dimension m >= 2, checked against DEFAULT_MAX_VERTICES.
 
-    With q >= 2 an m of max_vertices.bit_length() or more is over the bound
-    already, so a huge m is rejected before q**m is formed.
+    With q >= 2 an m of DEFAULT_MAX_VERTICES.bit_length() or more is over
+    the bound already, so a huge m is rejected before q**m is formed.
     """
     if m < 2:
         raise DimensionTooSmallError(f"{what} need dimension >= 2")
-    if m >= max_vertices.bit_length():
-        raise TooLargeError(f"{q}**{m} vertices exceed the bound {max_vertices}")
+    if m >= DEFAULT_MAX_VERTICES.bit_length():
+        raise TooLargeError(f"{q}**{m} vertices exceed the bound {DEFAULT_MAX_VERTICES}")
     n_vertices = q**m
-    if n_vertices > max_vertices:
-        raise TooLargeError(f"{n_vertices} vertices exceed the bound {max_vertices}")
+    if n_vertices > DEFAULT_MAX_VERTICES:
+        raise TooLargeError(f"{n_vertices} vertices exceed the bound {DEFAULT_MAX_VERTICES}")
     return n_vertices
 
 
-def unit_circle(
-    ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> np.ndarray:
+def unit_circle(ctx: FieldCtx, m: int = 2) -> np.ndarray:
     """Ascending vertex indices of the points at quadrance 1 from the origin."""
-    vertex_count(ctx.q, m, max_vertices)
+    vertex_count(ctx.q, m)
     squares = ctx.square_vector()
     acc = np.zeros(1, dtype=np.int64)
     for _ in range(m):  # quadrances of every point, one more coordinate each pass
@@ -141,7 +136,7 @@ class UnitQuadranceGraph:
         Rows grow one coordinate at a time: the rows over the first j
         coordinates, times q, plus coordinate j of every u + s (column[a, k]
         = a + s_k[j]) give the rows over the first j + 1. Every intermediate
-        is int32, which holds every index below the default vertex bound
+        is int32, which holds every index below the vertex bound
         and halves the array and its sort.
         """
         if self._adjacency is None:
@@ -180,11 +175,9 @@ class UnitQuadranceGraph:
         )
 
 
-def build_graph(
-    ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> UnitQuadranceGraph:
+def build_graph(ctx: FieldCtx, m: int = 2) -> UnitQuadranceGraph:
     """D_q^m from its unit circle; the neighbor rows wait for their first reader."""
-    return UnitQuadranceGraph(ctx, m, unit_circle(ctx, m, max_vertices))
+    return UnitQuadranceGraph(ctx, m, unit_circle(ctx, m))
 
 
 def triangle_count(graph: UnitQuadranceGraph) -> int:

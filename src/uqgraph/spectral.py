@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NoConvergenceError, TooLargeError
 from .field import FieldCtx
-from .graph import DEFAULT_MAX_VERTICES, unit_circle
+from .graph import unit_circle
 
 DENSE_MAX_VERTICES = 4096
 DEFAULT_TOL = 1e-6
@@ -99,7 +99,7 @@ def _halves(top, tau) -> list[np.ndarray]:
     return [plus, minus]
 
 
-def dense_spectrum(graph, max_vertices: int = DENSE_MAX_VERTICES) -> Spectrum:
+def dense_spectrum(graph) -> Spectrum:
     """Eigenvalues of the adjacency matrix A, at most two dense solves per popcount class.
 
     The signed coordinate permutations B_m keep quadrance and fix 0. Their
@@ -130,8 +130,8 @@ def dense_spectrum(graph, max_vertices: int = DENSE_MAX_VERTICES) -> Spectrum:
     first read of graph.adjacency, the peak includes building the rows.
     """
     n = graph.n_vertices
-    if n > max_vertices:  # before the rows are read
-        raise TooLargeError(f"{n} vertices exceed the dense bound {max_vertices}")
+    if n > DENSE_MAX_VERTICES:  # before the rows are read
+        raise TooLargeError(f"{n} vertices exceed the dense bound {DENSE_MAX_VERTICES}")
     ctx, m, rows = graph.ctx, graph.m, graph.adjacency
     neg = ctx.mul_vector(ctx.neg(1))
     places = ctx.q ** np.arange(m - 1, -1, -1)
@@ -188,9 +188,7 @@ def dense_spectrum(graph, max_vertices: int = DENSE_MAX_VERTICES) -> Spectrum:
     return Spectrum(eigenvalues=eig[::-1].copy(), method="dense")
 
 
-def cayley_spectrum(
-    ctx: FieldCtx, m: int = 2, max_vertices: int = DEFAULT_MAX_VERTICES
-) -> Spectrum:
+def cayley_spectrum(ctx: FieldCtx, m: int = 2) -> Spectrum:
     """Exact eigenvalues as character sums over the unit circle S.
 
     The base-p digits of a vertex index are the nm digits of its coordinates
@@ -198,7 +196,7 @@ def cayley_spectrum(
     FFT of S's indicator over those axes is sum_{s in S} exp(-2*pi*i*<k,s>/p),
     the eigenvalue of one character; the zero frequency gives the degree.
     """
-    circle = unit_circle(ctx, m, max_vertices)  # checks q**m first
+    circle = unit_circle(ctx, m)  # checks q**m first
     indicator = np.zeros(ctx.q**m)
     indicator[circle] = 1.0
     eig = np.fft.fftn(indicator.reshape((ctx.p,) * (ctx.n * m))).real.ravel()

@@ -1,10 +1,14 @@
 """Shared helpers: cached graph construction, prime-power enumeration, a
-one-second alarm and the per-vertex coloring file writer."""
+one-second alarm, the traced peak of a refused call and the per-vertex
+coloring file writer."""
 
 import signal
+import tracemalloc
 from functools import lru_cache
 
-from uqgraph import build_graph, make_field, prime_power
+import pytest
+
+from uqgraph import TooLargeError, build_graph, make_field, prime_power
 
 
 def odd_prime_powers(lo: int, hi: int) -> list[int]:
@@ -43,6 +47,17 @@ def within_a_second(call, *args):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def refused_peak(call, *args) -> int:
+    """The tracemalloc peak of call(*args), which must raise TooLargeError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError):
+            call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def coloring_text_by_lines(coloring) -> str:

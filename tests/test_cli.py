@@ -281,22 +281,25 @@ def test_verify_duplicate_vertex_is_input_error(capsys, tmp_path):
     assert err.startswith("error: vertex index 0 ")
 
 
-HUGE_K_HEADER = "# q=3 m=2 k=100000000000000000000\n"
-
-
 def test_verify_rejects_a_color_past_int64_as_input_error(capsys, tmp_path):
     path = tmp_path / "huge.txt"
-    path.write_text(HUGE_K_HEADER + "".join(f"{i} 10000000000000000000\n" for i in range(9)))
+    path.write_text("# q=3 m=2 k=9\n" + "".join(f"{i} 10000000000000000000\n" for i in range(9)))
     code, stdout, err = run(capsys, "verify", str(path))
     assert (code, stdout) == (2, "")
-    assert err == "error: color on line '0 10000000000000000000' does not fit in 64 bits\n"
+    assert err == "error: color 10000000000000000000 outside [0, 9)\n"
 
 
-def test_verify_accepts_small_colors_under_a_huge_k(capsys, tmp_path):
+def test_verify_rejects_a_header_k_above_the_vertex_count(capsys, tmp_path):
     path = tmp_path / "small.txt"
-    path.write_text(HUGE_K_HEADER + "".join(f"{i} {i}\n" for i in range(9)))
+    body = "".join(f"{i} {i}\n" for i in range(9))
+    path.write_text("# q=3 m=2 k=100000000000000000000\n" + body)
     code, stdout, err = run(capsys, "verify", str(path))
-    assert (code, stdout, err) == (0, "proper: 100000000000000000000 colors on 9 vertices\n", "")
+    assert (code, stdout) == (2, "")
+    assert err == ("error: coloring header k=100000000000000000000"
+                   " exceeds the 9 vertices of q=3 m=2\n")
+    path.write_text("# q=3 m=2 k=9\n" + body)  # k = q**m is allowed
+    code, stdout, err = run(capsys, "verify", str(path))
+    assert (code, stdout, err) == (0, "proper: 9 colors on 9 vertices\n", "")
 
 
 def test_report_rejects_oversized_range(capsys):

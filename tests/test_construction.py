@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coloring_text_by_lines, field_for, graph_for, odd_prime_powers
+from conftest import coloring_text_by_lines, field_for, graph_for, odd_prime_powers, refused_peak
 from uqgraph import (
     Coloring,
     ConstructionUnavailableError,
@@ -151,7 +151,7 @@ def scalar_coloring_2d(ctx, plan):
     p, q = ctx.p, ctx.q
     color_of_line = {}
     next_color = 0
-    for rep in plan.coset_reps:
+    for rep in scalar_coset_reps(ctx, plan.t):
         line = [rep]
         for _ in range(p - 1):
             line.append(ctx.add(line[-1], plan.t))
@@ -303,9 +303,10 @@ def test_plan_coset_partition():
     for q in (7, 9, 25, 27):
         ctx = field_for(q)
         plan = make_plan(ctx)
-        assert len(plan.coset_reps) == ctx.p ** (ctx.n - 1)
+        reps = _coset_reps(ctx, plan.t)
+        assert len(reps) == ctx.p ** (ctx.n - 1)
         seen = set()
-        for rep in plan.coset_reps:
+        for rep in reps:
             cur = rep
             for _ in range(ctx.p):
                 assert cur not in seen
@@ -319,11 +320,9 @@ def test_validate_plan_rejects_garbage():
     ctx = field_for(7)
     plan = make_plan(ctx)
     with pytest.raises(InvalidPlanError):
-        validate_plan(ctx, plan.__class__(a=0, t=plan.t, coset_reps=plan.coset_reps))
+        validate_plan(ctx, plan.__class__(a=0, t=plan.t))
     with pytest.raises(InvalidPlanError):
-        validate_plan(ctx, plan.__class__(a=plan.a, t=0, coset_reps=plan.coset_reps))
-    with pytest.raises(InvalidPlanError):
-        validate_plan(ctx, plan.__class__(a=plan.a, t=plan.t, coset_reps=(0, 1)))
+        validate_plan(ctx, plan.__class__(a=plan.a, t=0))
 
 
 def test_build_coloring_2d_q7_paper_choice():
@@ -362,14 +361,14 @@ def test_build_coloring_md(q, m):
 
 
 def test_build_coloring_md_guards():
-    from uqgraph import DimensionTooSmallError, TooLargeError
+    from uqgraph import DimensionTooSmallError
 
     ctx = field_for(7)
     plan = make_plan(ctx)
     with pytest.raises(DimensionTooSmallError):
         build_coloring_md(ctx, 1, plan)
-    with pytest.raises(TooLargeError):
-        build_coloring_md(ctx, 3, plan, max_vertices=100)
+    big = field_for(41)  # 41**3 > 2**16
+    assert refused_peak(build_coloring_md, big, 3, make_plan(big)) < 1 << 20
 
 
 def test_build_coloring_md_matches_2d_for_m2():
@@ -700,7 +699,7 @@ MUTATIONS = ["none", "replace", "drop", "repeat", "crlf", "tab", "plus", "unders
 @given(data=st.data())
 def test_read_coloring_agrees_with_the_line_reader(data):
     q, m = data.draw(st.sampled_from(CANONICAL_POINTS))
-    k = data.draw(st.integers(1, 30))
+    k = data.draw(st.integers(1, min(30, q**m)))  # a header k above q**m is refused
     coloring = _random_coloring(q, m, k, data.draw(st.integers(0, 2**32 - 1)))
     lines = coloring_text_by_lines(coloring).split("\n")[:-1]
     kind = data.draw(st.sampled_from(MUTATIONS))
@@ -739,13 +738,15 @@ def test_canonical_files_never_reach_the_line_reader(monkeypatch, tmp_path, q, m
     assert expected[:3] == (q, m, 5) and expected[4] == coloring.colors.tolist()
 
 
-def _huge_k_file(k, colors):
-    return f"# q=5 m=2 k={k}\n" + "".join(f"{i} {c}\n" for i, c in enumerate(colors))
+def _q5_file(colors, width=1):
+    """A q = 5 file with k = 25, each color zero-padded to width digits."""
+    return "# q=5 m=2 k=25\n" + "".join(f"{i} {c:0{width}d}\n" for i, c in enumerate(colors))
 
 
 def test_bulk_route_reads_18_digit_colors_exactly(monkeypatch):
-    colors = [10**18 - 1 - 7 * i for i in range(25)]
-    text = _huge_k_file(10**18, colors)
+    # every color is below k <= q**m, so an 18-digit color is zero-padded
+    colors = [7 * i % 25 for i in range(25)]
+    text = _q5_file(colors, width=18)
     expected = _outcome(_read_lines, text)
     monkeypatch.setattr(construction, "_read_lines", _refuse_line_reader)
     assert _outcome(read_coloring, io.StringIO(text)) == expected
@@ -754,6 +755,17 @@ def test_bulk_route_reads_18_digit_colors_exactly(monkeypatch):
 
 def test_19_digit_colors_go_to_the_line_reader():
     # past int64 they would not parse exactly in bulk
-    for top in (10**18, 2**63, 10**19 - 1):
-        text = _huge_k_file(10**19, [top] + [0] * 24)
+    texts = [_q5_file([top] + [0] * 24) for top in (10**18, 2**63, 10**19 - 1)]
+    texts.append(_q5_file([7] + [0] * 24, width=19))  # a well-formed file, read line by line
+    for text in texts:
         assert _outcome(read_coloring, io.StringIO(text)) == _outcome(_read_lines, text)
+    assert _outcome(read_coloring, io.StringIO(texts[-1]))[4] == [7] + [0] * 24
+
+
+def test_read_coloring_refuses_a_header_k_above_the_vertex_count():
+    message = "coloring header k=26 exceeds the 25 vertices of q=5 m=2"
+    text = "# q=5 m=2 k=26\n" + "".join(f"{i} 0\n" for i in range(25))
+    assert _outcome(_read_lines, text) == (ValueError, message)  # the line loop
+    for source in (io.StringIO(text), io.BytesIO(text.encode("ascii"))):  # the bulk parser
+        assert _outcome(read_coloring, source) == (ValueError, message)
+    assert _outcome(read_coloring, io.StringIO(text.replace("k=26", "k=25")))[2] == 25

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_for, odd_prime_powers, within_a_second
+from conftest import field_for, odd_prime_powers, refused_peak, within_a_second
 from uqgraph import (
     DivisionByZeroError,
     EvenCharacteristicError,
@@ -47,8 +47,8 @@ def test_make_field_rejects_nonprime():
 
 
 def test_make_field_rejects_oversized():
-    with pytest.raises(TooLargeError):
-        make_field(3, 2, max_order=8)
+    # 3**13 is the first power of 3 past the order bound 2**20
+    assert refused_peak(make_field, 3, 13) < 1 << 20
 
 
 @pytest.mark.parametrize("p, n, message", [

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_for, graph_for, odd_prime_powers
+from conftest import field_for, graph_for, odd_prime_powers, refused_peak
 from uqgraph import (
     Coloring,
     DimensionMismatchError,
     DimensionTooSmallError,
     FieldCtx,
     IOFailureError,
-    TooLargeError,
     build_coloring_md,
     build_graph,
     cayley_spectrum,
@@ -107,8 +106,7 @@ def test_build_graph_m3():
 def test_build_graph_errors():
     with pytest.raises(DimensionTooSmallError):
         build_graph(field_for(7), 1)
-    with pytest.raises(TooLargeError):
-        build_graph(field_for(7), 2, max_vertices=10)
+    assert refused_peak(build_graph, field_for(257), 2) < 1 << 20  # 257**2 > 2**16
 
 
 def test_no_self_loops_and_symmetry():
