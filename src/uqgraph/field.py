@@ -190,18 +190,6 @@ class FieldCtx:
             out.append(r)
         return tuple(out)
 
-    def element(self, coeffs) -> int:
-        """Canonical code of the element with the given coefficient vector."""
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.n:
-            raise ValueError(f"expected {self.n} coefficients, got {len(coeffs)}")
-        if any(not 0 <= c < self.p for c in coeffs):
-            raise ValueError(f"coefficients must lie in [0, {self.p})")
-        code = 0
-        for c in reversed(coeffs):
-            code = code * self.p + c
-        return code
-
     # -- arithmetic: sums by digits, products by discrete logarithms ---------
 
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -5,13 +5,13 @@ element codes, last coordinate fastest; two points are adjacent exactly
 when their quadrance (the sum of squared coordinate differences) is 1.
 Adjacency is a Cayley structure on the additive group: u ~ v exactly when
 v - u lies on the unit circle S, which is one ascending array of vertex
-indices. A graph is S; its (N, |S|) int32 array of sorted neighbor rows
-u + S is grown one coordinate at a time from digit sums of the field
-codes the first time `adjacency` is read. DIMACS export, the chromatic
-search and the dense spectrum read the rows (the CLI's build, chi, report
-and dense spectrum); the triangle count and the coloring check
-(construction.verify_coloring) read only S, so color, verify and
-triangles never build them. Every edge lies on the same number
+indices. A graph is S and nothing else; its (N, |S|) int32 array of sorted
+neighbor rows u + S is a cache, grown one coordinate at a time from digit
+sums of the field codes the first time `adjacency` is read. DIMACS export,
+the chromatic search and the dense spectrum read the rows (the CLI's
+build, chi, report and dense spectrum); the triangle count and the
+coloring check (construction.verify_coloring) read only S, so color,
+verify and triangles never build them. Every edge lies on the same number
 lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
 DIMACS export writes the edges as ASCII bytes in blocks of fixed-width
 records, so its memory stays flat.
@@ -34,16 +34,8 @@ from .field import FieldCtx, is_prime
 DEFAULT_MAX_VERTICES = 1 << 16
 
 
-def vertex_index(q: int, coords: Sequence[int]) -> int:
-    """Row-major index of a coordinate vector, last coordinate fastest."""
-    idx = 0
-    for c in coords:
-        idx = idx * q + c
-    return idx
-
-
 def vertex_coords(q: int, m: int, index: int) -> tuple[int, ...]:
-    """Inverse of vertex_index."""
+    """Coordinates of a row-major vertex index, last coordinate fastest."""
     out = []
     for _ in range(m):
         index, r = divmod(index, q)
@@ -115,19 +107,21 @@ def circle_translates(graph: UnitQuadranceGraph, u: int) -> np.ndarray:
 
 
 class UnitQuadranceGraph:
-    """D_q^m as its unit circle S (ascending indices); the neighbor rows are
-    built from S on first use, unless they were given.
+    """Cay(F_q^m, S) for a connection set S of vertex indices, in any order
+    (for D_q^m, the unit circle); the neighbor rows are built from S on first use.
 
-    The rows, chi and verify_coloring accept any symmetric connection set
-    at any m >= 1 (chi takes its construction witness at m >= 2 only when
-    it is proper on that set); triangle_count assumes the unit circle.
+    The rows, chi, verify_coloring and dense_spectrum accept any symmetric
+    connection set at any m >= 1 (chi takes its construction witness at
+    m >= 2 only when it is proper on that set, and dense_spectrum at
+    m >= 2 refuses a set that the signed coordinate permutations do not
+    keep); triangle_count assumes the unit circle.
     """
 
-    def __init__(self, ctx, m, connection_set, adjacency=None):
+    def __init__(self, ctx, m, connection_set):
         self.ctx = ctx
         self.m = m
         self.connection_set = connection_set
-        self._adjacency = adjacency
+        self._adjacency = None
 
     @property
     def adjacency(self) -> np.ndarray:

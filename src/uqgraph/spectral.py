@@ -4,8 +4,8 @@ The dense route splits the 0/1 adjacency matrix into one block per sign
 pattern of the coordinate flips x_j -> -x_j, solves one block per
 popcount, and splits that block in two by a coordinate swap that fixes
 its sign pattern, after checking that generators of the signed
-coordinate permutations are automorphisms of the built rows; it uses no
-character or field trace. The Cayley route is one FFT of the unit
+coordinate permutations keep the connection set; it uses no character
+or field trace. The Cayley route is one FFT of the unit
 circle's indicator over (Z_p)^(nm), the base-p digits of a vertex index
 (real because the circle is symmetric). Agreement of the two multisets
 validates the graph build and the vertex index layout, not the trace.
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NoConvergenceError, TooLargeError
 from .field import FieldCtx
-from .graph import unit_circle
+from .graph import circle_coords, unit_circle
 
 DENSE_MAX_VERTICES = 4096
 DEFAULT_TOL = 1e-6
@@ -113,7 +113,10 @@ def dense_spectrum(graph) -> Spectrum:
     blocks of equal popcount j are isospectral: only eps = 2**j - 1 is
     solved, counted C(m, j) times. Negating coordinate 0, swapping 0 and 1
     and cycling all coordinates generate B_m; each is first checked to be
-    an automorphism of the rows, or NoConvergenceError is raised.
+    an automorphism of the graph, or NoConvergenceError is raised. Each is
+    an automorphism g of the group (F_q^m, +), and such a g is one of
+    Cay(F_q^m, S) exactly when g(S) = S (Godsil and Royle, Algebraic Graph
+    Theory, ch. 3), so the check maps the |S| points of S, not N rows.
 
     A swap tau of two coordinates on which eps agrees maps representatives
     to representatives and keeps the block's support, eps . sigma and the
@@ -132,22 +135,20 @@ def dense_spectrum(graph) -> Spectrum:
     n = graph.n_vertices
     if n > DENSE_MAX_VERTICES:  # before the rows are read
         raise TooLargeError(f"{n} vertices exceed the dense bound {DENSE_MAX_VERTICES}")
-    ctx, m, rows = graph.ctx, graph.m, graph.adjacency
+    ctx, m = graph.ctx, graph.m
     neg = ctx.mul_vector(ctx.neg(1))
     places = ctx.q ** np.arange(m - 1, -1, -1)
-    coords = np.arange(n)[:, None] // places % ctx.q
-    generators = [  # as vertex permutations; at m = 2 the cycle is the swap
-        ("negating coordinate 0", np.column_stack((neg[coords[:, 0]], coords[:, 1:])) @ places),
-        ("swapping coordinates 0 and 1", coords[:, [1, 0, *range(2, m)]] @ places),
-        ("cycling the coordinates", np.roll(coords, 1, axis=1) @ places),
+    circle = circle_coords(graph)
+    generators = [  # images of S; at m = 2 the cycle is the swap
+        ("negating coordinate 0", np.column_stack((neg[circle[:, 0]], circle[:, 1:]))),
+        ("swapping coordinates 0 and 1", circle[:, [1, 0, *range(2, m)]]),
+        ("cycling the coordinates", np.roll(circle, 1, axis=1)),
     ][: 3 if m >= 3 else 2]
-    for name, g in generators:
-        g = g.astype(rows.dtype)
-        for lo in range(0, n, 256):  # 256 rows at a time, never a second N x |S| array
-            image = g[rows[lo : lo + 256]]
-            image.sort(axis=1)
-            if not np.array_equal(rows[g[lo : lo + 256]], image):  # row g(u) must be g(row u)
-                raise NoConvergenceError(f"{name} is not a graph automorphism")
+    for name, image in generators:  # sorted both sides: S need not be ascending
+        if not np.array_equal(np.sort(image @ places), np.sort(graph.connection_set)):
+            raise NoConvergenceError(f"{name} is not a graph automorphism")
+    rows = graph.adjacency
+    coords = np.arange(n)[:, None] // places % ctx.q
     bits = 1 << np.arange(m)
     sigma = (coords > neg[coords]) @ bits  # coordinates flipped from the representative
     orbit = np.minimum(coords, neg[coords]) @ places  # the representative

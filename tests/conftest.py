@@ -1,6 +1,6 @@
 """Shared helpers: cached graph construction, prime-power enumeration, a
-one-second alarm, the traced peak of a refused call and the per-vertex
-coloring file writer."""
+one-second alarm, the traced peak of a refused call, the per-vertex
+coloring file writer, and the scalar element and vertex-index oracles."""
 
 import signal
 import tracemalloc
@@ -18,6 +18,29 @@ def odd_prime_powers(lo: int, hi: int) -> list[int]:
         if decomposition and decomposition[0] != 2:
             out.append(q)
     return out
+
+
+def element(ctx, coeffs) -> int:
+    """Canonical code of the element with the given little-endian
+    coefficient vector: the inverse of ctx.coeffs, kept as an oracle."""
+    coeffs = tuple(coeffs)
+    if len(coeffs) != ctx.n:
+        raise ValueError(f"expected {ctx.n} coefficients, got {len(coeffs)}")
+    if any(not 0 <= c < ctx.p for c in coeffs):
+        raise ValueError(f"coefficients must lie in [0, {ctx.p})")
+    code = 0
+    for c in reversed(coeffs):
+        code = code * ctx.p + c
+    return code
+
+
+def vertex_index(q: int, coords) -> int:
+    """Row-major index of a coordinate vector, last coordinate fastest: the
+    inverse of vertex_coords, kept as an oracle."""
+    idx = 0
+    for c in coords:
+        idx = idx * q + c
+    return idx
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from conftest import field_for, graph_for
+from conftest import field_for, graph_for, vertex_index
 from uqgraph import (
     build_graph,
     cayley_spectrum,
@@ -16,7 +16,6 @@ from uqgraph import (
     hoffman_bound,
     verify_coloring,
     vertex_coords,
-    vertex_index,
 )
 from uqgraph import chi
 from uqgraph.chi import _neighbor_masks, _search_k_coloring
@@ -812,6 +811,12 @@ def test_masks_live_as_long_as_their_graph(monkeypatch):
     assert len(chi._MASKS) == kept
 
 
+def clashes_on_rows(graph, colors) -> bool:
+    """True when some row edge {u, v} of graph.adjacency has both ends
+    colored alike: the rows, not S, judge the witness."""
+    return bool((colors[graph.adjacency] == colors[:, None]).any())
+
+
 def line_quotient(q):
     """Cay(F_q, T) with T = {b*x - y : (x, y) in S}, b the smallest code
     with 1 + b**2 a nonsquare (so 0 is not in T), and the map
@@ -827,9 +832,11 @@ def line_quotient(q):
 
 def test_chi_of_the_13_cycle():
     """At m = 1 the unit circle is {1, -1}: D_13^1 is the 13-cycle."""
-    result = exact_chromatic(UnitQuadranceGraph(field_for(13), 1, np.array([1, 12])))
+    graph = UnitQuadranceGraph(field_for(13), 1, np.array([1, 12]))
+    result = exact_chromatic(graph)
     assert (result.status, result.lower, result.upper) == ("exact", 3, 3)
     assert result.witness.m == 1
+    assert not clashes_on_rows(graph, result.witness.colors)
 
 
 @pytest.mark.parametrize("q, expected, nodes", [(11, 6, 88), (13, 5, 12), (23, 8, 4616)])
@@ -837,6 +844,7 @@ def test_chi_of_line_quotients_lifts_to_the_plane(q, expected, nodes):
     quotient, f = line_quotient(q)
     result = exact_chromatic(quotient)
     assert (result.status, result.upper, result.nodes) == ("exact", expected, nodes)
+    assert not clashes_on_rows(quotient, result.witness.colors)
     lift = Coloring(q, 2, result.witness.colors[f], result.witness.k)
     assert verify_coloring(graph_for(q), lift) is None
 
@@ -850,7 +858,10 @@ def test_chi_takes_the_construction_witness_only_when_it_is_proper():
                  (vertex_coords(q, 2, u) for u in range(q * q))]
     graph = UnitQuadranceGraph(ctx, 2, np.flatnonzero(np.isin(quadrance, (1, 2))))
     assert len(graph.connection_set) == 24
-    assert verify_coloring(graph, chi._construction_seed(graph)) == (0, 14)
+    seed = chi._construction_seed(graph)
+    assert verify_coloring(graph, seed) == (0, 14)
+    assert clashes_on_rows(graph, seed.colors)  # the rows see the clash that S does
     result = exact_chromatic(graph, node_limit=1)
     assert verify_coloring(graph, result.witness) is None
+    assert not clashes_on_rows(graph, result.witness.colors)
     assert result.upper == result.witness.k == greedy_bound(graph).k

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_for, graph_for, odd_prime_powers, refused_peak
+from conftest import field_for, graph_for, odd_prime_powers, refused_peak, vertex_index
 from uqgraph import (
     Coloring,
     DimensionMismatchError,
@@ -27,7 +27,6 @@ from uqgraph import (
     unit_circle,
     verify_coloring,
     vertex_coords,
-    vertex_index,
 )
 from uqgraph.graph import circle_coords, circle_translates, coordinate_sums, decimal_names
 

@@ -25,7 +25,7 @@ from uqgraph import (
     write_spectrum,
 )
 from uqgraph import spectral
-from uqgraph.graph import UnitQuadranceGraph
+from uqgraph.graph import UnitQuadranceGraph, circle_coords
 from uqgraph.spectral import _halves, _swap
 
 
@@ -225,38 +225,58 @@ def test_each_block_splits_by_a_swap_that_fixes_its_sign_pattern(q, m, monkeypat
         assert split[1] == (sizes[1], sizes[1], 0)  # solved whole
 
 
-def renamed(graph, perm):
-    """The graph with vertex u renamed perm[u]."""
-    rows = np.empty_like(graph.adjacency)
-    rows[perm] = np.sort(perm[graph.adjacency], axis=1)
-    return UnitQuadranceGraph(graph.ctx, graph.m, graph.connection_set, rows)
+def row_automorphisms(graph):
+    """Oracle: the guard dense_spectrum ran before it mapped only S. For
+    each generator it checked, in its order, whether row g(u) is g(row u)
+    for every vertex u: a dict from the generator's name to that verdict."""
+    n = graph.n_vertices
+    ctx, m, rows = graph.ctx, graph.m, graph.adjacency
+    neg = ctx.mul_vector(ctx.neg(1))
+    places = ctx.q ** np.arange(m - 1, -1, -1)
+    coords = np.arange(n)[:, None] // places % ctx.q
+    generators = [  # as vertex permutations; at m = 2 the cycle is the swap
+        ("negating coordinate 0", np.column_stack((neg[coords[:, 0]], coords[:, 1:])) @ places),
+        ("swapping coordinates 0 and 1", coords[:, [1, 0, *range(2, m)]] @ places),
+        ("cycling the coordinates", np.roll(coords, 1, axis=1) @ places),
+    ][: 3 if m >= 3 else 2]
+    return {
+        name: np.array_equal(rows[g], np.sort(g.astype(rows.dtype)[rows], axis=1))
+        for name, g in generators
+    }
 
 
-def relabeled(graph, seed):
-    """The graph with its vertices renamed by a seeded permutation: the same
-    spectrum, but coordinate sign flips no longer act as automorphisms."""
-    perm = np.random.default_rng(seed).permutation(graph.n_vertices).astype(np.int32)
-    return renamed(graph, perm)
+def with_circle(graph, coords):
+    """The graph on the same field and dimension whose connection set is
+    the points with the given (|S|, m) coordinates."""
+    places = graph.q ** np.arange(graph.m - 1, -1, -1)
+    return UnitQuadranceGraph(graph.ctx, graph.m, np.sort(coords @ places))
+
+
+def sheared(graph, c):
+    """The graph on the image of S under (x0, x1, ...) -> (x0 + c*x1, x1, ...):
+    an automorphism of (F_q^m, +), so the same spectrum, but negating
+    coordinate 0 does not keep the image for c != 0."""
+    ctx, coords = graph.ctx, circle_coords(graph)
+    coords[:, 0] = ctx.add_arrays(coords[:, 0], ctx.mul_vector(c)[coords[:, 1]])
+    return with_circle(graph, coords)
 
 
 def doubled(graph, j):
-    """The graph with coordinate j of every vertex renamed 2 * x_j: the same
-    spectrum, and the sign flips still commute with the renaming, but a
-    coordinate permutation that moves j need not be an automorphism."""
-    ctx, m = graph.ctx, graph.m
-    places = ctx.q ** np.arange(m - 1, -1, -1)
-    coords = np.arange(graph.n_vertices)[:, None] // places % ctx.q
+    """The graph on the image of S under x_j -> 2 * x_j: the same spectrum,
+    and every sign flip still keeps the image, but a coordinate permutation
+    that moves j need not."""
+    ctx, coords = graph.ctx, circle_coords(graph)
     coords[:, j] = ctx.mul_vector(ctx.add(1, 1))[coords[:, j]]
-    return renamed(graph, (coords @ places).astype(np.int32))
+    return with_circle(graph, coords)
 
 
 @pytest.mark.parametrize("q, m", [(7, 2), (5, 3)])
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_dense_rejects_graph_whose_flips_are_not_automorphisms(q, m, seed):
-    graph = relabeled(graph_for(q, m), seed)
+@pytest.mark.parametrize("c", [1, 2, 3])
+def test_dense_rejects_graph_whose_flips_are_not_automorphisms(q, m, c):
+    graph = sheared(graph_for(q, m), c)
     expected = full_matrix_eigenvalues(graph_for(q, m))
     assert np.max(np.abs(full_matrix_eigenvalues(graph) - expected)) < 1e-9
-    with pytest.raises(NoConvergenceError, match="not a graph automorphism"):
+    with pytest.raises(NoConvergenceError, match="negating coordinate 0 is not a graph automorphism"):
         dense_spectrum(graph)
 
 
@@ -272,30 +292,33 @@ def test_dense_rejects_graph_whose_coordinate_permutations_are_not_automorphisms
         dense_spectrum(graph)
 
 
-def switched(graph):
-    """The graph with edges {a, b} and {c, d} among its last vertices replaced
-    by {a, c} and {b, d}: every degree kept, and no longer a Cayley graph,
-    though only four rows differ, all far from vertex 0."""
-    rows = graph.adjacency.copy()
-    a = len(rows) - 1
-    for c in range(a - 1, 0, -1):
-        if c in rows[a]:
-            continue
-        for b in rows[a][::-1]:
-            d = next((d for d in rows[c][::-1] if d != b and d not in rows[b]), None)
-            if d is not None:
-                for u, old, new in ((a, b, c), (b, a, d), (c, d, a), (d, c, b)):
-                    rows[u][rows[u] == old] = new
-                    rows[u].sort()
-                return UnitQuadranceGraph(graph.ctx, graph.m, graph.connection_set, rows)
+@pytest.mark.parametrize("q, m", [
+    (3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2), (49, 2),
+    (3, 3), (5, 3), (7, 3), (9, 3), (13, 3), (3, 4), (5, 4), (7, 4), (3, 5),
+])
+def test_symmetry_check_on_the_circle_agrees_with_the_row_oracle(q, m):
+    unit = graph_for(q, m)
+    graphs = [unit, sheared(unit, 1), *(doubled(unit, j) for j in range(m))]
+    verdicts = []
+    for graph in graphs:
+        failing = [name for name, kept in row_automorphisms(graph).items() if not kept]
+        if failing:
+            with pytest.raises(NoConvergenceError, match=f"^{failing[0]} is not a graph automorphism$"):
+                dense_spectrum(graph)
+        else:
+            assert dense_spectrum(graph).n == q**m
+        verdicts.append(not failing)
+    assert verdicts[:2] == [True, False]  # the unit circle passes, its shear does not
+    if q == 3:  # 2 = -1 in F_3: doubling a coordinate is its sign flip
+        assert all(verdicts[2:])
 
 
-@pytest.mark.parametrize("q, m", [(7, 2), (5, 4), (3, 7)])
-def test_dense_rejects_a_switch_among_the_last_vertices(q, m):
-    graph = switched(graph_for(q, m))
-    assert (np.diff(graph.adjacency, axis=1) > 0).all()
-    with pytest.raises(NoConvergenceError, match="not a graph automorphism"):
-        dense_spectrum(graph)
+def test_dense_accepts_a_connection_set_in_any_order():
+    graph = graph_for(7, 3)
+    shuffled = np.random.default_rng(7).permutation(graph.connection_set)
+    other = UnitQuadranceGraph(graph.ctx, graph.m, shuffled)
+    assert np.array_equal(other.adjacency, graph.adjacency)
+    assert np.array_equal(dense_spectrum(other).eigenvalues, dense_spectrum(graph).eigenvalues)
 
 
 @pytest.mark.parametrize("q, m, sizes", [
