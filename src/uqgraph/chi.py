@@ -25,11 +25,18 @@ N**2 / 8 bytes in all, built once per graph for the greedy descent and
 every round. forbid[c] holds the uncolored vertices with a neighbor of
 color c (exact on uncolored vertices only), and saturation is a
 bit-sliced counter over them. Coloring v with c touches
-nbr[v] & uncolored & ~forbid[c]; the next vertex is the lowest bit of
-the counter's maximum, and a try is dead when that vertex has no
-allowed color. A frame with a second color to try keeps forbid and
-max_used as they were before its first try, and a retry restores them
-and rebuilds the counter; a popped frame only returns its vertex.
+nbr[v] & uncolored & ~forbid[c]. The next vertex is the lowest bit of the
+counter's maximum, narrowed from the top slice down; the slices that
+narrow it spell its saturation level. forbid[c] is empty above max_used,
+so that vertex has, with no scan, (max_used + 1 - level) +
+(max_used + 1 < k) free colors; a try is dead when it has none. A frame
+holds its vertex, its last color tried and the count left; each try scans
+forbid upward from the last color tried. A frame with a second color
+keeps forbid and max_used as they were before its first try. A retry
+restores them, so its scan sees the sets its count came from, and
+rebuilds the counter from forbid[c] & uncolored (a kept counter would pin
+width more N-bit ints per frame, some 1 GB at q = 251). A dead end pops
+the frames with no color left; a found coloring is read off the stack.
 """
 
 from __future__ import annotations
@@ -41,17 +48,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .construction import (
-    Coloring,
-    build_coloring_md,
-    make_plan,
-    verify_coloring,
-)
-from .errors import (
-    ConstructionUnavailableError,
-    InvalidPlanError,
-    NoSlopeExistsError,
-)
+from .construction import Coloring, build_coloring_md, make_plan, verify_coloring
+from .errors import ConstructionUnavailableError, InvalidPlanError, NoSlopeExistsError
 
 DEFAULT_TIME_LIMIT = 60.0
 DEFAULT_NODE_LIMIT = 10**8
@@ -196,70 +194,71 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
     snapshots = k <= max_degree
     k = min(k, max_degree + 1)  # no vertex's lowest free color exceeds its degree
     width = k.bit_length()
-    colors = [0] * n
+    slices = [(j, 1 << j) for j in reversed(range(width))]
     forbid = [0] * k  # forbid[c]: uncolored vertices with a neighbor of color c
     sat = [0] * width  # bit j of each uncolored vertex's saturation
     unc = (1 << n) - 2  # uncolored, less rank 0: the first frame's vertex
     max_used = -1
-    retry = False
-    # frame: [rank, colors left to try, (forbid, max_used) before its first try]
-    stack = [[0, 1, None]]
-    while stack:
-        frame = stack[-1]
-        r, rem, saved = frame
-        if rem == 0:
-            stack.pop()
-            unc |= 1 << r
-            retry = True
-            continue
-        if retry:  # only a frame with a second color gets here, and it kept a snapshot
-            forbid, max_used = list(saved[0]), saved[1]
-            sat = [0] * width
-            for f in forbid[: max_used + 1]:
-                _add_one(sat, f & unc)
-            retry = False
-        bit = rem & -rem
-        c = bit.bit_length() - 1
-        frame[1] = rem ^ bit
+    check = min(node_limit, (nodes | 1023) + 1)  # the next node that reads the budget
+    # frame: [rank, last color tried, colors left, (forbid, max_used) before its first try]
+    frame = [0, -1, 1, None]
+    stack = [frame]
+    while True:
+        r, c, left, _ = frame
+        low = 1 << r
+        c += 1
+        while forbid[c] & low:
+            c += 1
+        frame[1] = c
+        frame[2] = left - 1
         nodes += 1
-        if nodes >= node_limit or (
-            (nodes & 1023) == 0 and perf_counter() > deadline
-        ):
-            return "budget", None, nodes
-        colors[vertex[r]] = c
+        if nodes >= check:
+            if nodes >= node_limit or perf_counter() > deadline:
+                return "budget", None, nodes
+            check = min(node_limit, nodes + 1024)
         if c > max_used:
             max_used = c
         f = forbid[c]
-        touched = nbr[r] & unc & ~f
-        forbid[c] = f | touched
-        _add_one(sat, touched)
+        carry = nbr[r] & unc & ~f
+        forbid[c] = f | carry
+        j = 0
+        while carry:  # add 1 to the counters of the vertices in carry
+            s = sat[j]
+            sat[j] = s ^ carry
+            carry &= s
+            j += 1
         if not unc:
-            witness = Coloring(
-                q=graph.q,
-                m=graph.m,
-                colors=np.array(colors, dtype=np.int64),
-                k=max_used + 1,
-            )
+            colors = [0] * n
+            for r, c, *_ in stack:
+                colors[vertex[r]] = c
+            witness = Coloring(graph.q, graph.m, np.array(colors, dtype=np.int64), max_used + 1)
             return "found", witness, nodes
         best = unc  # narrowed to the uncolored vertices of highest saturation
-        for s in reversed(sat):
-            top = best & s
+        level = 0
+        for j, weight in slices:
+            top = best & sat[j]
             if top:
                 best = top
-        low = best & -best
-        allowed = 0
-        for c in range(min(max_used + 2, k)):
-            if not forbid[c] & low:
-                allowed |= 1 << c
-                if not snapshots:  # a frame that never retries tries only its lowest color
-                    break
-        if allowed == 0:  # the most saturated vertex sees all k colors: this try is dead
-            retry = True
+                level += weight
+        free = max_used + 1 - level + (max_used + 1 < k)
+        if free == 0:  # the most saturated vertex sees all k colors: this try is dead
+            while not frame[2]:  # a frame with no color left returns its vertex
+                stack.pop()
+                if not stack:
+                    return "none", None, nodes
+                unc |= 1 << frame[0]
+                frame = stack[-1]
+            # only a frame with a second color gets here, and it kept a snapshot
+            forbid, max_used = list(frame[3][0]), frame[3][1]
+            sat = [0] * width
+            for f in forbid[: max_used + 1]:
+                _add_one(sat, f & unc)
             continue
+        low = best & -best
         unc ^= low
-        saved = (tuple(forbid), max_used) if snapshots and allowed & (allowed - 1) else None
-        stack.append([low.bit_length() - 1, allowed, saved])
-    return "none", None, nodes
+        saved = (tuple(forbid), max_used) if snapshots and free > 1 else None
+        frame = [low.bit_length() - 1, -1, free, saved]
+        stack.append(frame)
 
 
 def exact_chromatic(

@@ -110,11 +110,11 @@ class UnitQuadranceGraph:
     """Cay(F_q^m, S) for a connection set S of vertex indices, in any order
     (for D_q^m, the unit circle); the neighbor rows are built from S on first use.
 
-    The rows, chi, verify_coloring and dense_spectrum accept any symmetric
-    connection set at any m >= 1 (chi takes its construction witness at
-    m >= 2 only when it is proper on that set, and dense_spectrum at
-    m >= 2 refuses a set that the signed coordinate permutations do not
-    keep); triangle_count assumes the unit circle.
+    The rows, chi and verify_coloring accept any symmetric connection set
+    at any m >= 1; chi takes its construction witness at m >= 2 only when
+    it is proper on that set. dense_spectrum raises DimensionTooSmallError
+    at m = 1 and refuses a set that the signed coordinate permutations do
+    not keep; triangle_count assumes the unit circle.
     """
 
     def __init__(self, ctx, m, connection_set):

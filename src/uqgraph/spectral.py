@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NoConvergenceError, TooLargeError
 from .field import FieldCtx
-from .graph import circle_coords, unit_circle
+from .graph import circle_coords, unit_circle, vertex_count
 
 DENSE_MAX_VERTICES = 4096
 DEFAULT_TOL = 1e-6
@@ -135,6 +135,7 @@ def dense_spectrum(graph) -> Spectrum:
     n = graph.n_vertices
     if n > DENSE_MAX_VERTICES:  # before the rows are read
         raise TooLargeError(f"{n} vertices exceed the dense bound {DENSE_MAX_VERTICES}")
+    vertex_count(graph.q, graph.m, what="dense spectra")  # m >= 2: a swap needs two coordinates
     ctx, m = graph.ctx, graph.m
     neg = ctx.mul_vector(ctx.neg(1))
     places = ctx.q ** np.arange(m - 1, -1, -1)

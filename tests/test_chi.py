@@ -303,7 +303,7 @@ def search_outcomes(search, graph):
     to the greedy bound and every node limit, with no deadline."""
     out = []
     for k in range(2, greedy_bound(graph).k + 1):
-        for node_limit in (1, 500, 5000):
+        for node_limit in (1, 500, 1023, 1024, 1025, 5000):
             status, found, nodes = search(graph, k, float("inf"), node_limit, 0)
             colors = None if found is None else found.colors.tolist()
             out.append((k, node_limit, status, nodes, colors))
@@ -455,6 +455,32 @@ def test_bitset_search_matches_memoryview_oracle_when_retries_dominate():
     new = _search_k_coloring(g, 4, float("inf"), 20000, 0)
     assert new == memoryview_search_k_coloring(g, 4, float("inf"), 20000, 0)
     assert new == ("budget", None, 20000)
+
+
+def test_budget_stops_at_the_first_multiple_of_1024_past_a_deadline():
+    """The deadline is read at every node whose cumulative count is a
+    multiple of 1024, wherever the round's count starts."""
+    g = graph_for(13)
+    starts = (0, 1000, 1023, 1024, 5000)
+    stops = [_search_k_coloring(g, 4, float("-inf"), float("inf"), s) for s in starts]
+    assert stops == [("budget", None, n) for n in (1024, 1024, 1024, 2048, 5120)]
+    assert stops == [
+        memoryview_search_k_coloring(g, 4, float("-inf"), float("inf"), s) for s in starts
+    ]
+
+
+def test_found_witness_matches_memoryview_oracle_on_both_sides_of_the_snapshot_rule():
+    """k = max degree keeps a snapshot in every frame with two free colors;
+    k = max degree + 1 keeps none. Each search colors every vertex, and the
+    witness read off the stack is the oracle's."""
+    for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs()):
+        max_degree = max(len(g.neighbors_of(u)) for u in range(g.n_vertices))
+        for k in (max_degree, max_degree + 1):
+            new = _search_k_coloring(g, k, float("inf"), float("inf"), 0)
+            old = memoryview_search_k_coloring(g, k, float("inf"), float("inf"), 0)
+            assert new[0] == old[0] == "found" and new[2] == old[2]
+            assert new[1].k == old[1].k
+            assert np.array_equal(new[1].colors, old[1].colors)
 
 
 def masks_one_vertex_at_a_time(graph):

@@ -10,6 +10,7 @@ import pytest
 from conftest import field_for, graph_for, refused_peak, within_a_second
 from uqgraph import (
     DegenerateSpectrumError,
+    DimensionTooSmallError,
     NoConvergenceError,
     Spectrum,
     cayley_spectrum,
@@ -311,6 +312,15 @@ def test_symmetry_check_on_the_circle_agrees_with_the_row_oracle(q, m):
     assert verdicts[:2] == [True, False]  # the unit circle passes, its shear does not
     if q == 3:  # 2 = -1 in F_3: doubling a coordinate is its sign flip
         assert all(verdicts[2:])
+
+
+def test_dense_refuses_dimension_one_before_reading_rows():
+    """At m = 1 the unit circle {1, -1} of F_13 gives the 13-cycle, which has
+    no coordinates to swap or cycle."""
+    graph = UnitQuadranceGraph(make_field(13), 1, np.array([1, 12]))
+    with pytest.raises(DimensionTooSmallError, match="^dense spectra need dimension >= 2$"):
+        dense_spectrum(graph)
+    assert graph._adjacency is None
 
 
 def test_dense_accepts_a_connection_set_in_any_order():
