@@ -13,8 +13,9 @@ build, chi, report and dense spectrum); the triangle count and the
 coloring check (construction.verify_coloring) read only S, so color,
 verify and triangles never build them. Every edge lies on the same number
 lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
-DIMACS export writes the edges as ASCII bytes in blocks of fixed-width
-records, so its memory stays flat.
+DIMACS export writes each edge as two 8-byte words, a head 'e U ' and a
+tail 'V' plus a newline, in blocks of at most 2**17 edges, so its own
+memory stays flat.
 """
 
 from __future__ import annotations
@@ -219,16 +220,39 @@ def write_ascii(sink, data: bytes) -> None:
         sink.write(data.decode("ascii"))
 
 
+def dimacs_words(n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
+    """Little-endian uint64 words head[u] = 'e U ' and tail[v] = 'V\\n' for
+    the 1-based names U = u + 1 and V = v + 1, NUL-padded to 8 bytes.
+
+    The vertex bound keeps a name to five digits, and b"e 65536 " is 8 bytes.
+    """
+    names = decimal_names(1, n_vertices + 1)
+    width = names.dtype.itemsize
+    digits = names.view(np.uint8).reshape(-1, width)
+    head = np.zeros((len(names), 8), dtype=np.uint8)
+    head[:, :2] = np.frombuffer(b"e ", dtype=np.uint8)
+    head[:, 2 : 2 + width] = digits
+    head[:, 2 + width] = ord(" ")
+    tail = np.zeros((len(names), 8), dtype=np.uint8)
+    tail[:, :width] = digits
+    tail[:, width] = ord("\n")
+    return head.view("<u8").ravel(), tail.view("<u8").ravel()
+
+
 def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
     """Write the graph in DIMACS coloring format.
 
     Header comments record q, p, n, m and the field modulus; edges are
     1-based, u < v, in lexicographic order. The sink may be a binary or a
-    text stream. Edges are written in blocks of at most 2**18 fixed-width
-    'e U V' records (a block holds 2**18 // |S| rows, and a low vertex
-    leads on nearly all of its edges), gathered from one table of vertex
-    names into one record buffer and stripped of their NUL padding.
+    text stream. A graph above DEFAULT_MAX_VERTICES raises TooLargeError
+    before any row is read. Edges are written in blocks of at most 2**17
+    lines (a block holds 2**17 // |S| rows): each edge is a head word of
+    u and a tail word of v from dimacs_words, and each block is stripped
+    of its NUL padding. Memory stays flat in the blocks, but not in the
+    (N, |S|) int32 rows they read.
     """
+    if graph.n_vertices > DEFAULT_MAX_VERTICES:
+        raise TooLargeError(f"{graph.n_vertices} vertices exceed the bound {DEFAULT_MAX_VERTICES}")
     ctx = graph.ctx
     header = (
         "c unit-quadrance graph\n"
@@ -236,21 +260,17 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
         f"c modulus={','.join(str(c) for c in ctx.modulus)}\n"
         f"p edge {graph.n_vertices} {graph.n_edges}\n"
     )
-    names = decimal_names(1, graph.n_vertices + 1)
-    record = np.dtype(
-        [("e", "S2"), ("u", names.dtype), ("sp", "S1"), ("v", names.dtype), ("nl", "S1")]
-    )
-    step = max(1, (1 << 18) // graph.degree)  # rows per block
-    edges = np.empty(min(step * graph.degree, graph.n_edges), dtype=record)
-    edges["e"], edges["sp"], edges["nl"] = b"e ", b" ", b"\n"  # each block fills a prefix
+    head, tail = dimacs_words(graph.n_vertices)
+    step = max(1, (1 << 17) // graph.degree)  # rows per block
+    edges = np.empty(min(step * graph.degree, graph.n_edges), dtype=[("u", "<u8"), ("v", "<u8")])
     try:
         write_ascii(sink, header.encode("ascii"))
         for start in range(0, graph.n_vertices, step):
             rows = graph.adjacency[start : start + step]
             later = rows > np.arange(start, start + len(rows))[:, None]
             block = edges[: np.count_nonzero(later)]
-            block["u"] = np.repeat(names[start : start + len(rows)], later.sum(axis=1))
-            block["v"] = names[rows[later]]
+            block["u"] = np.repeat(head[start : start + len(rows)], later.sum(axis=1))
+            block["v"] = tail[rows[later]]
             write_ascii(sink, block.tobytes().translate(None, b"\0"))  # deletes the padding
     except (OSError, ValueError, AttributeError) as exc:
         raise IOFailureError(f"could not write DIMACS output: {exc}") from exc

@@ -15,11 +15,13 @@ from uqgraph import (
     DimensionTooSmallError,
     FieldCtx,
     IOFailureError,
+    UnitQuadranceGraph,
     build_coloring_md,
     build_graph,
     cayley_spectrum,
     degree_formula,
     export_dimacs,
+    make_field,
     make_plan,
     quadrance,
     triangle_count,
@@ -28,7 +30,14 @@ from uqgraph import (
     verify_coloring,
     vertex_coords,
 )
-from uqgraph.graph import circle_coords, circle_translates, coordinate_sums, decimal_names
+from uqgraph.graph import (
+    circle_coords,
+    circle_translates,
+    coordinate_sums,
+    decimal_names,
+    dimacs_words,
+    write_ascii,
+)
 
 
 def test_quadrance_examples():
@@ -364,6 +373,56 @@ def test_decimal_names_match_numpy_string_cast(start):
     assert decimal_names(1000, 1003).tolist() == [b"1000", b"1001", b"1002"]
 
 
+def test_dimacs_words_hold_the_largest_name_in_eight_bytes():
+    head, tail = dimacs_words(65536)
+    assert head.dtype == tail.dtype == np.dtype("<u8") and len(head) == len(tail) == 65536
+    assert head[65535:].tobytes().translate(None, b"\0") == b"e 65536 "
+    assert tail[65535:].tobytes().translate(None, b"\0") == b"65536\n"
+    # a name is NUL-padded to the widest one before its space or newline
+    assert head[:1].tobytes() == b"e 1\0\0\0\0 " and tail[:1].tobytes() == b"1\0\0\0\0\n\0\0"
+
+
+def test_export_dimacs_refuses_a_graph_above_the_vertex_bound_before_reading_rows():
+    # 3**11 vertices: six-digit names would not fit a word
+    graph = UnitQuadranceGraph(make_field(3), 11, np.array([1, 2]))
+    assert refused_peak(export_dimacs, graph, io.BytesIO()) < 1 << 20
+    assert graph._adjacency is None
+
+
+class LineCounter:
+    """A binary sink that keeps only the number of lines in each write."""
+
+    def __init__(self):
+        self.lines = []
+
+    def write(self, data):
+        self.lines.append(data.count(b"\n"))
+
+
+@pytest.mark.parametrize("q, m", [(127, 2), (7, 4)])
+def test_export_dimacs_writes_at_most_2_17_edge_lines_at_once(q, m):
+    graph = graph_for(q, m)
+    sink = LineCounter()
+    export_dimacs(graph, sink)
+    header, *blocks = sink.lines
+    assert header == 4 and sum(blocks) == graph.n_edges
+    assert max(blocks) <= 1 << 17
+    assert len(blocks) == -(-graph.n_vertices // ((1 << 17) // graph.degree))
+
+
+def test_export_dimacs_memory_stays_below_8_mib_beside_the_rows_at_q127():
+    graph = graph_for(127)
+    graph.adjacency  # the 8.3 MB rows are built before tracing
+    tracemalloc.start()
+    try:
+        export_dimacs(graph, LineCounter())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the fixed-width record blocks of up to 245 284 records peaked at 10.4 MiB
+    assert peak < 8 * 2**20
+
+
 def test_export_dimacs_failure():
     closed = io.StringIO()
     closed.close()
@@ -382,9 +441,9 @@ def test_unit_circle_lies_at_quadrance_one():
         assert unit_circle(ctx, m).tolist() == at_one
 
 
-# The column-by-column unit circle and neighbor-row builds and the per-row
-# DIMACS writer that the per-coordinate broadcasts and the block writer
-# replaced, kept as oracles.
+# The column-by-column unit circle and neighbor-row builds, the per-row
+# DIMACS writer and the fixed-width record writer that the per-coordinate
+# broadcasts and the word writer replaced, kept as oracles.
 
 
 def _digit_columns(q, m, n_vertices):
@@ -416,14 +475,18 @@ def adjacency_by_columns(ctx, m, circle):
     return adjacency
 
 
-def export_dimacs_by_rows(graph, sink, binary):
+def dimacs_header(graph):
     ctx = graph.ctx
-    header = (
+    return (
         "c unit-quadrance graph\n"
         f"c q={ctx.q} p={ctx.p} n={ctx.n} m={graph.m}\n"
         f"c modulus={','.join(str(c) for c in ctx.modulus)}\n"
         f"p edge {graph.n_vertices} {graph.n_edges}\n"
     )
+
+
+def export_dimacs_by_rows(graph, sink, binary):
+    header = dimacs_header(graph)
     sink.write(header.encode("ascii") if binary else header)
     names = [str(v + 1) for v in range(graph.n_vertices)]
     for u, row in enumerate(graph.adjacency):
@@ -434,23 +497,44 @@ def export_dimacs_by_rows(graph, sink, binary):
             sink.write(text.encode("ascii") if binary else text)
 
 
-# q = 121 and (13, 3) write several DIMACS blocks, the last one partial.
+def export_dimacs_by_fixed_records(graph, sink):
+    names = decimal_names(1, graph.n_vertices + 1)
+    record = np.dtype(
+        [("e", "S2"), ("u", names.dtype), ("sp", "S1"), ("v", names.dtype), ("nl", "S1")]
+    )
+    step = max(1, (1 << 18) // graph.degree)  # rows per block
+    edges = np.empty(min(step * graph.degree, graph.n_edges), dtype=record)
+    edges["e"], edges["sp"], edges["nl"] = b"e ", b" ", b"\n"  # each block fills a prefix
+    write_ascii(sink, dimacs_header(graph).encode("ascii"))
+    for start in range(0, graph.n_vertices, step):
+        rows = graph.adjacency[start : start + step]
+        later = rows > np.arange(start, start + len(rows))[:, None]
+        block = edges[: np.count_nonzero(later)]
+        block["u"] = np.repeat(names[start : start + len(rows)], later.sum(axis=1))
+        block["v"] = names[rows[later]]
+        write_ascii(sink, block.tobytes().translate(None, b"\0"))  # deletes the padding
+
+
+# q = 101, 121, 127 and (13, 3) write several DIMACS blocks, the last one
+# partial; names cross 9999 -> 10000 at q = 101. At m = 1 the unit circle
+# {1, -1} of F_13 gives the 13-cycle, which build_graph refuses.
 @pytest.mark.parametrize(
     "q, m",
-    [(3, 2), (5, 2), (9, 2), (11, 2), (25, 2), (27, 2), (49, 2), (121, 2),
-     (3, 3), (5, 3), (13, 3), (7, 4)],
+    [(3, 2), (5, 2), (9, 2), (11, 2), (25, 2), (27, 2), (49, 2), (101, 2), (121, 2), (127, 2),
+     (3, 3), (5, 3), (13, 3), (7, 4), (13, 1)],
 )
 def test_build_and_export_match_column_and_row_oracles(q, m):
     ctx = field_for(q)
-    graph = build_graph(ctx, m)
     circle = unit_circle_by_columns(ctx, m)
+    graph = build_graph(ctx, m) if m >= 2 else UnitQuadranceGraph(ctx, m, circle)
     assert np.array_equal(graph.connection_set, circle)
     assert graph.adjacency.dtype == np.int32
     assert graph.adjacency.flags.c_contiguous
     assert graph.adjacency.nbytes == q**m * len(circle) * 4
     assert np.array_equal(graph.adjacency, adjacency_by_columns(ctx, m, circle))
     for binary, stream in ((False, io.StringIO), (True, io.BytesIO)):
-        sink, expected = stream(), stream()
+        sink, expected, records = stream(), stream(), stream()
         export_dimacs(graph, sink)
         export_dimacs_by_rows(graph, expected, binary)
-        assert sink.getvalue() == expected.getvalue()
+        export_dimacs_by_fixed_records(graph, records)
+        assert sink.getvalue() == expected.getvalue() == records.getvalue()
