@@ -29,6 +29,11 @@ class DimensionTooSmallError(UQGraphError, ValueError):
     """Graphs and quadrances need dimension at least 2."""
 
 
+class InvalidConnectionSetError(UQGraphError, ValueError):
+    """A connection set is empty, holds an index outside the vertices, or
+    is not closed under negation."""
+
+
 class IOFailureError(UQGraphError):
     """Writing to the supplied sink failed."""
 

@@ -312,12 +312,17 @@ class FieldCtx:
         chars[0] = 0
         return chars
 
+    def power_vector(self, e: int) -> np.ndarray:
+        """powers[x] = x**e for every code x, for e >= 1."""
+        exp, log = self._log_tables()
+        powers = exp[log * e % (self.q - 1)]
+        powers[0] = 0  # log is -1 at zero
+        return powers
+
     def square_vector(self) -> np.ndarray:
         """squares[x] = x*x for every code x."""
         if self._squares is None:
-            exp, log = self._log_tables()
-            self._squares = exp[2 * log % (self.q - 1)]
-            self._squares[0] = 0
+            self._squares = self.power_vector(2)
         return self._squares
 
     def trace_vector(self) -> np.ndarray:

@@ -5,13 +5,15 @@ element codes, last coordinate fastest; two points are adjacent exactly
 when their quadrance (the sum of squared coordinate differences) is 1.
 Adjacency is a Cayley structure on the additive group: u ~ v exactly when
 v - u lies on the unit circle S, which is one ascending array of vertex
-indices. A graph is S and nothing else; its (N, |S|) int32 array of sorted
-neighbor rows u + S is a cache, grown one coordinate at a time from digit
-sums of the field codes the first time `adjacency` is read. DIMACS export,
-the chromatic search and the dense spectrum read the rows (the CLI's
-build, chi, report and dense spectrum); the triangle count and the
-coloring check (construction.verify_coloring) read only S, so color,
-verify and triangles never build them. Every edge lies on the same number
+indices. A graph is S and nothing else, and its constructor refuses an S
+that is empty, leaves the vertices or is not closed under negation. Its
+(N, |S|) int32 array of sorted neighbor rows u + S is a cache, grown one
+coordinate at a time from digit sums of the field codes the first time
+`adjacency` is read. Only DIMACS export and the chromatic search read the
+rows (the CLI's build, chi and report); the triangle count, the coloring
+check (construction.verify_coloring) and the dense spectrum read S and
+its translates u + S, so color, verify, triangles and spectrum never
+build them. Every edge lies on the same number
 lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
 DIMACS export writes each edge as two 8-byte words, a head 'e U ' and a
 tail 'V' plus a newline, in blocks of at most 2**17 edges, so its own
@@ -27,6 +29,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     DimensionTooSmallError,
+    InvalidConnectionSetError,
     IOFailureError,
     TooLargeError,
 )
@@ -100,22 +103,36 @@ def circle_coords(graph: UnitQuadranceGraph) -> np.ndarray:
     return graph.connection_set[:, None] // graph.q ** np.arange(graph.m - 1, -1, -1) % graph.q
 
 
-def circle_translates(graph: UnitQuadranceGraph, u: int) -> np.ndarray:
-    """u + s for every s in the unit circle, in circle order: the neighbors of u."""
+def circle_translates(graph: UnitQuadranceGraph, vertices) -> np.ndarray:
+    """u + s for each vertex u and every s in the unit circle, in circle order:
+    the neighbors of u. vertices is one index, giving shape (|S|,), or an
+    array of them, giving one more axis of length |S|. Per coordinate, the
+    field sums a + s_j are formed once for each value a that the vertices
+    take there, then gathered."""
     q, m = graph.q, graph.m
-    coords = graph.ctx.add_arrays(np.array(vertex_coords(q, m, u)), circle_coords(graph))
-    return coords @ q ** np.arange(m - 1, -1, -1)
+    coords = np.asarray(vertices)[..., None] // q ** np.arange(m - 1, -1, -1) % q
+    translates = 0
+    for j, column in enumerate(circle_coords(graph).T):
+        taken = np.zeros(q, dtype=bool)
+        taken[coords[..., j]] = True
+        sums = graph.ctx.add_arrays(np.flatnonzero(taken)[:, None], column)
+        translates = translates * q + sums[np.cumsum(taken)[coords[..., j]] - 1]
+    return translates
 
 
 class UnitQuadranceGraph:
     """Cay(F_q^m, S) for a connection set S of vertex indices, in any order
-    (for D_q^m, the unit circle); the neighbor rows are built from S on first use.
+    (for D_q^m, the unit circle); the neighbor rows are built from S on first
+    use, and only DIMACS export and chi read them.
 
-    The rows, chi and verify_coloring accept any symmetric connection set
-    at any m >= 1; chi takes its construction witness at m >= 2 only when
-    it is proper on that set. dense_spectrum raises DimensionTooSmallError
-    at m = 1 and refuses a set that the signed coordinate permutations do
-    not keep; triangle_count assumes the unit circle.
+    S must be a nonempty array of indices in [0, q**m) with -S = S, or
+    InvalidConnectionSetError is raised before any reader runs; -S comes
+    from the digit table, not from scalar field calls. The rows, chi and
+    verify_coloring accept any such set at any m >= 1; chi takes its
+    construction witness at m >= 2 only when it is proper on that set.
+    dense_spectrum raises DimensionTooSmallError at m = 1 and refuses a set
+    that the signed coordinate permutations do not keep; triangle_count
+    assumes the unit circle.
     """
 
     def __init__(self, ctx, m, connection_set):
@@ -123,6 +140,19 @@ class UnitQuadranceGraph:
         self.m = m
         self.connection_set = connection_set
         self._adjacency = None
+        n = self.n_vertices
+        if not len(connection_set):
+            raise InvalidConnectionSetError("the connection set is empty")
+        outside = connection_set[(connection_set < 0) | (connection_set >= n)]
+        if len(outside):
+            raise InvalidConnectionSetError(
+                f"connection set index {outside[0]} is outside the vertices [0, {n})"
+            )
+        digits = ctx.digits_matrix()[circle_coords(self)].astype(np.int64)  # (|S|, m, n)
+        codes = (ctx.p - digits) % ctx.p @ ctx.p ** np.arange(ctx.n)  # -x, digit by digit
+        negated = codes @ self.q ** np.arange(m - 1, -1, -1)
+        if set(negated.tolist()) != set(connection_set.tolist()):  # S in any order
+            raise InvalidConnectionSetError("the connection set is not closed under negation")
 
     @property
     def adjacency(self) -> np.ndarray:

@@ -1,11 +1,14 @@
 """Spectra of unit-quadrance graphs, computed two independent ways.
 
 The dense route splits the 0/1 adjacency matrix into one block per sign
-pattern of the coordinate flips x_j -> -x_j, solves one block per
-popcount, and splits that block in two by a coordinate swap that fixes
-its sign pattern, after checking that generators of the signed
-coordinate permutations keep the connection set; it uses no character
-or field trace. The Cayley route is one FFT of the unit
+pattern of the coordinate flips x_j -> -x_j and solves one block per
+popcount, after checking that generators of the signed coordinate
+permutations keep the connection set. It splits that block into up to
+four components by a coordinate swap that fixes its sign pattern and, for
+q = p**n with n even, the Galois involution x -> x**(p**(n/2)) when that
+keeps the connection set. Each component is summed from the translates
+r + S of representatives r, never from the neighbor rows; the route uses
+no character or field trace. The Cayley route is one FFT of the unit
 circle's indicator over (Z_p)^(nm), the base-p digits of a vertex index
 (real because the circle is symmetric). Agreement of the two multisets
 validates the graph build and the vertex index layout, not the trace.
@@ -22,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NoConvergenceError, TooLargeError
 from .field import FieldCtx
-from .graph import circle_coords, unit_circle, vertex_count
+from .graph import circle_coords, circle_translates, unit_circle, vertex_count
 
 DENSE_MAX_VERTICES = 4096
 DEFAULT_TOL = 1e-6
@@ -75,32 +78,50 @@ def _swap(m: int, j: int) -> np.ndarray:
     return order
 
 
-def _halves(top, tau) -> list[np.ndarray]:
-    """B+ and B-: the symmetric block B in the orthonormal bases
-    (e_r + e_tau(r))/sqrt(2) then e_f, and (e_r - e_tau(r))/sqrt(2), for the
-    r < tau(r) and the f = tau(f) in index order. tau is an involution of
-    B's indices with B[tau(r), tau(k)] = B[r, k], so B has no entry between
-    the two bases and eig(B) = eig(B+) u eig(B-). top holds the rows
-    r <= tau(r) of B, in index order; no other row is read.
+def _split(size: int, generators) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The isotypic components of a symmetric block B under a group G.
+
+    Each generator is a pair (perm, sign) of arrays over B's indices, the
+    signed involution e_r -> sign[r] * e_perm[r]; they commute with each
+    other and with B, and generate G. For a character chi of G (+1 or -1 on
+    each generator), a G-orbit O with minimum r0 lies in chi's component
+    when chi(g) * s_g(r0) = 1 for every g fixing r0, s_g(r) being the sign g
+    gives e_r. The component then has the orthonormal basis vectors
+    v_O = (sum of c_y * e_y over y in O) / sqrt(|O|), with c_y = chi(g) *
+    s_g(r0) for any g carrying r0 to y, and B is zero between components
+    (Serre, Linear Representations of Finite Groups, 2.6-2.7). Since B
+    commutes with G, v_O1 . B v_O2 = sqrt(|O1| / |O2|) * sum of c_y *
+    B[r1, y] over y in O2: only the rows of orbit minima are read.
+
+    Returns one (rows, column, weight) per character: the orbit minima of
+    the component, column[y] the orbit of y within them (-1 outside it),
+    and weight[y] = c_y / sqrt(|O|) for y in O. Entry [i, column[y]] of the
+    component sums B[rows[i], y] * weight[y] / weight[rows[i]] over y.
+    Element k of G is the product of the generators i with bit i of k set,
+    and character c is (-1)**(bit i of c) on generator i, so chi_c(g_k) =
+    (-1)**popcount(c & k): the rows of a Sylvester Hadamard matrix.
     """
-    at = np.arange(len(tau))
-    lo, fixed = np.flatnonzero(tau > at), np.flatnonzero(tau == at)
-    if not len(lo):  # tau is the identity: B is solved whole
-        return [top, top[:0, :0]]
-    row = np.cumsum(tau >= at) - 1  # the row of top that holds row r of B
-    even = np.concatenate((lo, fixed))
-    plus = top[np.ix_(row[even], even)]
-    cross = top[np.ix_(row[lo], tau[lo])]  # B[r, tau(k)] for r < tau(r), k < tau(k)
-    pairs = len(lo)
-    minus = plus[:pairs, :pairs] - cross
-    plus[:pairs, :pairs] += cross
-    plus[:pairs, pairs:] *= sqrt(2.0)
-    plus[pairs:, :pairs] *= sqrt(2.0)
-    return [plus, minus]
+    at = np.arange(size)
+    images, signs, characters = at[None], np.ones((1, size)), np.ones((1, 1))
+    for perm, sign in generators:  # G doubles: each element g, then the generator after g
+        images, signs = np.vstack((images, perm[images])), np.vstack((signs, signs * sign[images]))
+        characters = np.block([[characters, characters], [characters, -characters]])
+    fixed = images == at
+    to_min = images.argmin(axis=0)  # an involution carrying y to its orbit minimum, and back
+    minimum = images[to_min, at]
+    orbit = len(images) / np.count_nonzero(fixed, axis=0)
+    components = []
+    for value in characters:
+        signed = value[:, None] * signs
+        rows = np.flatnonzero((minimum == at) & np.all(~fixed | (signed == 1), axis=0))
+        column = np.full(size, -1)
+        column[rows] = np.arange(len(rows))
+        components.append((rows, column[minimum], signed[to_min, at] / np.sqrt(orbit)))
+    return components
 
 
 def dense_spectrum(graph) -> Spectrum:
-    """Eigenvalues of the adjacency matrix A, at most two dense solves per popcount class.
+    """Eigenvalues of the adjacency matrix A, up to four dense solves per popcount class.
 
     The signed coordinate permutations B_m keep quadrance and fix 0. Their
     m flips x_j -> -x_j split A into one block per character eps in {0,1}^m
@@ -118,37 +139,51 @@ def dense_spectrum(graph) -> Spectrum:
     Cay(F_q^m, S) exactly when g(S) = S (Godsil and Royle, Algebraic Graph
     Theory, ch. 3), so the check maps the |S| points of S, not N rows.
 
-    A swap tau of two coordinates on which eps agrees maps representatives
-    to representatives and keeps the block's support, eps . sigma and the
-    orbit sizes, so it permutes the block's basis and commutes with it. The
-    block splits into its tau-even and tau-odd halves, solved apart; an
-    eigensolve costs O(size**3), so each half costs about a quarter of the
-    block. Swapping 0 and 1 serves j = 0 and j >= 2, swapping 1 and 2 serves
-    j = 1 at m >= 3, and at m = 2 block j = 1 is solved whole. Swapping 1
-    and 2 needs no check of its own: it is the cycle, then the swap of 0 and
-    1, then the cycle undone, all three checked.
+    Each block is split further by a group G of at most two commuting
+    involutions that keep it and act on its basis as signed permutations
+    (_split). The first is a swap tau of two coordinates on which eps
+    agrees: it maps representatives to representatives and keeps eps .
+    sigma, so its signs are all +1. Swapping 0 and 1 serves j = 0 and
+    j >= 2, swapping 1 and 2 serves j = 1 at m >= 3, and at m = 2 block
+    j = 1 has no swap. Swapping 1 and 2 needs no check of its own: it is
+    the cycle, then the swap of 0 and 1, then the cycle undone, all three
+    checked. The second exists when q = p**n with n even: the Galois
+    involution Phi(x) = x**(p**(n/2)) on every coordinate, an additive
+    field automorphism fixing F_p, so Q(Phi x) = Phi(Q(x)). It commutes with
+    the flips and the swaps and keeps nonzero coordinates, so it carries
+    representative r to the representative r' of Phi(r) with sign
+    (-1)**(eps . sigma(Phi r)). Phi is checked by mapping the |S| points
+    of S too, but it is used only when it maps S onto itself, as it does
+    the unit circle; otherwise the block splits by the swap alone, with no
+    error. An eigensolve costs O(size**3), so four components of about a
+    quarter of the block cost about a sixteenth of it together.
 
-    Its tracemalloc peak misses eigvalsh's copy of each half and its LAPACK
-    workspace, which numpy allocates outside tracemalloc. When this is the
-    first read of graph.adjacency, the peak includes building the rows.
+    Each component is summed with one bincount over the neighbors r + S of
+    its orbit minima, from circle_translates: no neighbor row of
+    graph.adjacency is read or built, and no block is formed whole. Its
+    tracemalloc peak misses eigvalsh's copy of each component and its
+    LAPACK workspace, which numpy allocates outside tracemalloc: at
+    (49,2) at most one 300-wide solve.
     """
     n = graph.n_vertices
-    if n > DENSE_MAX_VERTICES:  # before the rows are read
+    if n > DENSE_MAX_VERTICES:  # before any translate is formed
         raise TooLargeError(f"{n} vertices exceed the dense bound {DENSE_MAX_VERTICES}")
     vertex_count(graph.q, graph.m, what="dense spectra")  # m >= 2: a swap needs two coordinates
     ctx, m = graph.ctx, graph.m
     neg = ctx.mul_vector(ctx.neg(1))
     places = ctx.q ** np.arange(m - 1, -1, -1)
-    circle = circle_coords(graph)
+    circle, target = circle_coords(graph), np.sort(graph.connection_set)
     generators = [  # images of S; at m = 2 the cycle is the swap
         ("negating coordinate 0", np.column_stack((neg[circle[:, 0]], circle[:, 1:]))),
         ("swapping coordinates 0 and 1", circle[:, [1, 0, *range(2, m)]]),
         ("cycling the coordinates", np.roll(circle, 1, axis=1)),
     ][: 3 if m >= 3 else 2]
     for name, image in generators:  # sorted both sides: S need not be ascending
-        if not np.array_equal(np.sort(image @ places), np.sort(graph.connection_set)):
+        if not np.array_equal(np.sort(image @ places), target):
             raise NoConvergenceError(f"{name} is not a graph automorphism")
-    rows = graph.adjacency
+    galois = ctx.power_vector(ctx.p ** (ctx.n // 2)) if ctx.n % 2 == 0 else None
+    if galois is not None and not np.array_equal(np.sort(galois[circle] @ places), target):
+        galois = None  # not an automorphism of this graph: the swaps alone split it
     coords = np.arange(n)[:, None] // places % ctx.q
     bits = 1 << np.arange(m)
     sigma = (coords > neg[coords]) @ bits  # coordinates flipped from the representative
@@ -156,35 +191,51 @@ def dense_spectrum(graph) -> Spectrum:
     reps = np.flatnonzero(sigma == 0)
     slot = np.zeros(n, dtype=np.intp)
     slot[reps] = np.arange(len(reps))  # index in reps of each representative
-    neighbors = rows[reps]
+    neighbors = circle_translates(graph, reps)
     columns = slot[orbit[neighbors]]
     neighbor_sigma = sigma[neighbors]
     support = (coords[reps] != 0) @ bits
     patterns = np.arange(1 << m)
     ones = ((patterns[:, None] & bits) != 0).sum(axis=1)  # popcount of each pattern
-    root_size = np.sqrt(2.0 ** ones[support])
-    scale = root_size[:, None] / root_size[columns]  # sqrt(|O_r1| / |O_r2|) per neighbor
+    root_size = np.sqrt(2.0 ** ones[support])  # sqrt(|O_r|) per representative
+    if galois is not None:  # Phi(r) is galois_sigma's flips of the representative galois_slot
+        image = galois[coords[reps]] @ places
+        galois_slot, galois_sigma = slot[orbit[image]], sigma[image]
     blocks = []
     for j in range(m + 1):
         eps = (1 << j) - 1
         keep = (support & eps) == eps
-        size = np.count_nonzero(keep)
+        members = np.flatnonzero(keep)  # the representative of each block index
         position = np.cumsum(keep) - 1  # block index of each kept representative
-        tau = position[slot[coords[reps[keep]][:, _swap(m, j)] @ places]]  # on block indices
-        top = np.flatnonzero(keep)[tau >= np.arange(size)]  # the rows _halves reads
-        cols = columns[top]
-        inside = keep[cols]  # neighbors whose orbit lies in the block
         signs = 1.0 - 2.0 * (ones[patterns & eps] % 2)
-        weights = (signs[neighbor_sigma[top]] * scale[top])[inside]
-        pairs = (np.arange(len(top))[:, None] * size + position[cols])[inside]
-        block = np.bincount(pairs, weights, minlength=len(top) * size).reshape(len(top), size)
-        halves = _halves(block, tau)
-        try:
-            eig = np.concatenate([np.linalg.eigvalsh(half) for half in halves if len(half)])
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"dense eigensolver failed: {exc}") from exc
-        del block, halves  # summing the next block must not hold these as well
-        blocks.append(np.tile(eig, comb(m, j)))
+        involutions = []
+        order = _swap(m, j)
+        if np.any(order != np.arange(m)):
+            swapped = position[slot[coords[reps[keep]][:, order] @ places]]
+            involutions.append((swapped, np.ones(len(members))))
+        if galois is not None:
+            involutions.append((position[galois_slot[keep]], signs[galois_sigma[keep]]))
+        eig = []
+        for rows, column, weight in _split(len(members), involutions):
+            if not len(rows):
+                continue
+            size, first = len(rows), members[rows]
+            # each representative's column and weight / sqrt(|O_r|); one outside the
+            # component has weight 0, so its neighbors add 0.0 to column 0
+            to = np.zeros(len(reps), dtype=np.intp)
+            across = np.zeros(len(reps))
+            to[members], across[members] = np.maximum(column, 0), np.where(column >= 0, weight, 0.0)
+            cols = columns[first]  # the representative of each neighbor's orbit
+            scale = (root_size[first] / weight[rows])[:, None] * (across / root_size)[cols]
+            weights = (signs[neighbor_sigma[first]] * scale).ravel()
+            pairs = (np.arange(size)[:, None] * size + to[cols]).ravel()
+            component = np.bincount(pairs, weights, minlength=size * size).reshape(size, size)
+            try:
+                eig.append(np.linalg.eigvalsh(component))
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(f"dense eigensolver failed: {exc}") from exc
+            del component  # summing the next component must not hold this one as well
+        blocks.append(np.tile(np.concatenate(eig), comb(m, j)))
     eig = np.concatenate(blocks)
     eig.sort()
     return Spectrum(eigenvalues=eig[::-1].copy(), method="dense")

@@ -14,6 +14,7 @@ from uqgraph import (
     DimensionMismatchError,
     DimensionTooSmallError,
     FieldCtx,
+    InvalidConnectionSetError,
     IOFailureError,
     UnitQuadranceGraph,
     build_coloring_md,
@@ -264,6 +265,42 @@ def test_circle_translates_are_the_neighbors_in_circle_order(q, m):
         k = len(translates) // 2
         su, sk = vertex_coords(q, m, u), vertex_coords(q, m, int(g.connection_set[k]))
         assert translates[k] == vertex_index(q, [g.ctx.add(a, b) for a, b in zip(su, sk)])
+
+
+@pytest.mark.parametrize("q, m", [(9, 2), (49, 2), (13, 3), (7, 4), (3, 7), (13, 1)])
+def test_circle_translates_of_many_vertices_are_their_rows(q, m):
+    g = graph_for(q, m) if m >= 2 else UnitQuadranceGraph(field_for(q), 1, np.array([1, q - 1]))
+    vertices = np.random.default_rng(q + m).permutation(g.n_vertices)[: g.n_vertices // 3 + 1]
+    translates = circle_translates(g, vertices)
+    assert translates.shape == (len(vertices), g.degree)
+    assert np.array_equal(np.sort(translates, axis=1), g.adjacency[vertices])
+    # row i is circle_translates of vertices[i], in circle order
+    assert np.array_equal(translates[-1], circle_translates(g, int(vertices[-1])))
+    grid = circle_translates(g, vertices[: 2 * (len(vertices) // 2)].reshape(-1, 2))
+    assert np.array_equal(grid.reshape(-1, g.degree), translates[: 2 * (len(vertices) // 2)])
+
+
+@pytest.mark.parametrize("circle, message", [
+    ([], "^the connection set is empty$"),
+    ([1, 4, 99], r"^connection set index 99 is outside the vertices \[0, 25\)$"),
+    ([-1, 1, 4], r"^connection set index -1 is outside the vertices \[0, 25\)$"),
+    ([1, 5], "^the connection set is not closed under negation$"),  # -(0, 1) is (0, 4)
+    ([1, 4, 5, 5], "^the connection set is not closed under negation$"),  # -(1, 0) is (4, 0)
+])
+def test_graph_refuses_an_empty_outside_or_asymmetric_connection_set(circle, message):
+    with pytest.raises(InvalidConnectionSetError, match=message):
+        UnitQuadranceGraph(make_field(5), 2, np.array(circle, dtype=np.int64))
+
+
+def test_graph_accepts_symmetric_connection_sets_in_any_order():
+    ctx = field_for(9)  # -S from the digits: -(a0 + a1*x) = (3 - a0) % 3 + ((3 - a1) % 3)*x
+    circle = graph_for(9).connection_set
+    graph = UnitQuadranceGraph(ctx, 2, circle[::-1].copy())
+    assert np.array_equal(np.sort(graph.connection_set), circle)
+    UnitQuadranceGraph(ctx, 2, np.array([3, 6]))  # (0, x) and (0, 2x)
+    with pytest.raises(InvalidConnectionSetError):
+        UnitQuadranceGraph(ctx, 2, np.array([3, 4]))  # (0, x) and (0, 1 + x)
+    UnitQuadranceGraph(make_field(13), 1, np.array([12, 1]))
 
 
 def test_first_adjacency_read_builds_int32_rows_within_budget():

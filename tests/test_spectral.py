@@ -25,9 +25,9 @@ from uqgraph import (
     vertex_coords,
     write_spectrum,
 )
-from uqgraph import spectral
+from uqgraph import build_graph, spectral
 from uqgraph.graph import UnitQuadranceGraph, circle_coords
-from uqgraph.spectral import _halves, _swap
+from uqgraph.spectral import _split, _swap
 
 
 def test_dense_lambda1_is_degree():
@@ -181,6 +181,40 @@ def test_swap_halves_match_one_solve_per_popcount_block(q, m):
     assert np.max(np.abs(dense_spectrum(graph).eigenvalues - expected)) < 1e-9
 
 
+def swap_halves(top, tau) -> list[np.ndarray]:
+    """Oracle: the splitter dense_spectrum used before _split, for one swap.
+    B+ and B-: the symmetric block B in the orthonormal bases
+    (e_r + e_tau(r))/sqrt(2) then e_f, and (e_r - e_tau(r))/sqrt(2), for the
+    r < tau(r) and the f = tau(f) in index order. tau is an involution of
+    B's indices with B[tau(r), tau(k)] = B[r, k], so B has no entry between
+    the two bases and eig(B) = eig(B+) u eig(B-). top holds the rows
+    r <= tau(r) of B, in index order; no other row is read.
+    """
+    at = np.arange(len(tau))
+    lo, fixed = np.flatnonzero(tau > at), np.flatnonzero(tau == at)
+    if not len(lo):  # tau is the identity: B is solved whole
+        return [top, top[:0, :0]]
+    row = np.cumsum(tau >= at) - 1  # the row of top that holds row r of B
+    even = np.concatenate((lo, fixed))
+    plus = top[np.ix_(row[even], even)]
+    cross = top[np.ix_(row[lo], tau[lo])]  # B[r, tau(k)] for r < tau(r), k < tau(k)
+    pairs = len(lo)
+    minus = plus[:pairs, :pairs] - cross
+    plus[:pairs, :pairs] += cross
+    plus[:pairs, pairs:] *= math.sqrt(2.0)
+    plus[pairs:, :pairs] *= math.sqrt(2.0)
+    return [plus, minus]
+
+
+def component_matrix(block, rows, column, weight):
+    """One component of _split formed from the whole block: entry
+    [i, column[y]] sums block[rows[i], y] * weight[y] / weight[rows[i]]."""
+    inside = column >= 0
+    mix = np.zeros((len(block), len(rows)))
+    mix[inside, column[inside]] = weight[inside]
+    return block[rows] @ mix / weight[rows][:, None]
+
+
 @pytest.mark.parametrize("size, pairs", [(1, 0), (5, 0), (6, 3), (9, 2), (40, 17)])
 def test_halves_split_a_swap_invariant_block_into_two_spectra(size, pairs):
     rng = np.random.default_rng(size)
@@ -190,14 +224,95 @@ def test_halves_split_a_swap_invariant_block_into_two_spectra(size, pairs):
     block = rng.normal(size=(size, size))
     block += block.T
     block += block[np.ix_(tau, tau)]  # B[tau(r), tau(k)] = B[r, k]
-    plus, minus = _halves(block[tau >= np.arange(size)], tau)
+    plus, minus = swap_halves(block[tau >= np.arange(size)], tau)
     assert (len(plus), len(minus)) == (size - pairs, pairs)
     assert np.array_equal(plus, plus.T) and np.array_equal(minus, minus.T)
     both = np.sort(np.concatenate([np.linalg.eigvalsh(plus), np.linalg.eigvalsh(minus)]))
     assert np.max(np.abs(both - np.linalg.eigvalsh(block))) < 1e-9
+    # _split with the swap alone gives the same two components
+    components = [component_matrix(block, *c) for c in _split(size, [(tau, np.ones(size))])]
+    assert [len(c) for c in components] == [size - pairs, pairs]
+    for ours, theirs in zip(components, (plus, minus)):
+        if len(ours):
+            assert np.max(np.abs(np.linalg.eigvalsh(ours) - np.linalg.eigvalsh(theirs))) < 1e-9
 
 
-@pytest.mark.parametrize("q, m", [(5, 2), (5, 3), (5, 4), (3, 5)])
+def klein_involutions(rng, kinds):
+    """Two commuting signed involutions (perm, sign), e_r -> sign[r] *
+    e_perm[r], on the orbits named in kinds: "free" (4 points), "t1", "t2",
+    "t12" (2 points each, fixed by t1, t2 or t1 t2) and "all" (1 point).
+    Each sign on a 2-cycle is random; the signs of fixed points alternate
+    from orbit to orbit, so both occur. The points are then relabeled at random."""
+    perm1, sign1, perm2, sign2 = [], [], [], []
+    turn = {kind: 1 for kind in kinds}
+    for kind in kinds:
+        base, (a, c), fixed = len(perm1), rng.choice((-1, 1), size=2), turn[kind]
+        turn[kind] = -fixed
+        if kind == "free":  # points r, t1 r, t2 r, t1 t2 r; t1 t2 = t2 t1 needs the last sign
+            b = rng.choice((-1, 1))
+            local = ([1, 0, 3, 2], [a, a, b, b], [2, 3, 0, 1], [c, a * b * c, c, a * b * c])
+        elif kind == "t1":
+            local = ([0, 1], [fixed, fixed], [1, 0], [c, c])
+        elif kind == "t2":
+            local = ([1, 0], [a, a], [0, 1], [fixed, fixed])
+        elif kind == "t12":
+            local = ([1, 0], [a, a], [1, 0], [c, c])
+        else:
+            local = ([0], [fixed], [0], [-fixed])
+        perm1 += [base + r for r in local[0]]
+        sign1 += local[1]
+        perm2 += [base + r for r in local[2]]
+        sign2 += local[3]
+    label = rng.permutation(len(perm1))
+    involutions = []
+    for perm, sign in ((perm1, sign1), (perm2, sign2)):
+        relabeled, signs = np.empty(len(perm), dtype=int), np.empty(len(perm))
+        relabeled[label], signs[label] = label[perm], sign
+        involutions.append((relabeled, signs))
+    return involutions
+
+
+def signed_matrix(perm, sign):
+    """The matrix of e_r -> sign[r] * e_perm[r]."""
+    matrix = np.zeros((len(perm), len(perm)))
+    matrix[perm, np.arange(len(perm))] = sign
+    return matrix
+
+
+@pytest.mark.parametrize("generators", [0, 1, 2])
+@pytest.mark.parametrize("seed, kinds", [
+    (1, ["free", "t1", "t1", "t2", "t2", "t12", "all", "all"]),
+    (2, ["all", "all", "all", "all"]),
+    (3, ["free"] * 3 + ["t1"] * 4 + ["t2"] * 3 + ["t12"] * 2 + ["all"] * 5),
+])
+def test_split_by_two_commuting_signed_involutions_keeps_the_spectrum(seed, kinds, generators):
+    rng = np.random.default_rng(seed)
+    both = klein_involutions(rng, kinds)
+    size, involutions = len(both[0][0]), both[:generators]
+    group = [np.eye(size)]  # element k holds generator i when bit i of k is set
+    for perm, sign in involutions:
+        group += [signed_matrix(perm, sign) @ g for g in group]
+    block = rng.normal(size=(size, size))
+    block = sum(g @ (block + block.T) @ g.T for g in group)  # commutes with the group
+    components = _split(size, involutions)
+    assert len(components) == 2**generators
+    solved = []
+    for c, (rows, column, weight) in enumerate(components):
+        # character c is (-1)**(bit i of c) on generator i, and the dimension
+        # of its component is the trace of its projector
+        trace = sum((-1) ** bin(c & k).count("1") * np.trace(g) for k, g in enumerate(group))
+        assert len(rows) == round(trace / len(group))
+        assert np.array_equal(column[rows], np.arange(len(rows)))
+        if len(rows):
+            component = component_matrix(block, rows, column, weight)
+            assert np.max(np.abs(component - component.T)) < 1e-9
+            solved.append(np.linalg.eigvalsh(component))
+    both = np.sort(np.concatenate(solved))
+    assert len(both) == size
+    assert np.max(np.abs(both - np.linalg.eigvalsh(block))) < 1e-9
+
+
+@pytest.mark.parametrize("q, m", [(5, 2), (5, 3), (5, 4), (3, 5), (9, 2), (25, 2), (9, 3)])
 def test_each_block_splits_by_a_swap_that_fixes_its_sign_pattern(q, m, monkeypatch):
     for j in range(m + 1):
         eps, order = (1 << j) - 1, _swap(m, j)
@@ -211,19 +326,23 @@ def test_each_block_splits_by_a_swap_that_fixes_its_sign_pattern(q, m, monkeypat
             assert (eps >> a) & 1 == (eps >> b) & 1
     split = []
 
-    def recorded(top, tau):
-        halves = _halves(top, tau)
-        split.append((len(tau), *map(len, halves)))
-        return halves
+    def recorded(size, generators):
+        components = _split(size, generators)
+        split.append((size, len(generators), [len(rows) for rows, _, _ in components]))
+        return components
 
-    monkeypatch.setattr(spectral, "_halves", recorded)
+    monkeypatch.setattr(spectral, "_split", recorded)
     dense_spectrum(graph_for(q, m))
     # (q + 1) / 2 representatives per coordinate, (q - 1) / 2 of them nonzero
     sizes = [((q - 1) // 2) ** j * ((q + 1) // 2) ** (m - j) for j in range(m + 1)]
     assert [size for size, _, _ in split] == sizes
-    assert all(plus + minus == size for size, plus, minus in split)
-    if m == 2:
-        assert split[1] == (sizes[1], sizes[1], 0)  # solved whole
+    assert all(sum(dims) == size for size, _, dims in split)
+    galois = q in (9, 25)  # q = p**n with n even: the Galois involution joins the swap
+    assert [count for _, count, _ in split] == [
+        (m, j) != (2, 1) and 1 + galois or galois for j in range(m + 1)
+    ]
+    if m == 2 and not galois:
+        assert split[1][2] == [sizes[1]]  # solved whole
 
 
 def row_automorphisms(graph):
@@ -293,6 +412,36 @@ def test_dense_rejects_graph_whose_coordinate_permutations_are_not_automorphisms
         dense_spectrum(graph)
 
 
+def test_dense_splits_by_the_swap_alone_when_the_galois_involution_moves_s(monkeypatch):
+    """At q = 9 the signed permutations of (a, 0), for a outside F_3 with
+    a**2 != -1, form a symmetric connection set that B_2 keeps, but the
+    Galois involution a -> a**3 maps a to neither a nor -a."""
+    ctx = field_for(9)
+    neg = ctx.mul_vector(ctx.neg(1))
+    a = next(a for a in range(3, 9) if ctx.square_vector()[a] != neg[1])
+    assert ctx.power_vector(3)[a] not in (a, neg[a])
+    graph = with_circle(graph_for(9), np.array([(a, 0), (neg[a], 0), (0, a), (0, neg[a])]))
+    generators = []
+
+    def recorded(size, involutions):
+        generators.append(len(involutions))
+        return _split(size, involutions)
+
+    monkeypatch.setattr(spectral, "_split", recorded)
+    eigenvalues = dense_spectrum(graph).eigenvalues
+    assert generators == [1, 0, 1]  # the swap at j = 0 and 2, nothing at j = 1
+    assert np.max(np.abs(eigenvalues - full_matrix_eigenvalues(graph))) < 1e-9
+    assert np.max(np.abs(eigenvalues - popcount_block_eigenvalues(graph))) < 1e-9
+
+
+@pytest.mark.parametrize("q, m", [(49, 2), (7, 4), (3, 7)])
+def test_dense_spectrum_builds_no_neighbor_rows(q, m):
+    graph = build_graph(field_for(q), m)
+    assert np.max(np.abs(dense_spectrum(graph).eigenvalues
+                         - cayley_spectrum(graph.ctx, m).eigenvalues)) < 1e-9
+    assert graph._adjacency is None
+
+
 @pytest.mark.parametrize("q, m", [
     (3, 2), (5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2), (49, 2),
     (3, 3), (5, 3), (7, 3), (9, 3), (13, 3), (3, 4), (5, 4), (7, 4), (3, 5),
@@ -332,11 +481,13 @@ def test_dense_accepts_a_connection_set_in_any_order():
 
 
 @pytest.mark.parametrize("q, m, sizes", [
-    (49, 2, [325, 300, 600, 300, 276]),  # blocks of 625, 600 (whole) and 576
+    # blocks of 625, 600 and 576, split by the swap and the Galois involution
+    # (600 by the Galois involution alone); they were 325, 300, 600, 300, 276
+    (49, 2, [181, 156, 144, 144, 300, 300, 156, 132, 144, 144]),
     (13, 3, [196, 147, 168, 126, 147, 105, 126, 90]),  # 343, 294, 252, 216
     (7, 4, [160, 96, 120, 72, 96, 48, 72, 36, 54, 27]),  # 256, 192, 144, 108, 81
 ])
-def test_dense_solves_two_swap_halves_per_popcount_class(q, m, sizes, monkeypatch):
+def test_dense_solves_the_components_of_each_popcount_class(q, m, sizes, monkeypatch):
     solved = []
     eigvalsh = np.linalg.eigvalsh
 
