@@ -11,14 +11,16 @@ order is identical across runs.
 Polynomials act on digit rows as n x n matrices over F_p: multiplying
 by h maps the row v to v @ M_h. Rabin's irreducibility test on the
 matrix X of multiplication by x chooses the modulus, and the order test
-g**((q-1)/r) != 1 on M_g chooses g; both are powers mod p, no
-polynomial division.
+g**((q-1)/r) != 1 chooses g, on M_g for n > 1 and by Python's pow mod p
+for n = 1; both are powers mod p, no polynomial division.
 
-Arithmetic is table lookup. A sum adds the digit vectors mod p. On first
-use a context builds exp[k] = g**k for the smallest primitive element g
-and its inverse log: a product adds logarithms and the quadratic
-character is the parity of the logarithm. Results are field elements,
-never logarithms, so the choice of g does not show.
+A sum adds digits: each digit sum is below 2p, so one conditional
+subtraction of p reduces it, and Horner recombines the digits (at n = 1
+the codes are the digits). Products are table lookups: on first use a
+context builds exp[k] = g**k for the smallest primitive element g and
+its inverse log; a product adds logarithms and the quadratic character
+is the parity of the logarithm. Results are field elements, never
+logarithms, so the choice of g does not show.
 """
 
 from __future__ import annotations
@@ -201,14 +203,19 @@ class FieldCtx:
             p, n, q = self.p, self.n, self.q
             # Multiplying by h is F_p-linear: row j of step holds the digits
             # of h * x**j, that is h's digits times X**j, starting from h = g.
-            x = _times_x(self.modulus, p)
-            x_powers = np.stack([_mat_pow(x, j, p) for j in range(n)])
             divisors = _prime_divisors(q - 1)
-            for code in range(1, q):  # g is the first code of order q - 1
-                step = np.array(self.coeffs(code)) @ x_powers % p
-                if all(not np.array_equal(_mat_pow(step, (q - 1) // r, p), x_powers[0])
-                       for r in divisors):
-                    break
+            if n == 1:  # g is the first code of order q - 1, tested by pow mod p
+                g = next(code for code in range(1, q)
+                         if all(pow(code, (q - 1) // r, q) != 1 for r in divisors))
+                step = np.array([[g]], dtype=np.int64)
+            else:
+                x = _times_x(self.modulus, p)
+                x_powers = np.stack([_mat_pow(x, j, p) for j in range(n)])
+                for code in range(1, q):  # the same first code, on its matrix
+                    step = np.array(self.coeffs(code)) @ x_powers % p
+                    if all(not np.array_equal(_mat_pow(step, (q - 1) // r, p), x_powers[0])
+                           for r in divisors):
+                        break
             digits, exp = self.digits_matrix(), np.ones(1, dtype=np.int64)
             while len(exp) < q - 1:  # exp[L:2L] = exp[:L] * g**L, then h = g**2L
                 exp = np.concatenate(
@@ -294,9 +301,28 @@ class FieldCtx:
         return self._add_tab
 
     def add_arrays(self, a, b) -> np.ndarray:
-        """Elementwise a + b over code arrays (or codes), broadcast like numpy."""
-        digits = self.digits_matrix()
-        return np.add(digits[a], digits[b], dtype=np.int64) % self.p @ self._powers
+        """Elementwise a + b over code arrays (or codes), broadcast like numpy.
+
+        A sum of two digits is below 2p, so one conditional subtraction
+        reduces it: in an unsigned dtype d - p wraps above d exactly when
+        d < p, and min(d, d - p) is d mod p. At n = 1 the digits are the
+        codes; otherwise each digit column is summed in uint16 and the
+        columns are recombined by Horner, highest digit first.
+        """
+        if np.ndim(a) == np.ndim(b) == 0:  # the reduction below works in place, on arrays
+            return self.add_arrays(np.array([a]), b)[0]
+        p = self.p
+        if self.n == 1:
+            sums = np.add(a, b, dtype=np.int64)
+            wrapped = sums.view(np.uint64)
+            np.minimum(wrapped, wrapped - p, out=wrapped)
+            return sums
+        sums = np.int64(0)
+        for column in self.digits_matrix().T[::-1]:
+            digit = np.add(column[a], column[b], dtype=np.uint16)
+            np.minimum(digit, digit - p, out=digit)
+            sums = sums * p + digit
+        return sums
 
     def mul_vector(self, c: int) -> np.ndarray:
         """products[x] = c * x for every code x."""

@@ -5,8 +5,11 @@ element codes, last coordinate fastest; two points are adjacent exactly
 when their quadrance (the sum of squared coordinate differences) is 1.
 Adjacency is a Cayley structure on the additive group: u ~ v exactly when
 v - u lies on the unit circle S, which is one ascending array of vertex
-indices. A graph is S and nothing else, and its constructor refuses an S
-that is empty, leaves the vertices or is not closed under negation. Its
+indices. S is found in O(|S| + q**(m-1)), not from the q**m grid: each
+prefix of the first m - 1 coordinates, with quadrance a, ends on S at the
+square roots of 1 - a. A graph is S and nothing else, and its constructor
+refuses an S that is empty, leaves the vertices or is not closed under
+negation, and an m with q**m past the int64 indices. Its
 (N, |S|) int32 array of sorted neighbor rows u + S is a cache, grown one
 coordinate at a time from digit sums of the field codes the first time
 `adjacency` is read. Only DIMACS export and the chromatic search read the
@@ -83,13 +86,26 @@ def vertex_count(q: int, m: int, what: str = "unit-quadrance graphs") -> int:
 
 
 def unit_circle(ctx: FieldCtx, m: int = 2) -> np.ndarray:
-    """Ascending vertex indices of the points at quadrance 1 from the origin."""
+    """Ascending vertex indices of the points at quadrance 1 from the origin.
+
+    Only the q**(m-1) prefixes (every coordinate but the last) get a
+    quadrance a, summed one coordinate at a time; a prefix then ends on the
+    circle at each root y of y**2 = 1 - a. The roots are grouped once by
+    key[y] = 1 - y**2, ascending within each group, so the points come out
+    prefix-major with ascending roots: already in index order.
+    """
     vertex_count(ctx.q, m)
-    squares = ctx.square_vector()
-    acc = np.zeros(1, dtype=np.int64)
-    for _ in range(m):  # quadrances of every point, one more coordinate each pass
+    q, squares = ctx.q, ctx.square_vector()
+    acc = squares
+    for _ in range(m - 2):
         acc = ctx.add_arrays(acc[:, None], squares).ravel()
-    return np.flatnonzero(acc == 1)
+    key = ctx.add_arrays(1, ctx.mul_vector(ctx.p - 1)[squares])  # 1 - y**2
+    roots, counts = np.argsort(key, kind="stable"), np.bincount(key, minlength=q)
+    hits = counts[acc]  # the roots y with key[y] = a end each prefix
+    # hit k of a prefix is roots[where key a starts + k]; shift takes off where its hits start
+    shift = (np.cumsum(counts) - counts)[acc] - (np.cumsum(hits) - hits)
+    prefixes = np.repeat(np.arange(len(acc)), hits)
+    return prefixes * q + roots[np.repeat(shift, hits) + np.arange(len(prefixes))]
 
 
 def coordinate_sums(ctx: FieldCtx) -> np.ndarray:
@@ -127,9 +143,11 @@ class UnitQuadranceGraph:
 
     S must be a nonempty array of indices in [0, q**m) with -S = S, or
     InvalidConnectionSetError is raised before any reader runs; -S comes
-    from the digit table, not from scalar field calls. The rows, chi and
-    verify_coloring accept any such set at any m >= 1; chi takes its
-    construction witness at m >= 2 only when it is proper on that set.
+    from the digit table, not from scalar field calls. q**m above 2**63
+    raises TooLargeError first, since indices and place values are int64.
+    The rows, chi and verify_coloring accept any such set at any m >= 1;
+    chi takes its construction witness at m >= 2 only when it is proper on
+    that set.
     dense_spectrum raises DimensionTooSmallError at m = 1 and refuses a set
     that the signed coordinate permutations do not keep; triangle_count
     assumes the unit circle.
@@ -141,6 +159,8 @@ class UnitQuadranceGraph:
         self.connection_set = connection_set
         self._adjacency = None
         n = self.n_vertices
+        if n > 1 << 63:
+            raise TooLargeError(f"{self.q}**{m} vertices exceed int64 indices")
         if not len(connection_set):
             raise InvalidConnectionSetError("the connection set is empty")
         outside = connection_set[(connection_set < 0) | (connection_set >= n)]

@@ -24,8 +24,11 @@ from uqgraph.field import (
     DEFAULT_MAX_ORDER,
     FieldCtx,
     _is_irreducible,
+    _mat_pow,
     _prime_divisors,
+    _row_chunks,
     _smallest_irreducible,
+    _times_x,
 )
 
 
@@ -526,3 +529,90 @@ def test_table_builds_peak_memory_stays_near_the_kept_tables():
         tracemalloc.stop()
     assert log_peak < 48 << 20
     assert trace_peak < 48 << 20
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the routes that pow mod p at n = 1 and the conditional
+# subtraction of p replaced. log_tables_by_matrices tests every candidate g
+# on its n x n matrix, 1 x 1 at n = 1; add_arrays_by_digit_matmul reduces
+# the int64 digit sums with % p and recombines them with one matmul.
+
+
+def log_tables_by_matrices(ctx):
+    p, n, q = ctx.p, ctx.n, ctx.q
+    x = _times_x(ctx.modulus, p)
+    x_powers = np.stack([_mat_pow(x, j, p) for j in range(n)])
+    divisors = _prime_divisors(q - 1)
+    for code in range(1, q):
+        step = np.array(ctx.coeffs(code)) @ x_powers % p
+        if all(not np.array_equal(_mat_pow(step, (q - 1) // r, p), x_powers[0])
+               for r in divisors):
+            break
+    digits, exp = ctx.digits_matrix(), np.ones(1, dtype=np.int64)
+    while len(exp) < q - 1:
+        exp = np.concatenate(
+            [exp] + [digits[exp[rows]] @ step % p @ ctx._powers for rows in _row_chunks(len(exp))]
+        )
+        step = step @ step % p
+    exp = exp[: q - 1]
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(q - 1, dtype=np.int64)
+    return exp, log
+
+
+def add_arrays_by_digit_matmul(ctx, a, b):
+    digits = ctx.digits_matrix()
+    return np.add(digits[a], digits[b], dtype=np.int64) % ctx.p @ ctx._powers
+
+
+def _assert_same_tables(p):
+    ctx = FieldCtx(p, 1, _smallest_irreducible(p, 1))  # fresh, so nothing is cached
+    exp, log = ctx._log_tables()
+    want_exp, want_log = log_tables_by_matrices(ctx)
+    assert exp[1] == want_exp[1], p  # g
+    assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log), p
+
+
+def test_prime_field_tables_match_the_matrix_route_below_3000():
+    primes = [p for p in range(3, 3000) if is_prime(p)]
+    assert len(primes) == 429
+    for p in primes:
+        _assert_same_tables(p)
+
+
+@pytest.mark.parametrize("p", [9973, 65521, 1048573])
+def test_prime_field_tables_match_the_matrix_route_at_large_primes(p):
+    _assert_same_tables(p)
+
+
+def _assert_sums_match_the_digit_matmul(ctx, pairs):
+    for a, b in pairs:
+        got, want = ctx.add_arrays(a, b), add_arrays_by_digit_matmul(ctx, a, b)
+        assert np.shape(got) == np.shape(want), (ctx, np.shape(a), np.shape(b))
+        assert np.asarray(got).dtype == np.int64
+        assert np.array_equal(got, want), (ctx, a, b)
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(3, 4096))
+def test_sums_match_the_digit_matmul(q):
+    p, n = prime_power(q)
+    ctx = FieldCtx(p, n, _smallest_irreducible(p, n))
+    codes = np.arange(q)
+    rng = np.random.default_rng(q)
+    rows = np.concatenate([[0, 1, p - 1, q - 1], rng.integers(0, q, 4)])[:, None]
+    _assert_sums_match_the_digit_matmul(ctx, [
+        (rows, codes),  # 8 x q, every carry pattern of a digit against each row
+        (q - 1, q - 1), (0, 0), (np.int64(p - 1), 1),  # scalars
+        (q - 1, codes), (codes, np.int64(1)),
+        (rng.integers(0, q, (3, 1, 2)), rng.integers(0, q, (4, 1))),  # broadcast to (3, 4, 2)
+        (np.array([], dtype=np.int64), 5 % q),
+    ])
+
+
+def test_sums_match_the_digit_matmul_at_3_to_the_12():
+    ctx = FieldCtx(3, 12, _smallest_irreducible(3, 12))
+    rng = np.random.default_rng(12)
+    a, b = rng.integers(0, ctx.q, 20000), rng.integers(0, ctx.q, 20000)
+    _assert_sums_match_the_digit_matmul(ctx, [
+        (a, b), (a[:100, None], b[:100]), (ctx.q - 1, ctx.q - 1), (ctx.q - 1, a),
+    ])

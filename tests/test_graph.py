@@ -16,6 +16,7 @@ from uqgraph import (
     FieldCtx,
     InvalidConnectionSetError,
     IOFailureError,
+    TooLargeError,
     UnitQuadranceGraph,
     build_coloring_md,
     build_graph,
@@ -303,6 +304,20 @@ def test_graph_accepts_symmetric_connection_sets_in_any_order():
     UnitQuadranceGraph(make_field(13), 1, np.array([12, 1]))
 
 
+@pytest.mark.parametrize("m", [40, 41])
+def test_graph_refuses_vertex_indices_past_int64(m):
+    # 3**40 > 2**63: circle_coords' place values 3**(m-1) would wrap in int64,
+    # and at m = 41 the set {1, 2} read as not closed under negation
+    with pytest.raises(TooLargeError, match=f"^3\\*\\*{m} vertices exceed int64 indices$"):
+        UnitQuadranceGraph(make_field(3), m, np.array([1, 2]))
+
+
+def test_graph_with_the_largest_int64_indices_builds():
+    graph = UnitQuadranceGraph(make_field(3), 39, np.array([1, 2]))
+    assert graph.n_vertices == 3**39 < 2**63
+    assert circle_coords(graph).tolist() == [[0] * 38 + [1], [0] * 38 + [2]]
+
+
 def test_first_adjacency_read_builds_int32_rows_within_budget():
     # build_graph keeps only the circle, so its traced peak no longer spans the rows
     g = build_graph(field_for(127), 2)
@@ -398,15 +413,17 @@ def test_export_dimacs_binary_sink():
     assert b"p edge 25 50" in sink.getvalue()
 
 
-@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("start", [0, 1, 7, 99999])
 def test_decimal_names_match_numpy_string_cast(start):
-    # every stop at a decade boundary, and the vertex bound plus one
-    stops = [10**j + d for j in range(5) for d in (-1, 0, 1)] + [65536, 65537]
+    # start = stop, every stop around a power of ten (some below start: no names),
+    # and the vertex bound plus one
+    stops = [start] + [10**j + d for j in range(6) for d in (-1, 0, 1)] + [65536, 65537]
     for stop in stops:
         width = len(str(max(stop - 1, 0)))
         names = decimal_names(start, stop)
         expected = np.arange(start, stop).astype(f"S{width}")
         assert names.dtype == expected.dtype and np.array_equal(names, expected), stop
+    assert len(decimal_names(start, start)) == 0
     assert decimal_names(1000, 1003).tolist() == [b"1000", b"1001", b"1002"]
 
 
@@ -575,3 +592,47 @@ def test_build_and_export_match_column_and_row_oracles(q, m):
         export_dimacs_by_rows(graph, expected, binary)
         export_dimacs_by_fixed_records(graph, records)
         assert sink.getvalue() == expected.getvalue() == records.getvalue()
+
+
+# The q**m quadrance grid, summed with the digit-matmul sums, that the
+# prefix-and-roots circle replaced, kept as an oracle.
+
+
+def unit_circle_by_grid(ctx, m):
+    squares, digits = ctx.square_vector(), ctx.digits_matrix()
+    acc = np.zeros(1, dtype=np.int64)
+    for _ in range(m):  # quadrances of every point, one more coordinate each pass
+        acc = (np.add(digits[acc[:, None]], digits[squares], dtype=np.int64) % ctx.p
+               @ ctx.p ** np.arange(ctx.n)).ravel()
+    return np.flatnonzero(acc == 1)
+
+
+def _grid_points():
+    """(q, 2) for every odd prime power q <= 256, and every (q, m) with
+    3 <= m <= 10 and q**m inside the vertex bound."""
+    plane = [(q, 2) for q in odd_prime_powers(3, 256)]
+    return plane + [(q, m) for m in range(3, 11) for q in odd_prime_powers(3, 41)
+                    if q**m <= 1 << 16]
+
+
+@pytest.mark.parametrize("q, m", _grid_points())
+def test_unit_circle_matches_the_grid(q, m):
+    ctx = field_for(q)
+    circle, grid = unit_circle(ctx, m), unit_circle_by_grid(ctx, m)
+    assert circle.dtype == grid.dtype == np.int64
+    assert np.array_equal(circle, grid)
+
+
+@pytest.mark.parametrize("q", [243, 251])
+def test_unit_circle_peak_memory_is_its_output_not_the_grid(q):
+    # the q**2 grid peaked near 1 MiB at q = 251; the prefixes and roots are O(q)
+    ctx = field_for(q)
+    unit_circle(ctx, 2)  # the exp, log, square and digit tables are kept, not traced
+    tracemalloc.start()
+    try:
+        circle = unit_circle(ctx, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(circle) == degree_formula(q)
+    assert peak < 64 << 10
