@@ -4,128 +4,93 @@ Builds the graphs on F_q^m whose edges join points at quadrance 1,
 produces proper colorings from slope/shift certificates, computes exact
 chromatic numbers by branch and bound, and evaluates spectra both
 densely and as additive character sums.
-"""
 
-from .chi import ChiResult, clique_lower, exact_chromatic, greedy_bound
-from .construction import (
-    CharCountReport,
-    Coloring,
-    ColoringPlan,
-    build_coloring_2d,
-    build_coloring_md,
-    count_Aq,
-    expected_color_count,
-    find_shift,
-    find_slope,
-    make_plan,
-    read_coloring,
-    validate_plan,
-    verify_coloring,
-    verify_cross_line_lemma,
-    verify_line_lemma,
-    write_coloring,
-)
-from .errors import (
-    ConstructionUnavailableError,
-    DegenerateSpectrumError,
-    DimensionMismatchError,
-    DimensionTooSmallError,
-    DivisionByZeroError,
-    EvenCharacteristicError,
-    IncompleteColoringError,
-    InvalidConnectionSetError,
-    InvalidPlanError,
-    IOFailureError,
-    NoConvergenceError,
-    NonPrimeError,
-    NoSlopeExistsError,
-    NotNonsquareError,
-    TooLargeError,
-    UQGraphError,
-)
-from .field import FieldCtx, is_prime, make_field, prime_power
-from .graph import (
-    UnitQuadranceGraph,
-    build_graph,
-    degree_formula,
-    export_dimacs,
-    quadrance,
-    triangle_count,
-    triangle_free_predicted,
-    unit_circle,
-    vertex_coords,
-)
-from .spectral import (
-    EigenBoundReport,
-    Spectrum,
-    cayley_spectrum,
-    dense_spectrum,
-    eigen_bound_report,
-    grouped_eigenvalues,
-    hoffman_bound,
-    spectrum_record,
-    write_spectrum,
-)
+`import uqgraph` loads no submodule and not numpy: each exported name,
+and each submodule, is imported on first use (PEP 562), so
+`uqgraph.make_field` loads `field` and `errors` alone.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChiResult",
-    "CharCountReport",
-    "Coloring",
-    "ColoringPlan",
-    "EigenBoundReport",
-    "FieldCtx",
-    "Spectrum",
-    "UnitQuadranceGraph",
-    "build_coloring_2d",
-    "build_coloring_md",
-    "build_graph",
-    "cayley_spectrum",
-    "clique_lower",
-    "count_Aq",
-    "degree_formula",
-    "dense_spectrum",
-    "eigen_bound_report",
-    "exact_chromatic",
-    "expected_color_count",
-    "export_dimacs",
-    "find_shift",
-    "find_slope",
-    "greedy_bound",
-    "grouped_eigenvalues",
-    "hoffman_bound",
-    "is_prime",
-    "make_field",
-    "make_plan",
-    "prime_power",
-    "quadrance",
-    "read_coloring",
-    "spectrum_record",
-    "triangle_count",
-    "triangle_free_predicted",
-    "unit_circle",
-    "validate_plan",
-    "verify_coloring",
-    "verify_cross_line_lemma",
-    "verify_line_lemma",
-    "vertex_coords",
-    "write_coloring",
-    "write_spectrum",
-    "ConstructionUnavailableError",
-    "DegenerateSpectrumError",
-    "DimensionMismatchError",
-    "DimensionTooSmallError",
-    "DivisionByZeroError",
-    "EvenCharacteristicError",
-    "IncompleteColoringError",
-    "InvalidConnectionSetError",
-    "InvalidPlanError",
-    "IOFailureError",
-    "NoConvergenceError",
-    "NonPrimeError",
-    "NoSlopeExistsError",
-    "NotNonsquareError",
-    "TooLargeError",
-    "UQGraphError",
-]
+# each submodule and the names it exports
+_EXPORTS = {
+    "chi": ("ChiResult", "clique_lower", "exact_chromatic", "greedy_bound"),
+    "construction": (
+        "CharCountReport",
+        "Coloring",
+        "ColoringPlan",
+        "build_coloring_2d",
+        "build_coloring_md",
+        "count_Aq",
+        "expected_color_count",
+        "find_shift",
+        "find_slope",
+        "make_plan",
+        "read_coloring",
+        "validate_plan",
+        "verify_coloring",
+        "verify_cross_line_lemma",
+        "verify_line_lemma",
+        "write_coloring",
+    ),
+    "errors": (
+        "ConstructionUnavailableError",
+        "DegenerateSpectrumError",
+        "DimensionMismatchError",
+        "DimensionTooSmallError",
+        "DivisionByZeroError",
+        "EvenCharacteristicError",
+        "IncompleteColoringError",
+        "InvalidConnectionSetError",
+        "InvalidPlanError",
+        "IOFailureError",
+        "NoConvergenceError",
+        "NonPrimeError",
+        "NoSlopeExistsError",
+        "NotNonsquareError",
+        "TooLargeError",
+        "UQGraphError",
+    ),
+    "field": ("FieldCtx", "is_prime", "make_field", "prime_power"),
+    "graph": (
+        "UnitQuadranceGraph",
+        "build_graph",
+        "degree_formula",
+        "export_dimacs",
+        "quadrance",
+        "triangle_count",
+        "triangle_free_predicted",
+        "unit_circle",
+        "vertex_coords",
+    ),
+    "spectral": (
+        "EigenBoundReport",
+        "Spectrum",
+        "cayley_spectrum",
+        "dense_spectrum",
+        "eigen_bound_report",
+        "grouped_eigenvalues",
+        "hoffman_bound",
+        "spectrum_record",
+        "write_spectrum",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_OWNER)
+
+
+def __getattr__(name):
+    module = name if name in _EXPORTS else _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # the import statement's own route, so that -X importtime reports it;
+    # loading a submodule binds it in this namespace
+    __import__(f"{__name__}.{module}")
+    if name != module:
+        globals()[name] = getattr(globals()[module], name)  # later lookups skip this function
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

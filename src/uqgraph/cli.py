@@ -298,64 +298,73 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common(p, q_type=int):
+    p.add_argument("--q", type=q_type, required=True, help="field order (odd prime power)")
+    p.add_argument("--m", type=int, default=2, help="dimension, default 2")
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    p.add_argument("--out", help="output path ('-' for stdout)")
+
+
+def _color_options(p):
+    _common(p)
+    p.add_argument("--a", type=int, default=None, help="slope override (canonical code)")
+    p.add_argument("--t", type=int, default=None, help="shift override (canonical code)")
+
+
+def _budget_options(p, q_type=int, per=""):
+    _common(p, q_type)
+    p.add_argument("--timeout", type=float, default=DEFAULT_TIME_LIMIT, help="seconds" + per)
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT, help="search node limit" + per)
+
+
+def _spectrum_options(p):
+    _common(p)
+    p.add_argument("--method", choices=["dense", "cayley", "both"], default="both")
+
+
+def _verify_options(p):
+    p.add_argument("file", help="coloring file path")
+
+
+# name -> (help, options, handler), in the order `uqgraph --help` lists them
+_COMMANDS = {
+    "build": ("export the graph in DIMACS format", _common, cmd_build),
+    "color": ("run the line-pairing coloring construction", _color_options, cmd_color),
+    "chi": ("exact chromatic number within a budget", _budget_options, cmd_chi),
+    "spectrum": ("eigenvalues, spectral bound, magnitude flags", _spectrum_options, cmd_spectrum),
+    "triangles": ("triangle count and the prime-form prediction", _common, cmd_triangles),
+    "verify": ("check a coloring file against its graph", _verify_options, cmd_verify),
+    "report": (
+        "consolidated per-q record over a range",
+        lambda p: _budget_options(p, str, " per q"),
+        cmd_report,
+    ),
+}
+
+
+def _build_parser(command) -> argparse.ArgumentParser:
+    """Every subcommand with its help, and the options of `command` alone:
+    a call parses one subcommand, so it registers only that one's options."""
     parser = argparse.ArgumentParser(
         prog="uqgraph",
         description="Unit-quadrance graphs over finite fields: build, color, solve, analyze.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, q_type=int):
-        p.add_argument("--q", type=q_type, required=True, help="field order (odd prime power)")
-        p.add_argument("--m", type=int, default=2, help="dimension, default 2")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--out", help="output path ('-' for stdout)")
-
-    p_build = sub.add_parser("build", help="export the graph in DIMACS format")
-    common(p_build)
-    p_build.set_defaults(func=cmd_build)
-
-    p_color = sub.add_parser("color", help="run the line-pairing coloring construction")
-    common(p_color)
-    p_color.add_argument("--a", type=int, default=None, help="slope override (canonical code)")
-    p_color.add_argument("--t", type=int, default=None, help="shift override (canonical code)")
-    p_color.set_defaults(func=cmd_color)
-
-    p_chi = sub.add_parser("chi", help="exact chromatic number within a budget")
-    common(p_chi)
-    p_chi.add_argument("--timeout", type=float, default=DEFAULT_TIME_LIMIT, help="seconds")
-    p_chi.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT, help="search node limit")
-    p_chi.set_defaults(func=cmd_chi)
-
-    p_spec = sub.add_parser("spectrum", help="eigenvalues, spectral bound, magnitude flags")
-    common(p_spec)
-    p_spec.add_argument(
-        "--method", choices=["dense", "cayley", "both"], default="both"
-    )
-    p_spec.set_defaults(func=cmd_spectrum)
-
-    p_tri = sub.add_parser("triangles", help="triangle count and the prime-form prediction")
-    common(p_tri)
-    p_tri.set_defaults(func=cmd_triangles)
-
-    p_verify = sub.add_parser("verify", help="check a coloring file against its graph")
-    p_verify.add_argument("file", help="coloring file path")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_report = sub.add_parser("report", help="consolidated per-q record over a range")
-    common(p_report, q_type=str)
-    p_report.add_argument("--timeout", type=float, default=DEFAULT_TIME_LIMIT, help="seconds per q")
-    p_report.add_argument("--nodes", type=int, default=DEFAULT_NODE_LIMIT, help="search node limit per q")
-    p_report.set_defaults(func=cmd_report)
-
+    for name, (text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name == command:
+            options(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the main parser takes no option values, so the first command name is
+    # the subcommand argparse picks (subcommands allow no abbreviation)
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    args = _build_parser(command).parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except (UQGraphError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
