@@ -8,7 +8,8 @@ bound is the larger of a bounded clique search and min(greedy colors, 3).
 Each round tries to exhaust (upper-1)-colorings with color-permutation
 symmetry removed (the first vertex is fixed to color 0 and new colors
 are introduced in order). A completed exhaustion proves optimality; an
-exhausted budget degrades the result to a valid bracket.
+exhausted budget degrades the result to a valid bracket, and a spent
+node budget starts no further round.
 
 The greedy coloring is the search's first descent with k = N colors: no
 vertex can see N colors, so it never backtracks, keeps no snapshot and
@@ -22,9 +23,11 @@ sort vertices by degree, descending, then by index, so the lowest set
 bit of a candidate set is the DSATUR tie-break (on a field graph every
 degree is equal and rank = index). Each vertex has one neighbor mask,
 N**2 / 8 bytes in all, built once per graph for the greedy descent and
-every round. forbid[c] holds the uncolored vertices with a neighbor of
-color c (exact on uncolored vertices only), and saturation is a
-bit-sliced counter over them. Coloring v with c touches
+every round, from graph.neighbors(vertices), one row per vertex: on a
+field graph the translates u + S of a block of vertices, so no (N, |S|)
+array of rows is ever held. forbid[c] holds the uncolored vertices with
+a neighbor of color c (exact on uncolored vertices only), and saturation
+is a bit-sliced counter over them. Coloring v with c touches
 nbr[v] & uncolored & ~forbid[c]. The next vertex is the lowest bit of the
 counter's maximum, narrowed from the top slice down; the slices that
 narrow it spell its saturation level. forbid[c] is empty above max_used,
@@ -126,9 +129,11 @@ def clique_lower(graph, node_budget: int = 100_000) -> int:
         if nodes >= node_budget or n - r <= best:  # a clique from r on has <= n - r vertices
             break
         nodes += 1
-        later = sorted(w for w in graph.neighbors_of(r).tolist() if w > r)
+        later = sorted(w for w in graph.neighbors(np.array([r]))[0].tolist() if w > r)
         bit = {w: 1 << i for i, w in enumerate(later)}
-        rows = [sum(bit.get(x, 0) for x in graph.neighbors_of(w).tolist()) for w in later]
+        rows = [sum(bit.get(x, 0) for x in row.tolist())  # 256 neighbors' rows at a time
+                for start in range(0, len(later), 256)
+                for row in graph.neighbors(np.array(later[start : start + 256]))]
         extend(1, (1 << len(later)) - 1, rows)
     return best
 
@@ -147,20 +152,23 @@ def _construction_seed(graph) -> Coloring | None:
 def _neighbor_masks(graph) -> tuple[list[int], list[int]]:
     """(order, masks): order[r] is the vertex of rank r, and bit s of
     masks[r] is set when the vertex of rank s is a neighbor. Ranks sort
-    by degree, descending, then by index. Rows are scattered a block of
-    a few MB at a time into one bool array and packed with one packbits."""
+    by degree, descending, then by index; a graph with a field is a
+    Cayley graph, every degree is |S| and rank = index, so only a graph
+    without one reads its degrees first. Rows come from graph.neighbors
+    for at most 256 vertices (and 4 MB of bits) at a time, scattered into
+    one bool array and packed with one packbits."""
     n = graph.n_vertices
-    degrees = np.array([len(graph.neighbors_of(u)) for u in range(n)], dtype=np.int64)
-    order = np.argsort(-degrees, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    step = max(1, (1 << 22) // n)
+    order = np.arange(n)
+    if getattr(graph, "ctx", None) is None:
+        order = np.argsort([-len(row) for row in graph.neighbors(order)], kind="stable")
+    rank = np.argsort(order)  # the inverse permutation
+    step = max(1, min(256, (1 << 22) // n))
     bits = np.zeros((min(step, n), n), dtype=bool)
     masks = []
     for start in range(0, n, step):
-        rows = order[start : start + step]
-        cols = rank[np.concatenate([graph.neighbors_of(int(u)) for u in rows])]
-        at = np.repeat(np.arange(len(rows)), degrees[rows])
+        rows = graph.neighbors(order[start : start + step])
+        at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        cols = rank[np.concatenate(rows)]
         bits[at, cols] = True
         packed = np.packbits(bits[: len(rows)], axis=1, bitorder="little")
         bits[at, cols] = False
@@ -282,8 +290,7 @@ def exact_chromatic(
         clique_lower(graph, node_budget=min(100_000, node_limit)),
     )
     nodes = 0
-    interrupted = False
-    while lower < upper and not interrupted:
+    while lower < upper and nodes < node_limit:  # a spent budget starts no round
         status, found, nodes = _search_k_coloring(
             graph, upper - 1, deadline, node_limit, nodes
         )
@@ -292,7 +299,7 @@ def exact_chromatic(
         elif status == "none":
             lower = upper
         else:
-            interrupted = True
+            break
     return ChiResult(
         status="exact" if lower == upper else "bounded",
         lower=lower,

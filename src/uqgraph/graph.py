@@ -3,24 +3,22 @@
 Vertices are the points of F_q^m indexed row-major over canonical
 element codes, last coordinate fastest; two points are adjacent exactly
 when their quadrance (the sum of squared coordinate differences) is 1.
-Adjacency is a Cayley structure on the additive group: u ~ v exactly when
+The graph is a Cayley graph on the additive group: u ~ v exactly when
 v - u lies on the unit circle S, which is one ascending array of vertex
 indices. S is found in O(|S| + q**(m-1)), not from the q**m grid: each
 prefix of the first m - 1 coordinates, with quadrance a, ends on S at the
 square roots of 1 - a. A graph is S and nothing else, and its constructor
 refuses an S that is empty, leaves the vertices or is not closed under
-negation, and an m with q**m past the int64 indices. Its
-(N, |S|) int32 array of sorted neighbor rows u + S is a cache, grown one
-coordinate at a time from digit sums of the field codes the first time
-`adjacency` is read. Only DIMACS export and the chromatic search read the
-rows (the CLI's build, chi and report); the triangle count, the coloring
-check (construction.verify_coloring) and the dense spectrum read S and
-its translates u + S, so color, verify, triangles and spectrum never
-build them. Every edge lies on the same number
-lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
-DIMACS export writes each edge as two 8-byte words, a head 'e U ' and a
-tail 'V' plus a newline, in blocks of at most 2**17 edges, so its own
-memory stays flat.
+negation, and an m with q**m past the int64 indices. The neighbors of u
+are its translates u + S (circle_translates, or the graph's `neighbors`
+for a block of vertices), which the triangle count, the coloring check,
+the dense spectrum and the chromatic search read. Only DIMACS export,
+which reads every row in index order, holds all (N, |S|) sorted int32
+rows, grown one coordinate at a time for the call. Every edge lies on
+the same number lambda = |S & (s0 + S)| of triangles, so
+T = N * |S| * lambda / 6. DIMACS export writes each edge as two 8-byte
+words, a head 'e U ' and a tail 'V' plus a newline, in blocks of at most
+2**17 edges, so its own memory beside the rows stays flat.
 """
 
 from __future__ import annotations
@@ -124,30 +122,30 @@ def circle_translates(graph: UnitQuadranceGraph, vertices) -> np.ndarray:
     the neighbors of u. vertices is one index, giving shape (|S|,), or an
     array of them, giving one more axis of length |S|. Per coordinate, the
     field sums a + s_j are formed once for each value a that the vertices
-    take there, then gathered."""
+    take there, times the coordinate's place value, then gathered and added."""
     q, m = graph.q, graph.m
     coords = np.asarray(vertices)[..., None] // q ** np.arange(m - 1, -1, -1) % q
     translates = 0
     for j, column in enumerate(circle_coords(graph).T):
         taken = np.zeros(q, dtype=bool)
         taken[coords[..., j]] = True
-        sums = graph.ctx.add_arrays(np.flatnonzero(taken)[:, None], column)
-        translates = translates * q + sums[np.cumsum(taken)[coords[..., j]] - 1]
+        sums = graph.ctx.add_arrays(np.flatnonzero(taken)[:, None], column) * q ** (m - 1 - j)
+        translates += sums[np.cumsum(taken)[coords[..., j]] - 1]  # in place after the first
     return translates
 
 
 class UnitQuadranceGraph:
     """Cay(F_q^m, S) for a connection set S of vertex indices, in any order
-    (for D_q^m, the unit circle); the neighbor rows are built from S on first
-    use, and only DIMACS export and chi read them.
+    (for D_q^m, the unit circle); the graph is S, and the neighbors of a
+    vertex are its translates u + S.
 
     S must be a nonempty array of indices in [0, q**m) with -S = S, or
     InvalidConnectionSetError is raised before any reader runs; -S comes
     from the digit table, not from scalar field calls. q**m above 2**63
     raises TooLargeError first, since indices and place values are int64.
-    The rows, chi and verify_coloring accept any such set at any m >= 1;
-    chi takes its construction witness at m >= 2 only when it is proper on
-    that set.
+    DIMACS export, chi and verify_coloring accept any such set at any
+    m >= 1; chi takes its construction witness at m >= 2 only when it is
+    proper on that set.
     dense_spectrum raises DimensionTooSmallError at m = 1 and refuses a set
     that the signed coordinate permutations do not keep; triangle_count
     assumes the unit circle.
@@ -157,7 +155,6 @@ class UnitQuadranceGraph:
         self.ctx = ctx
         self.m = m
         self.connection_set = connection_set
-        self._adjacency = None
         n = self.n_vertices
         if n > 1 << 63:
             raise TooLargeError(f"{self.q}**{m} vertices exceed int64 indices")
@@ -174,25 +171,9 @@ class UnitQuadranceGraph:
         if set(negated.tolist()) != set(connection_set.tolist()):  # S in any order
             raise InvalidConnectionSetError("the connection set is not closed under negation")
 
-    @property
-    def adjacency(self) -> np.ndarray:
-        """(N, degree) int32 rows u + S, each sorted, C-contiguous.
-
-        Rows grow one coordinate at a time: the rows over the first j
-        coordinates, times q, plus coordinate j of every u + s (column[a, k]
-        = a + s_k[j]) give the rows over the first j + 1. Every intermediate
-        is int32, which holds every index below the vertex bound
-        and halves the array and its sort.
-        """
-        if self._adjacency is None:
-            sums = coordinate_sums(self.ctx)
-            rows = np.zeros((1, self.degree), dtype=np.int32)
-            for c in circle_coords(self).T:
-                column = sums[:, c].astype(np.int32, order="C")
-                rows = (rows[:, None, :] * self.q + column).reshape(-1, self.degree)
-            rows.sort(axis=1)
-            self._adjacency = rows
-        return self._adjacency
+    def neighbors(self, vertices) -> np.ndarray:
+        """circle_translates: one row u + S per vertex u, in circle order."""
+        return circle_translates(self, vertices)
 
     @property
     def q(self) -> int:
@@ -210,9 +191,6 @@ class UnitQuadranceGraph:
     def n_edges(self) -> int:
         return self.n_vertices * self.degree // 2
 
-    def neighbors_of(self, u: int) -> np.ndarray:
-        return self.adjacency[u]
-
     def __repr__(self) -> str:
         return (
             f"UnitQuadranceGraph(q={self.q}, m={self.m},"
@@ -221,7 +199,7 @@ class UnitQuadranceGraph:
 
 
 def build_graph(ctx: FieldCtx, m: int = 2) -> UnitQuadranceGraph:
-    """D_q^m from its unit circle; the neighbor rows wait for their first reader."""
+    """D_q^m from its unit circle."""
     return UnitQuadranceGraph(ctx, m, unit_circle(ctx, m))
 
 
@@ -289,21 +267,34 @@ def dimacs_words(n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
     return head.view("<u8").ravel(), tail.view("<u8").ravel()
 
 
+def _neighbor_rows(graph: UnitQuadranceGraph) -> np.ndarray:
+    """(N, |S|) int32 rows u + S, each sorted, for export_dimacs alone: the
+    rows over the first j coordinates, times q, plus coordinate j of every
+    u + s (the sums a + s_k[j] of coordinate_sums) give the rows over the
+    first j + 1, all in int32, which holds every index below the vertex bound."""
+    rows = np.zeros((1, graph.degree), dtype=np.int32)
+    for c in circle_coords(graph).T:
+        column = coordinate_sums(graph.ctx)[:, c].astype(np.int32, order="C")  # reshape is a view
+        rows = (rows[:, None, :] * graph.q + column).reshape(-1, graph.degree)
+    rows.sort(axis=1)
+    return rows
+
+
 def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
     """Write the graph in DIMACS coloring format.
 
     Header comments record q, p, n, m and the field modulus; edges are
     1-based, u < v, in lexicographic order. The sink may be a binary or a
     text stream. A graph above DEFAULT_MAX_VERTICES raises TooLargeError
-    before any row is read. Edges are written in blocks of at most 2**17
-    lines (a block holds 2**17 // |S| rows): each edge is a head word of
-    u and a tail word of v from dimacs_words, and each block is stripped
-    of its NUL padding. Memory stays flat in the blocks, but not in the
-    (N, |S|) int32 rows they read.
+    before any row is built. The rows of _neighbor_rows live for the call.
+    Edges are written in blocks of at most 2**17 lines (a block holds
+    2**17 // |S| rows): each edge is a head word of u and a tail word of v
+    from dimacs_words, and each block is stripped of its NUL padding, so
+    memory beside the rows stays flat.
     """
     if graph.n_vertices > DEFAULT_MAX_VERTICES:
         raise TooLargeError(f"{graph.n_vertices} vertices exceed the bound {DEFAULT_MAX_VERTICES}")
-    ctx = graph.ctx
+    ctx, degree = graph.ctx, graph.degree
     header = (
         "c unit-quadrance graph\n"
         f"c q={ctx.q} p={ctx.p} n={ctx.n} m={graph.m}\n"
@@ -311,12 +302,13 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
         f"p edge {graph.n_vertices} {graph.n_edges}\n"
     )
     head, tail = dimacs_words(graph.n_vertices)
-    step = max(1, (1 << 17) // graph.degree)  # rows per block
-    edges = np.empty(min(step * graph.degree, graph.n_edges), dtype=[("u", "<u8"), ("v", "<u8")])
+    step = max(1, (1 << 17) // degree)  # rows per block
+    edges = np.empty(min(step * degree, graph.n_edges), dtype=[("u", "<u8"), ("v", "<u8")])
+    neighbor_rows = _neighbor_rows(graph)
     try:
         write_ascii(sink, header.encode("ascii"))
         for start in range(0, graph.n_vertices, step):
-            rows = graph.adjacency[start : start + step]
+            rows = neighbor_rows[start : start + step]
             later = rows > np.arange(start, start + len(rows))[:, None]
             block = edges[: np.count_nonzero(later)]
             block["u"] = np.repeat(head[start : start + len(rows)], later.sum(axis=1))

@@ -159,8 +159,8 @@ def dense_spectrum(graph) -> Spectrum:
     quarter of the block cost about a sixteenth of it together.
 
     Each component is summed with one bincount over the neighbors r + S of
-    its orbit minima, from circle_translates: no neighbor row of
-    graph.adjacency is read or built, and no block is formed whole. Its
+    its orbit minima, from circle_translates: no other neighbor row is
+    formed, and no block is formed whole. Its
     tracemalloc peak misses eigvalsh's copy of each component and its
     LAPACK workspace, which numpy allocates outside tracemalloc: at
     (49,2) at most one 300-wide solve.

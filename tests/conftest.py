@@ -1,14 +1,16 @@
 """Shared helpers: cached graph construction, prime-power enumeration, a
 one-second alarm, the traced peak of a refused call, the per-vertex
-coloring file writer, and the scalar element and vertex-index oracles."""
+coloring file writer, and the scalar element, vertex-index and
+neighbor-row oracles."""
 
 import signal
 import tracemalloc
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
-from uqgraph import TooLargeError, build_graph, make_field, prime_power
+from uqgraph import TooLargeError, build_graph, make_field, prime_power, vertex_coords
 
 
 def odd_prime_powers(lo: int, hi: int) -> list[int]:
@@ -41,6 +43,31 @@ def vertex_index(q: int, coords) -> int:
     for c in coords:
         idx = idx * q + c
     return idx
+
+
+def digit_columns(q: int, m: int, n_vertices: int):
+    """The m coordinate columns of the vertices 0..n_vertices-1, each by
+    its own place value."""
+    idx = np.arange(n_vertices, dtype=np.int64)
+    return [(idx // q ** (m - 1 - j)) % q for j in range(m)]
+
+
+def adjacency_by_columns(graph):
+    """Oracle: the (N, |S|) int64 neighbor rows u + S, each sorted, one
+    column per point s of the connection set from the scalar digits of s
+    and the field's addition table."""
+    ctx, m, q = graph.ctx, graph.m, graph.q
+    add_tab = ctx.add_table()
+    cols = digit_columns(q, m, q**m)
+    adjacency = np.empty((q**m, len(graph.connection_set)), dtype=np.int64)
+    for k, s in enumerate(graph.connection_set):
+        coords = vertex_coords(q, m, int(s))
+        acc = add_tab[cols[0], coords[0]]
+        for j in range(1, m):
+            acc = acc * q + add_tab[cols[j], coords[j]]
+        adjacency[:, k] = acc
+    adjacency.sort(axis=1)
+    return adjacency
 
 
 @lru_cache(maxsize=None)

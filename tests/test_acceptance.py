@@ -77,7 +77,7 @@ def test_criterion_3_degree_formula():
     for q in odd_prime_powers(3, 81):
         g = graph_for(q)
         expected = degree_formula(q)
-        degrees = {np.unique(g.neighbors_of(u)).size for u in range(g.n_vertices)}
+        degrees = {np.unique(row).size for row in g.neighbors(np.arange(g.n_vertices))}
         assert degrees == {expected}, f"q={q}"
         assert g.degree == expected
     _report(3, "degree formula for every odd prime power q <= 81")

@@ -6,7 +6,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from conftest import field_for, graph_for, vertex_index
+from conftest import adjacency_by_columns, field_for, graph_for, vertex_index
 from uqgraph import (
     build_graph,
     cayley_spectrum,
@@ -38,8 +38,18 @@ class StubGraph:
     def n_vertices(self):
         return self._n
 
-    def neighbors_of(self, u):
-        return np.array(sorted(self._adj[u]), dtype=np.int64)
+    def neighbors(self, vertices):
+        """One sorted row per vertex, as a list: degrees may differ."""
+        vertices = np.asarray(vertices).tolist()
+        return [np.array(sorted(self._adj[u]), dtype=np.int64) for u in vertices]
+
+
+def neighbor_lists(graph):
+    """Every vertex's sorted neighbors from an oracle: a stub's own edge
+    sets, or adjacency_by_columns for a field graph."""
+    if isinstance(graph, StubGraph):
+        return [sorted(adj) for adj in graph._adj]
+    return adjacency_by_columns(graph).tolist()
 
 
 def brute_chi(n, edges):
@@ -102,6 +112,7 @@ def test_exact_chromatic_q5():
     assert verify_coloring(g, result.witness) is None
     # cross-check: D_5 is the 5x5 torus grid, whose edges join coordinate
     # neighbors; it is non-bipartite (odd cycles) and 3-colorable
+    rows = g.neighbors(np.arange(g.n_vertices))
     for u in range(g.n_vertices):
         xu, yu = vertex_coords(g.q, g.m, u)
         expected = {
@@ -110,7 +121,7 @@ def test_exact_chromatic_q5():
             vertex_index(g.q, (xu, (yu + 1) % 5)),
             vertex_index(g.q, (xu, (yu - 1) % 5)),
         }
-        assert set(int(v) for v in g.neighbors_of(u)) == expected
+        assert set(rows[u].tolist()) == expected
 
 
 def test_exact_chromatic_budget_path():
@@ -213,7 +224,7 @@ def scan_search_k_coloring(graph, k, deadline, node_limit, nodes):
         return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
     if k < 1:
         return "none", None, nodes
-    nbrs = [[int(w) for w in graph.neighbors_of(u)] for u in range(n)]
+    nbrs = neighbor_lists(graph)
     deg = [len(x) for x in nbrs]
     colors = [-1] * n
     forbid = [0] * n
@@ -350,7 +361,7 @@ def memoryview_search_k_coloring(graph, k, deadline, node_limit, nodes):
         return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
     if k < 1:
         return "none", None, nodes
-    nbrs = [graph.neighbors_of(u).tolist() for u in range(n)]
+    nbrs = neighbor_lists(graph)
     colors = [-1] * n
     forbid = [0] * n  # -1 while colored
     big = n + 1  # outranks any degree, so saturation dominates the score
@@ -474,7 +485,7 @@ def test_found_witness_matches_memoryview_oracle_on_both_sides_of_the_snapshot_r
     k = max degree + 1 keeps none. Each search colors every vertex, and the
     witness read off the stack is the oracle's."""
     for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs()):
-        max_degree = max(len(g.neighbors_of(u)) for u in range(g.n_vertices))
+        max_degree = max(map(len, neighbor_lists(g)))
         for k in (max_degree, max_degree + 1):
             new = _search_k_coloring(g, k, float("inf"), float("inf"), 0)
             old = memoryview_search_k_coloring(g, k, float("inf"), float("inf"), 0)
@@ -486,31 +497,33 @@ def test_found_witness_matches_memoryview_oracle_on_both_sides_of_the_snapshot_r
 def masks_one_vertex_at_a_time(graph):
     """Neighbor masks in rank order, one packbits per vertex: the oracle for
     the blocked build in _neighbor_masks."""
-    n = graph.n_vertices
-    degrees = np.array([len(graph.neighbors_of(u)) for u in range(n)], dtype=np.int64)
+    n, nbrs = graph.n_vertices, neighbor_lists(graph)
+    degrees = np.array([len(x) for x in nbrs], dtype=np.int64)
     order = np.argsort(-degrees, kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
     masks = []
     for u in order.tolist():
         row = np.zeros(n, dtype=bool)
-        row[rank[graph.neighbors_of(u)]] = True
+        row[rank[nbrs[u]]] = True
         masks.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
     return order.tolist(), masks
 
 
 def test_blocked_neighbor_masks_match_one_vertex_at_a_time():
-    """On uneven stubs rank is not index; at (3,8), N = 6561, the build
-    packs more than one block."""
+    """On uneven stubs rank is not index; F_27 adds digit-wise, (5,3)
+    translates three coordinates, and at (27,2) and (3,8) the build packs
+    more than one block of at most 256 vertices."""
     for g in list(uneven_stub_graphs())[:5]:
         order, masks = _neighbor_masks(g)
         assert order != list(range(g.n_vertices))
         assert (order, masks) == masks_one_vertex_at_a_time(g)
-    g = graph_for(3, 8)
-    assert g.n_vertices > (1 << 22) // g.n_vertices  # rows per block
-    order, masks = _neighbor_masks(g)
-    assert order == list(range(g.n_vertices))  # a field graph is regular
-    assert (order, masks) == masks_one_vertex_at_a_time(g)
+    for q, m in [(27, 2), (5, 3), (3, 8)]:
+        g = graph_for(q, m)
+        order, masks = _neighbor_masks(g)
+        assert order == list(range(g.n_vertices))  # a field graph is regular
+        assert (order, masks) == masks_one_vertex_at_a_time(g)
+    assert graph_for(27).n_vertices > 256 and g.n_vertices > 256
 
 
 def test_pinned_search_counts():
@@ -524,7 +537,7 @@ def array_greedy_bound(graph) -> Coloring:
     """Greedy DSATUR with numpy colors and numpy scalar score updates, as it
     was before the memoryview score. Kept as the oracle for greedy_bound."""
     n = graph.n_vertices
-    nbrs = [graph.neighbors_of(u) for u in range(n)]
+    nbrs = neighbor_lists(graph)
     colors = np.full(n, -1, dtype=np.int64)
     forbid = [0] * n
     big = n + 1
@@ -552,7 +565,7 @@ def array_search_k_coloring(graph, k, deadline, node_limit, nodes):
         return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
     if k < 1:
         return "none", None, nodes
-    nbrs = [[int(w) for w in graph.neighbors_of(u)] for u in range(n)]
+    nbrs = neighbor_lists(graph)
     colors = [-1] * n
     forbid = [0] * n
     big = n + 1
@@ -655,6 +668,7 @@ def bfs_structural_lower(graph) -> int:
     if n == 0:
         return 0
     side = [-1] * n
+    nbrs = neighbor_lists(graph)
     has_edge = False
     for start in range(n):
         if side[start] >= 0:
@@ -663,7 +677,7 @@ def bfs_structural_lower(graph) -> int:
         queue = [start]
         while queue:
             u = queue.pop()
-            for w in graph.neighbors_of(u).tolist():
+            for w in nbrs[u]:
                 if w == u:
                     continue
                 has_edge = True
@@ -745,7 +759,7 @@ def global_clique_lower(graph, node_budget=100_000):
     n = graph.n_vertices
     if n == 0:
         return 0
-    rows = [sum(1 << v for v in graph.neighbors_of(u).tolist()) for u in range(n)]
+    rows = [sum(1 << v for v in nbrs) for nbrs in neighbor_lists(graph)]
     best = 1
     nodes = 0
 
@@ -838,9 +852,9 @@ def test_masks_live_as_long_as_their_graph(monkeypatch):
 
 
 def clashes_on_rows(graph, colors) -> bool:
-    """True when some row edge {u, v} of graph.adjacency has both ends
+    """True when some row edge {u, v} of adjacency_by_columns has both ends
     colored alike: the rows, not S, judge the witness."""
-    return bool((colors[graph.adjacency] == colors[:, None]).any())
+    return bool((colors[adjacency_by_columns(graph)] == colors[:, None]).any())
 
 
 def line_quotient(q):

@@ -111,6 +111,15 @@ def test_chi_budget_gives_valid_bracket(capsys):
     assert record["lower"] <= record["upper"]
 
 
+def test_chi_spends_no_node_past_a_budget_of_zero(capsys):
+    # the search round used to start anyway and spend one node past the budget
+    code, stdout, _ = run(capsys, "chi", "--q", "7", "--nodes", "0", "--json")
+    record = json.loads(stdout)
+    del record["millis"]
+    assert code == 0
+    assert record == {"lower": 3, "m": 2, "nodes": 0, "q": 7, "status": "bounded", "upper": 4}
+
+
 @pytest.mark.parametrize("command", [["chi", "--q", "7"], ["report", "--q", "5..7"]])
 @pytest.mark.parametrize("flag, value, message", [
     ("--timeout", "nan", "--timeout must be a number of seconds >= 0, not nan"),

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import coloring_text_by_lines, field_for, graph_for, odd_prime_powers, refused_peak
+from conftest import (
+    adjacency_by_columns,
+    coloring_text_by_lines,
+    field_for,
+    graph_for,
+    odd_prime_powers,
+    refused_peak,
+)
 from uqgraph import (
     Coloring,
     ConstructionUnavailableError,
@@ -394,7 +401,7 @@ def test_verify_coloring_negatives():
     violation = verify_coloring(g, flat)
     assert violation is not None
     u, v = violation
-    assert v in g.adjacency[u]
+    assert v in adjacency_by_columns(g)[u]
     identity = Coloring(q=7, m=2, colors=np.arange(49, dtype=np.int64), k=49)
     assert verify_coloring(g, identity) is None
     short = Coloring(q=7, m=2, colors=np.zeros(10, dtype=np.int64), k=1)
@@ -409,16 +416,16 @@ def test_verify_coloring_reports_first_violation():
     g = graph_for(5)
     colors = np.arange(25, dtype=np.int64)
     u = 0
-    v = int(g.neighbors_of(0)[0])
+    v = int(adjacency_by_columns(g)[0, 0])
     colors[v] = colors[u]
     damaged = Coloring(q=5, m=2, colors=colors, k=25)
     assert verify_coloring(g, damaged) == (u, v)
 
 
-def _first_violation_by_rows(graph, colors):
-    """Oracle: scan each vertex's later neighbors in order."""
-    for u in range(graph.n_vertices):
-        nbrs = graph.neighbors_of(u)
+def _first_violation_by_rows(rows, colors):
+    """Oracle: scan each vertex's later neighbors in order, in the sorted
+    neighbor rows of adjacency_by_columns."""
+    for u, nbrs in enumerate(rows):
         later = nbrs[nbrs > u]
         hits = later[colors[later] == colors[u]]
         if hits.size:
@@ -426,18 +433,19 @@ def _first_violation_by_rows(graph, colors):
     return None
 
 
-def verify_by_row_blocks(graph, coloring):
+def verify_by_row_blocks(adjacency, coloring):
     """Oracle: the route verify_coloring took before it read only the unit
-    circle, a gather of the colors over blocks of neighbor rows."""
-    n, colors = graph.n_vertices, coloring.colors
+    circle, a gather of the colors over blocks of the sorted neighbor rows
+    of adjacency_by_columns."""
+    (n, degree), colors = adjacency.shape, coloring.colors
     # Rows are sorted and symmetric, so the first clash in row-major order is
     # the first conflicting edge: a clashing neighbor below u clashes earlier.
-    step = max(1, (1 << 16) // graph.degree)
+    step = max(1, (1 << 16) // degree)
     for start in range(0, n, step):
-        rows = graph.adjacency[start : start + step]
+        rows = adjacency[start : start + step]
         clash = colors[rows] == colors[start : start + len(rows), None]
         if clash.any():
-            u, k = divmod(int(clash.argmax()), graph.degree)
+            u, k = divmod(int(clash.argmax()), degree)
             return (start + u, int(rows[u, k]))
     return None
 
@@ -454,20 +462,21 @@ def test_verify_coloring_against_row_scan_oracle(q, m):
     g = graph_for(q, m)
     base = build_coloring_md(ctx, m, make_plan(ctx)) if q > 3 else greedy_bound(g)
     rng = np.random.default_rng(1000 * q + m)
+    rows = adjacency_by_columns(g)
     assert verify_coloring(g, base) is None
-    assert _first_violation_by_rows(g, base.colors) is None
+    assert _first_violation_by_rows(rows, base.colors) is None
     n = g.n_vertices
     constant = Coloring(q=q, m=m, colors=np.zeros(n, dtype=np.int64), k=1)
     identity = Coloring(q=q, m=m, colors=np.arange(n, dtype=np.int64), k=n)
-    assert verify_coloring(g, constant) == verify_by_row_blocks(g, constant) == (0, 1)
-    assert verify_coloring(g, identity) is verify_by_row_blocks(g, identity) is None
+    assert verify_coloring(g, constant) == verify_by_row_blocks(rows, constant) == (0, 1)
+    assert verify_coloring(g, identity) is verify_by_row_blocks(rows, identity) is None
     for trial in range(40):
         colors = base.colors.copy()
         changed = rng.choice(n, size=1 + trial % 4, replace=False)
         colors[changed] = rng.integers(0, base.k, size=changed.size)
         recolored = Coloring(q=q, m=m, colors=colors, k=base.k)
-        expected = _first_violation_by_rows(g, colors)
-        assert verify_coloring(g, recolored) == verify_by_row_blocks(g, recolored) == expected
+        expected = _first_violation_by_rows(rows, colors)
+        assert verify_coloring(g, recolored) == verify_by_row_blocks(rows, recolored) == expected
 
 
 def test_verify_coloring_memory_stays_flat():
@@ -477,12 +486,13 @@ def test_verify_coloring_memory_stays_flat():
     g = graph_for(127)
     coloring = build_coloring_md(ctx, 2, make_plan(ctx))
     colors = coloring.colors.copy()
-    colors[-1] = colors[int(g.neighbors_of(g.n_vertices - 1)[0])]
+    rows = adjacency_by_columns(g)  # built before tracing
+    colors[-1] = colors[rows[-1, 0]]
     damaged = Coloring(q=127, m=2, colors=colors, k=coloring.k)
     tracemalloc.start()
     try:
         assert verify_coloring(g, coloring) is None
-        assert verify_coloring(g, damaged) == _first_violation_by_rows(g, colors)
+        assert verify_coloring(g, damaged) == _first_violation_by_rows(rows, colors)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import field_for, graph_for, odd_prime_powers, refused_peak, vertex_index
+from conftest import (
+    adjacency_by_columns,
+    digit_columns,
+    field_for,
+    graph_for,
+    odd_prime_powers,
+    refused_peak,
+    vertex_index,
+)
 from uqgraph import (
     Coloring,
     DimensionMismatchError,
@@ -33,6 +41,7 @@ from uqgraph import (
     vertex_coords,
 )
 from uqgraph.graph import (
+    _neighbor_rows,
     circle_coords,
     circle_translates,
     coordinate_sums,
@@ -109,7 +118,7 @@ def test_build_graph_m3():
         if (x * x + y * y + z * z) % 5 == 1
     )
     assert g.degree == sphere
-    counts = {np.unique(g.neighbors_of(u)).size for u in range(g.n_vertices)}
+    counts = {np.unique(row).size for row in g.neighbors(np.arange(g.n_vertices))}
     assert counts == {sphere}
 
 
@@ -121,10 +130,11 @@ def test_build_graph_errors():
 
 def test_no_self_loops_and_symmetry():
     g = graph_for(9)
+    rows = g.neighbors(np.arange(g.n_vertices))
     for u in range(g.n_vertices):
-        assert u not in g.adjacency[u]
-        for v in g.neighbors_of(u):
-            assert u in g.adjacency[v]
+        assert u not in rows[u]
+        for v in rows[u]:
+            assert u in rows[v]
 
 
 @pytest.mark.parametrize("q", odd_prime_powers(3, 27))
@@ -132,7 +142,7 @@ def test_degree_formula_small(q):
     g = graph_for(q)
     expected = degree_formula(q)
     assert g.degree == expected
-    degrees = {np.unique(g.neighbors_of(u)).size for u in range(g.n_vertices)}
+    degrees = {np.unique(row).size for row in g.neighbors(np.arange(g.n_vertices))}
     assert degrees == {expected}
 
 
@@ -142,10 +152,11 @@ def test_adjacency_matches_quadrance_definition():
         g = graph_for(q)
         for u in range(g.n_vertices):
             xu, yu = vertex_coords(q, 2, u)
+            row = g.neighbors(u)
             for v in range(u + 1, g.n_vertices):
                 xv, yv = vertex_coords(q, 2, v)
                 expected = ((xu - xv) ** 2 + (yu - yv) ** 2) % q == 1
-                assert (v in g.adjacency[u]) == expected
+                assert (v in row) == expected
 
 
 @settings(max_examples=60, derandomize=True)
@@ -161,7 +172,7 @@ def test_translation_invariance(data):
     cv = vertex_coords(q, 2, v)
     tu = vertex_index(q, (ctx.add(cu[0], c[0]), ctx.add(cu[1], c[1])))
     tv = vertex_index(q, (ctx.add(cv[0], c[0]), ctx.add(cv[1], c[1])))
-    assert (v in g.adjacency[u]) == (tv in g.adjacency[tu])
+    assert (v in g.neighbors(u)) == (tv in g.neighbors(tu))
 
 
 def test_triangle_counts():
@@ -181,7 +192,7 @@ def test_triangle_counts():
 )
 def test_triangle_count_against_enumeration_oracle(q, m, expected):
     g = graph_for(q, m)
-    adj = [set(int(v) for v in g.neighbors_of(u)) for u in range(g.n_vertices)]
+    adj = [set(row) for row in adjacency_by_columns(g).tolist()]
     count = 0
     for u in range(g.n_vertices):
         for v in adj[u]:
@@ -194,7 +205,7 @@ def triangles_by_row_lookup(graph):
     """Oracle: the route triangle_count took before it read only the unit
     circle, S's own neighbor rows s + S looked up in S."""
     circle = graph.connection_set
-    pairs = int(np.count_nonzero(np.isin(graph.adjacency[circle], circle)))
+    pairs = int(np.count_nonzero(np.isin(adjacency_by_columns(graph)[circle], circle)))
     return graph.n_vertices * pairs // 6
 
 
@@ -251,17 +262,18 @@ def test_every_edge_has_the_same_common_neighbor_count(q, m):
     # the premise of triangle_count: |S & (s + S)| does not depend on s in S
     g = graph_for(q, m)
     circle = g.connection_set
-    common = np.isin(g.adjacency[circle], circle).sum(axis=1)
+    common = np.isin(adjacency_by_columns(g)[circle], circle).sum(axis=1)
     assert len(set(common.tolist())) == 1
 
 
 @pytest.mark.parametrize("q, m", [(9, 2), (13, 2), (5, 3), (3, 4)])
 def test_circle_translates_are_the_neighbors_in_circle_order(q, m):
     g = graph_for(q, m)
+    rows = adjacency_by_columns(g)
     assert np.array_equal(circle_translates(g, 0), g.connection_set)
     for u in (1, g.n_vertices // 3, g.n_vertices - 1):
         translates = circle_translates(g, u)
-        assert np.array_equal(np.sort(translates), g.adjacency[u])
+        assert np.array_equal(np.sort(translates), rows[u])
         # the k-th translate is u + S[k], coordinate by coordinate
         k = len(translates) // 2
         su, sk = vertex_coords(q, m, u), vertex_coords(q, m, int(g.connection_set[k]))
@@ -274,7 +286,8 @@ def test_circle_translates_of_many_vertices_are_their_rows(q, m):
     vertices = np.random.default_rng(q + m).permutation(g.n_vertices)[: g.n_vertices // 3 + 1]
     translates = circle_translates(g, vertices)
     assert translates.shape == (len(vertices), g.degree)
-    assert np.array_equal(np.sort(translates, axis=1), g.adjacency[vertices])
+    assert np.array_equal(np.sort(translates, axis=1), adjacency_by_columns(g)[vertices])
+    assert np.array_equal(g.neighbors(vertices), translates)
     # row i is circle_translates of vertices[i], in circle order
     assert np.array_equal(translates[-1], circle_translates(g, int(vertices[-1])))
     grid = circle_translates(g, vertices[: 2 * (len(vertices) // 2)].reshape(-1, 2))
@@ -319,16 +332,17 @@ def test_graph_with_the_largest_int64_indices_builds():
 
 
 def test_first_adjacency_read_builds_int32_rows_within_budget():
-    # build_graph keeps only the circle, so its traced peak no longer spans the rows
+    # build_graph keeps only the circle; export_dimacs builds the rows for its call
     g = build_graph(field_for(127), 2)
     tracemalloc.start()
     try:
-        rows = g.adjacency
+        rows = _neighbor_rows(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows.nbytes == 127**2 * 128 * 4
-    assert g.adjacency is rows  # built once
+    assert rows.dtype == np.int32 and rows.nbytes == 127**2 * 128 * 4
+    assert np.array_equal(rows, adjacency_by_columns(g))
+    assert vars(g).keys() == {"ctx", "m", "connection_set"}  # the graph keeps no rows
     # the rows are 8.3 MB in int32; an int64 intermediate would be about 16 MB
     assert peak < 12 * 2**20
 
@@ -440,7 +454,6 @@ def test_export_dimacs_refuses_a_graph_above_the_vertex_bound_before_reading_row
     # 3**11 vertices: six-digit names would not fit a word
     graph = UnitQuadranceGraph(make_field(3), 11, np.array([1, 2]))
     assert refused_peak(export_dimacs, graph, io.BytesIO()) < 1 << 20
-    assert graph._adjacency is None
 
 
 class LineCounter:
@@ -465,16 +478,16 @@ def test_export_dimacs_writes_at_most_2_17_edge_lines_at_once(q, m):
 
 
 def test_export_dimacs_memory_stays_below_8_mib_beside_the_rows_at_q127():
-    graph = graph_for(127)
-    graph.adjacency  # the 8.3 MB rows are built before tracing
+    graph = build_graph(field_for(127), 2)  # the graph is its circle: export builds the rows
     tracemalloc.start()
     try:
         export_dimacs(graph, LineCounter())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the fixed-width record blocks of up to 245 284 records peaked at 10.4 MiB
-    assert peak < 8 * 2**20
+    # the int32 rows are 7.9 MiB, an int64 copy of them would be 15.8 MiB, and
+    # the fixed-width record blocks of up to 245 284 records peaked at 10.4 MiB beside them
+    assert peak < 127**2 * 128 * 4 + 8 * 2**20
 
 
 def test_export_dimacs_failure():
@@ -495,38 +508,19 @@ def test_unit_circle_lies_at_quadrance_one():
         assert unit_circle(ctx, m).tolist() == at_one
 
 
-# The column-by-column unit circle and neighbor-row builds, the per-row
-# DIMACS writer and the fixed-width record writer that the per-coordinate
-# broadcasts and the word writer replaced, kept as oracles.
-
-
-def _digit_columns(q, m, n_vertices):
-    idx = np.arange(n_vertices, dtype=np.int64)
-    return [(idx // q ** (m - 1 - j)) % q for j in range(m)]
+# The column-by-column unit circle, the per-row DIMACS writer and the
+# fixed-width record writer that the per-coordinate broadcasts and the
+# word writer replaced, kept as oracles; the column-by-column neighbor
+# rows are conftest's adjacency_by_columns.
 
 
 def unit_circle_by_columns(ctx, m):
-    cols = _digit_columns(ctx.q, m, ctx.q**m)
+    cols = digit_columns(ctx.q, m, ctx.q**m)
     add_tab, squares = ctx.add_table(), ctx.square_vector()
     acc = np.zeros(ctx.q**m, dtype=np.int64)
     for col in cols:
         acc = add_tab[acc, squares[col]]
     return np.flatnonzero(acc == 1)
-
-
-def adjacency_by_columns(ctx, m, circle):
-    q, n_vertices = ctx.q, ctx.q**m
-    add_tab = ctx.add_table()
-    cols = _digit_columns(q, m, n_vertices)
-    adjacency = np.empty((n_vertices, len(circle)), dtype=np.int64)
-    for k, s in enumerate(circle):
-        coords = vertex_coords(q, m, int(s))
-        acc = add_tab[cols[0], coords[0]]
-        for j in range(1, m):
-            acc = acc * q + add_tab[cols[j], coords[j]]
-        adjacency[:, k] = acc
-    adjacency.sort(axis=1)
-    return adjacency
 
 
 def dimacs_header(graph):
@@ -543,7 +537,7 @@ def export_dimacs_by_rows(graph, sink, binary):
     header = dimacs_header(graph)
     sink.write(header.encode("ascii") if binary else header)
     names = [str(v + 1) for v in range(graph.n_vertices)]
-    for u, row in enumerate(graph.adjacency):
+    for u, row in enumerate(adjacency_by_columns(graph)):
         later = row[row > u].tolist()
         if later:
             head = f"e {names[u]} "
@@ -557,11 +551,12 @@ def export_dimacs_by_fixed_records(graph, sink):
         [("e", "S2"), ("u", names.dtype), ("sp", "S1"), ("v", names.dtype), ("nl", "S1")]
     )
     step = max(1, (1 << 18) // graph.degree)  # rows per block
+    neighbor_rows = adjacency_by_columns(graph)
     edges = np.empty(min(step * graph.degree, graph.n_edges), dtype=record)
     edges["e"], edges["sp"], edges["nl"] = b"e ", b" ", b"\n"  # each block fills a prefix
     write_ascii(sink, dimacs_header(graph).encode("ascii"))
     for start in range(0, graph.n_vertices, step):
-        rows = graph.adjacency[start : start + step]
+        rows = neighbor_rows[start : start + step]
         later = rows > np.arange(start, start + len(rows))[:, None]
         block = edges[: np.count_nonzero(later)]
         block["u"] = np.repeat(names[start : start + len(rows)], later.sum(axis=1))
@@ -582,10 +577,6 @@ def test_build_and_export_match_column_and_row_oracles(q, m):
     circle = unit_circle_by_columns(ctx, m)
     graph = build_graph(ctx, m) if m >= 2 else UnitQuadranceGraph(ctx, m, circle)
     assert np.array_equal(graph.connection_set, circle)
-    assert graph.adjacency.dtype == np.int32
-    assert graph.adjacency.flags.c_contiguous
-    assert graph.adjacency.nbytes == q**m * len(circle) * 4
-    assert np.array_equal(graph.adjacency, adjacency_by_columns(ctx, m, circle))
     for binary, stream in ((False, io.StringIO), (True, io.BytesIO)):
         sink, expected, records = stream(), stream(), stream()
         export_dimacs(graph, sink)
