@@ -167,8 +167,12 @@ def _neighbor_masks(graph) -> tuple[list[int], list[int]]:
     masks = []
     for start in range(0, n, step):
         rows = graph.neighbors(order[start : start + step])
-        at = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-        cols = rank[np.concatenate(rows)]
+        if isinstance(rows, np.ndarray):  # a Cayley graph: every row is |S| long
+            lengths, flat = rows.shape[1], rows.ravel()
+        else:  # a list of rows of any lengths
+            lengths, flat = [len(row) for row in rows], np.concatenate(rows)
+        at = np.repeat(np.arange(len(rows)), lengths)
+        cols = rank[flat]
         bits[at, cols] = True
         packed = np.packbits(bits[: len(rows)], axis=1, bitorder="little")
         bits[at, cols] = False

@@ -8,6 +8,7 @@ negative (an improper coloring or a violated check), 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -357,7 +358,33 @@ def _build_parser(command) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    """Pin glibc's mmap threshold at 4 MiB and its trim threshold at twice
+    that, once per process (no-op on other C libraries).
+
+    glibc slides the mmap threshold up to the largest mapped block freed so
+    far, so in a process that runs command after command, a large buffer
+    read after one command can stay in the heap and be held beside a
+    larger one mapped after the next: the peak then depends on the order of
+    the commands. With the threshold pinned, a block above 4 MiB that no
+    free heap chunk holds gets its own mapping, returned when freed, free
+    heap above 8 MiB at the top is given back, and the export's write
+    buffers (2**17 edges of 16 bytes, and a copy) stay in the heap.
+    """
+    import ctypes
+
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version  # glibc's option numbers below
+    except (OSError, TypeError, AttributeError):
+        return
+    libc.mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     argv = sys.argv[1:] if argv is None else list(argv)
     # the main parser takes no option values, so the first command name is
     # the subcommand argparse picks (subcommands allow no abbreviation)

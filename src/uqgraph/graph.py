@@ -8,17 +8,19 @@ v - u lies on the unit circle S, which is one ascending array of vertex
 indices. S is found in O(|S| + q**(m-1)), not from the q**m grid: each
 prefix of the first m - 1 coordinates, with quadrance a, ends on S at the
 square roots of 1 - a. A graph is S and nothing else, and its constructor
-refuses an S that is empty, leaves the vertices or is not closed under
-negation, and an m with q**m past the int64 indices. The neighbors of u
-are its translates u + S (circle_translates, or the graph's `neighbors`
-for a block of vertices), which the triangle count, the coloring check,
-the dense spectrum and the chromatic search read. Only DIMACS export,
-which reads every row in index order, holds all (N, |S|) sorted int32
-rows, grown one coordinate at a time for the call. Every edge lies on
-the same number lambda = |S & (s0 + S)| of triangles, so
-T = N * |S| * lambda / 6. DIMACS export writes each edge as two 8-byte
-words, a head 'e U ' and a tail 'V' plus a newline, in blocks of at most
-2**17 edges, so its own memory beside the rows stays flat.
+refuses an S that is empty, leaves the vertices, is not closed under
+negation, holds 0 or repeats an index, and an m with q**m past the int64
+indices. The neighbors of u are its translates u + S (circle_translates,
+or the graph's `neighbors` for a block of vertices), which the triangle
+count, the coloring check, the dense spectrum and the chromatic search
+read. DIMACS export reads the sorted rows in index order, a block of q**j
+vertices at a time (q**j * |S| <= 2**17): the int32 rows over the last j
+coordinates are grown once, and each block adds the sums of its leading
+coordinates, so no (N, |S|) array is built. Every edge lies on the same
+number lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
+DIMACS export writes each edge as two 8-byte words, a head 'e U ' and a
+tail 'V' plus a newline, at most 2**17 edges at a time, so its memory
+stays flat.
 """
 
 from __future__ import annotations
@@ -139,10 +141,12 @@ class UnitQuadranceGraph:
     (for D_q^m, the unit circle); the graph is S, and the neighbors of a
     vertex are its translates u + S.
 
-    S must be a nonempty array of indices in [0, q**m) with -S = S, or
-    InvalidConnectionSetError is raised before any reader runs; -S comes
-    from the digit table, not from scalar field calls. q**m above 2**63
-    raises TooLargeError first, since indices and place values are int64.
+    S must be a nonempty array of distinct nonzero indices in [0, q**m)
+    with -S = S, or InvalidConnectionSetError is raised before any reader
+    runs: 0 would put a loop at every vertex, and a repeated index would
+    count its edges twice. -S comes from the digit table, not from scalar
+    field calls. q**m above 2**63 raises TooLargeError first, since
+    indices and place values are int64.
     DIMACS export, chi and verify_coloring accept any such set at any
     m >= 1; chi takes its construction witness at m >= 2 only when it is
     proper on that set.
@@ -168,8 +172,14 @@ class UnitQuadranceGraph:
         digits = ctx.digits_matrix()[circle_coords(self)].astype(np.int64)  # (|S|, m, n)
         codes = (ctx.p - digits) % ctx.p @ ctx.p ** np.arange(ctx.n)  # -x, digit by digit
         negated = codes @ self.q ** np.arange(m - 1, -1, -1)
-        if set(negated.tolist()) != set(connection_set.tolist()):  # S in any order
+        ordered = np.sort(connection_set)  # S in any order
+        if not np.array_equal(np.sort(negated), ordered):
             raise InvalidConnectionSetError("the connection set is not closed under negation")
+        if ordered[0] == 0:
+            raise InvalidConnectionSetError("the connection set holds 0, a loop at every vertex")
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if len(repeated):
+            raise InvalidConnectionSetError(f"connection set index {repeated[0]} is repeated")
 
     def neighbors(self, vertices) -> np.ndarray:
         """circle_translates: one row u + S per vertex u, in circle order."""
@@ -267,34 +277,27 @@ def dimacs_words(n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
     return head.view("<u8").ravel(), tail.view("<u8").ravel()
 
 
-def _neighbor_rows(graph: UnitQuadranceGraph) -> np.ndarray:
-    """(N, |S|) int32 rows u + S, each sorted, for export_dimacs alone: the
-    rows over the first j coordinates, times q, plus coordinate j of every
-    u + s (the sums a + s_k[j] of coordinate_sums) give the rows over the
-    first j + 1, all in int32, which holds every index below the vertex bound."""
-    rows = np.zeros((1, graph.degree), dtype=np.int32)
-    for c in circle_coords(graph).T:
-        column = coordinate_sums(graph.ctx)[:, c].astype(np.int32, order="C")  # reshape is a view
-        rows = (rows[:, None, :] * graph.q + column).reshape(-1, graph.degree)
-    rows.sort(axis=1)
-    return rows
-
-
 def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
     """Write the graph in DIMACS coloring format.
 
     Header comments record q, p, n, m and the field modulus; edges are
     1-based, u < v, in lexicographic order. The sink may be a binary or a
     text stream. A graph above DEFAULT_MAX_VERTICES raises TooLargeError
-    before any row is built. The rows of _neighbor_rows live for the call.
-    Edges are written in blocks of at most 2**17 lines (a block holds
-    2**17 // |S| rows): each edge is a head word of u and a tail word of v
-    from dimacs_words, and each block is stripped of its NUL padding, so
-    memory beside the rows stays flat.
+    before any row is built.
+
+    A block is q**j consecutive vertices, for the largest j >= 1 with
+    q**j * |S| <= 2**17. Its sorted int32 rows u + S are the rows over the
+    last j coordinates, grown once one coordinate at a time, plus the
+    block's vector over S: the field sums of its leading m - j coordinates
+    with those of S, times their place values. When q * |S| exceeds 2**17
+    (then j = 1), a block's rows are built 2**17 // |S| at a time. So no
+    array of N * |S| or (N / q) * |S| entries is built. Each edge is a
+    head word of u and a tail word of v from dimacs_words, and each write
+    of at most 2**17 edges is stripped of its NUL padding.
     """
     if graph.n_vertices > DEFAULT_MAX_VERTICES:
         raise TooLargeError(f"{graph.n_vertices} vertices exceed the bound {DEFAULT_MAX_VERTICES}")
-    ctx, degree = graph.ctx, graph.degree
+    ctx, q, m, degree = graph.ctx, graph.q, graph.m, graph.degree
     header = (
         "c unit-quadrance graph\n"
         f"c q={ctx.q} p={ctx.p} n={ctx.n} m={graph.m}\n"
@@ -302,18 +305,43 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
         f"p edge {graph.n_vertices} {graph.n_edges}\n"
     )
     head, tail = dimacs_words(graph.n_vertices)
-    step = max(1, (1 << 17) // degree)  # rows per block
-    edges = np.empty(min(step * degree, graph.n_edges), dtype=[("u", "<u8"), ("v", "<u8")])
-    neighbor_rows = _neighbor_rows(graph)
+    j = 1
+    while j < m and q ** (j + 1) * degree <= 1 << 17:
+        j += 1
+    width = q**j  # vertices per block
+    step = min(width, (1 << 17) // degree)  # rows per write, below width only at j = 1
+    coords = circle_coords(graph).T
+    leading, trailing, places = coords[: m - j], coords[m - j :], q ** np.arange(m - 1, j - 1, -1)
+
+    def trailing_rows(first: np.ndarray) -> np.ndarray:
+        """Rows over the last j coordinates, the first of them taking the
+        values first: the rows so far times q, plus the next coordinate's sums."""
+        rows = np.zeros((1, degree), dtype=np.int32)
+        for values, c in zip([first] + [np.arange(q)] * (j - 1), trailing):
+            rows = rows[:, None, :] * q + ctx.add_arrays(values[:, None], c).astype(np.int32)
+            rows = rows.reshape(-1, degree)
+        return rows
+
+    whole = trailing_rows(np.arange(q)) if step == width else None
+    edges = np.empty((min(step * degree, graph.n_edges), 2), dtype="<u8")
     try:
         write_ascii(sink, header.encode("ascii"))
-        for start in range(0, graph.n_vertices, step):
-            rows = neighbor_rows[start : start + step]
-            later = rows > np.arange(start, start + len(rows))[:, None]
-            block = edges[: np.count_nonzero(later)]
-            block["u"] = np.repeat(head[start : start + len(rows)], later.sum(axis=1))
-            block["v"] = tail[rows[later]]
-            write_ascii(sink, block.tobytes().translate(None, b"\0"))  # deletes the padding
+        for block in range(0, graph.n_vertices, width):
+            lead = np.zeros(degree, dtype=np.int64)
+            for a, c, place in zip(vertex_coords(q, m - j, block // width), leading, places):
+                lead += ctx.add_arrays(a, c) * place
+            lead = lead.astype(np.int32)
+            for start in range(block, block + width, step):
+                stop = min(start + step, block + width)
+                rows = whole if whole is not None else trailing_rows(np.arange(start, stop) - block)
+                rows = rows + lead
+                rows.sort(axis=1)
+                later = rows > np.arange(start, stop, dtype=np.int32)[:, None]
+                counts = np.count_nonzero(later, axis=1)
+                lines = edges[: counts.sum()]
+                lines[:, 0] = np.repeat(head[start:stop], counts)
+                lines[:, 1] = tail[rows[later]]
+                write_ascii(sink, lines.tobytes().translate(None, b"\0"))  # deletes the padding
     except (OSError, ValueError, AttributeError) as exc:
         raise IOFailureError(f"could not write DIMACS output: {exc}") from exc
 

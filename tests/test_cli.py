@@ -1,9 +1,14 @@
 """CLI subcommands, exit codes, and output stability."""
 
 import contextlib
+import ctypes
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +141,52 @@ def test_budgets_reject_nan_and_negatives_before_building(
 
     monkeypatch.setattr(cli, "build_graph", no_graph)
     assert run(capsys, *command, flag, value) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["triangles", "--q", "7"], 0),
+    (["build", "--q", "6"], 2),
+])
+def test_every_command_pins_the_malloc_thresholds_first(capsys, monkeypatch, argv, code):
+    calls = []
+    monkeypatch.setattr(cli, "_fix_malloc_thresholds", lambda: calls.append(argv[0]))
+    assert run(capsys, *argv)[0] == code
+    assert calls == [argv[0]]
+
+
+MAPPED_BLOCKS = """
+import ctypes, json
+from uqgraph import cli
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+libc.mallinfo2.restype = MallInfo2
+cli._fix_malloc_thresholds()
+mapped = []
+for size in (12 << 20, 11 << 20, 13 << 20, 5 << 20):
+    before = libc.mallinfo2().hblkhd
+    block = bytearray(size)
+    mapped.append(libc.mallinfo2().hblkhd - before)
+    del block
+print(json.dumps(mapped))
+"""
+
+
+def test_blocks_above_4_mib_are_mapped_whatever_was_freed_before():
+    # in a fresh interpreter, whose heap holds no large free chunk: glibc's
+    # sliding threshold would rise to 12 MiB at the first free and keep the
+    # 11 MiB block in the heap, held beside the 13 MiB one
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("needs glibc 2.33 or later")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", MAPPED_BLOCKS], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    mapped = json.loads(done.stdout)
+    assert [m >= size << 20 for m, size in zip(mapped, (12, 11, 13, 5))] == [True] * 4
 
 
 def test_spectrum_both_methods_agree(capsys):

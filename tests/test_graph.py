@@ -1,5 +1,6 @@
 """Graph construction, degrees, triangles, and DIMACS export."""
 
+import hashlib
 import io
 import tracemalloc
 
@@ -41,7 +42,6 @@ from uqgraph import (
     vertex_coords,
 )
 from uqgraph.graph import (
-    _neighbor_rows,
     circle_coords,
     circle_translates,
     coordinate_sums,
@@ -300,6 +300,9 @@ def test_circle_translates_of_many_vertices_are_their_rows(q, m):
     ([-1, 1, 4], r"^connection set index -1 is outside the vertices \[0, 25\)$"),
     ([1, 5], "^the connection set is not closed under negation$"),  # -(0, 1) is (0, 4)
     ([1, 4, 5, 5], "^the connection set is not closed under negation$"),  # -(1, 0) is (4, 0)
+    ([0, 1, 4], "^the connection set holds 0, a loop at every vertex$"),
+    ([1, 1, 4, 4], "^connection set index 1 is repeated$"),  # every edge written twice
+    ([4, 5, 20, 1, 5, 20], "^connection set index 5 is repeated$"),
 ])
 def test_graph_refuses_an_empty_outside_or_asymmetric_connection_set(circle, message):
     with pytest.raises(InvalidConnectionSetError, match=message):
@@ -331,8 +334,22 @@ def test_graph_with_the_largest_int64_indices_builds():
     assert circle_coords(graph).tolist() == [[0] * 38 + [1], [0] * 38 + [2]]
 
 
+def _neighbor_rows(graph):
+    """Oracle: (N, |S|) int32 rows u + S, each sorted, as export_dimacs
+    built them before it went block by block: the rows over the first j
+    coordinates, times q, plus coordinate j of every u + s (the sums
+    a + s_k[j] of coordinate_sums) give the rows over the first j + 1, all
+    in int32, which holds every index below the vertex bound."""
+    rows = np.zeros((1, graph.degree), dtype=np.int32)
+    for c in circle_coords(graph).T:
+        column = coordinate_sums(graph.ctx)[:, c].astype(np.int32, order="C")  # reshape is a view
+        rows = (rows[:, None, :] * graph.q + column).reshape(-1, graph.degree)
+    rows.sort(axis=1)
+    return rows
+
+
 def test_first_adjacency_read_builds_int32_rows_within_budget():
-    # build_graph keeps only the circle; export_dimacs builds the rows for its call
+    # the whole-array row oracle; build_graph keeps only the circle
     g = build_graph(field_for(127), 2)
     tracemalloc.start()
     try:
@@ -466,28 +483,35 @@ class LineCounter:
         self.lines.append(data.count(b"\n"))
 
 
-@pytest.mark.parametrize("q, m", [(127, 2), (7, 4)])
+# (1009, 1) with S all units: q * |S| = 1 017 072 > 2**17, so its one block is
+# written 130 rows at a time
+@pytest.mark.parametrize("q, m", [(127, 2), (7, 4), (1009, 1)])
 def test_export_dimacs_writes_at_most_2_17_edge_lines_at_once(q, m):
-    graph = graph_for(q, m)
+    graph = graph_for(q, m) if m >= 2 else UnitQuadranceGraph(field_for(q), m, np.arange(1, q))
     sink = LineCounter()
     export_dimacs(graph, sink)
     header, *blocks = sink.lines
     assert header == 4 and sum(blocks) == graph.n_edges
     assert max(blocks) <= 1 << 17
-    assert len(blocks) == -(-graph.n_vertices // ((1 << 17) // graph.degree))
+    # blocks of q**j vertices, j >= 1 the largest with q**j * |S| <= 2**17,
+    # each written 2**17 // |S| rows at a time when it has more
+    j = max(j for j in range(1, m + 1) if j == 1 or q**j * graph.degree <= 1 << 17)
+    assert len(blocks) == q ** (m - j) * -(-(q**j) // ((1 << 17) // graph.degree))
 
 
-def test_export_dimacs_memory_stays_below_8_mib_beside_the_rows_at_q127():
-    graph = build_graph(field_for(127), 2)  # the graph is its circle: export builds the rows
+@pytest.mark.parametrize("q, m, mib", [(127, 2, 2), (251, 2, 8), (3, 8, 8)])
+def test_export_dimacs_traced_peak_holds_no_rows(q, m, mib):
+    # the (N, |S|) int32 rows alone are 7.9 MiB at q = 127, 60.6 MiB at
+    # q = 251 and 54.1 MiB at (3, 8); the whole-row export peaked at 14.1,
+    # 67.6 and 92.4 MiB
+    graph = build_graph(field_for(q), m)
     tracemalloc.start()
     try:
         export_dimacs(graph, LineCounter())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int32 rows are 7.9 MiB, an int64 copy of them would be 15.8 MiB, and
-    # the fixed-width record blocks of up to 245 284 records peaked at 10.4 MiB beside them
-    assert peak < 127**2 * 128 * 4 + 8 * 2**20
+    assert peak < mib * 2**20
 
 
 def test_export_dimacs_failure():
@@ -508,10 +532,11 @@ def test_unit_circle_lies_at_quadrance_one():
         assert unit_circle(ctx, m).tolist() == at_one
 
 
-# The column-by-column unit circle, the per-row DIMACS writer and the
-# fixed-width record writer that the per-coordinate broadcasts and the
-# word writer replaced, kept as oracles; the column-by-column neighbor
-# rows are conftest's adjacency_by_columns.
+# The column-by-column unit circle, the per-row DIMACS writer, the
+# fixed-width record writer and the whole-row word writer that the
+# per-coordinate broadcasts, the word writer and the block-by-block rows
+# replaced, kept as oracles; the column-by-column neighbor rows are
+# conftest's adjacency_by_columns.
 
 
 def unit_circle_by_columns(ctx, m):
@@ -564,8 +589,23 @@ def export_dimacs_by_fixed_records(graph, sink):
         write_ascii(sink, block.tobytes().translate(None, b"\0"))  # deletes the padding
 
 
-# q = 101, 121, 127 and (13, 3) write several DIMACS blocks, the last one
-# partial; names cross 9999 -> 10000 at q = 101. At m = 1 the unit circle
+def export_dimacs_by_whole_rows(graph, sink):
+    head, tail = dimacs_words(graph.n_vertices)
+    step = max(1, (1 << 17) // graph.degree)  # rows per block
+    edges = np.empty(min(step * graph.degree, graph.n_edges), dtype=[("u", "<u8"), ("v", "<u8")])
+    neighbor_rows = _neighbor_rows(graph)
+    write_ascii(sink, dimacs_header(graph).encode("ascii"))
+    for start in range(0, graph.n_vertices, step):
+        rows = neighbor_rows[start : start + step]
+        later = rows > np.arange(start, start + len(rows))[:, None]
+        block = edges[: np.count_nonzero(later)]
+        block["u"] = np.repeat(head[start : start + len(rows)], later.sum(axis=1))
+        block["v"] = tail[rows[later]]
+        write_ascii(sink, block.tobytes().translate(None, b"\0"))  # deletes the padding
+
+
+# q = 101, 121, 127, (13, 3) and (7, 4) write several DIMACS blocks, (49, 2)
+# one; names cross 9999 -> 10000 at q = 101. At m = 1 the unit circle
 # {1, -1} of F_13 gives the 13-cycle, which build_graph refuses.
 @pytest.mark.parametrize(
     "q, m",
@@ -578,11 +618,51 @@ def test_build_and_export_match_column_and_row_oracles(q, m):
     graph = build_graph(ctx, m) if m >= 2 else UnitQuadranceGraph(ctx, m, circle)
     assert np.array_equal(graph.connection_set, circle)
     for binary, stream in ((False, io.StringIO), (True, io.BytesIO)):
-        sink, expected, records = stream(), stream(), stream()
+        sink, expected, records, whole = stream(), stream(), stream(), stream()
         export_dimacs(graph, sink)
         export_dimacs_by_rows(graph, expected, binary)
         export_dimacs_by_fixed_records(graph, records)
-        assert sink.getvalue() == expected.getvalue() == records.getvalue()
+        export_dimacs_by_whole_rows(graph, whole)
+        assert sink.getvalue() == expected.getvalue() == records.getvalue() == whole.getvalue()
+
+
+class Sha256Sink:
+    """A binary sink that keeps only the sha256 of what it is given."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, data):
+        self.digest.update(data)
+
+
+# the whole-row export wrote these; (3, 8) has blocks of 27 vertices under
+# five leading coordinates, and q = 1009 with S all units one block in 8 writes
+@pytest.mark.parametrize("q, m, digest", [
+    (243, 2, "30e53ad3e91ec6e6bc57dd94ccd72a6ca563b146977ccc98fa24fc7753c2a59b"),
+    (251, 2, "7ad3a3efc0a926adc665904bc02d4afd7ec76f85886dbe1c6ce3a30ad837a457"),
+    (3, 8, "3260d934e7d4f848fbebc3f653ce05c50f5750c7d2b35e9dd76f440e584bd2e1"),
+])
+def test_export_dimacs_keeps_the_whole_row_sha256(q, m, digest):
+    sink = Sha256Sink()
+    export_dimacs(build_graph(field_for(q), m), sink)
+    assert sink.digest.hexdigest() == digest
+
+
+# S is every nonzero index, so q * |S| > 2**17 at (1009, 1) and (53, 2) and
+# each block is written 2**17 // |S| rows at a time, except {±1, ±2, ±3} of
+# F_41, one write of the one block
+@pytest.mark.parametrize("q, m, circle", [
+    (1009, 1, np.arange(1, 1009)),
+    (53, 2, np.arange(1, 53**2)),
+    (41, 1, np.array([1, 2, 3, 38, 39, 40])),
+])
+def test_export_dimacs_of_a_large_connection_set_matches_the_whole_rows(q, m, circle):
+    graph = UnitQuadranceGraph(field_for(q), m, circle)
+    sink, whole = Sha256Sink(), Sha256Sink()
+    export_dimacs(graph, sink)
+    export_dimacs_by_whole_rows(graph, whole)
+    assert sink.digest.hexdigest() == whole.digest.hexdigest()
 
 
 # The q**m quadrance grid, summed with the digit-matmul sums, that the
