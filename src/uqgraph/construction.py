@@ -35,10 +35,10 @@ from .field import FieldCtx, prime_power
 from .graph import (
     DEFAULT_MAX_VERTICES,
     UnitQuadranceGraph,
-    circle_coords,
     circle_translates,
-    coordinate_sums,
     decimal_names,
+    index_coords,
+    place_values,
     vertex_count,
     write_ascii,
 )
@@ -81,8 +81,7 @@ def _slope_chars(ctx: FieldCtx) -> np.ndarray:
 def _shift_chars(ctx: FieldCtx, a: int) -> np.ndarray:
     """The character of a**2 + 1 - t**2 for every shift code t."""
     squares = ctx.square_vector()
-    minus = ctx.mul_vector(ctx.p - 1)  # -x for every x: the code p - 1 is -1
-    rest = ctx.add_arrays(ctx.add_arrays(squares[a], 1), minus[squares])
+    rest = ctx.add_arrays(ctx.add_arrays(squares[a], 1), ctx.neg_vector()[squares])
     return ctx.character_vector()[rest]
 
 
@@ -120,7 +119,7 @@ def count_Aq(ctx: FieldCtx, t: int) -> CharCountReport:
     if ctx.quadratic_character(t) != -1:
         raise NotNonsquareError(f"t={t} is not a nonsquare in F_{ctx.q}")
     chars = ctx.character_vector()
-    t_minus = ctx.add_arrays(t, ctx.mul_vector(ctx.neg(1)))  # t - i for every i
+    t_minus = ctx.add_arrays(t, ctx.neg_vector())  # t - i for every i
     brute = int(np.count_nonzero((chars == 1) & (chars[t_minus] == -1)))
     sign = (-1) ** ((ctx.q - 1) // 2)
     return CharCountReport(t=t, brute_count=brute, formula_value=(ctx.q + sign - 2) // 4)
@@ -153,8 +152,7 @@ def _coset_reps(ctx: FieldCtx, t: int) -> tuple[int, ...]:
     digit 0, and it is the smallest.
     """
     top = max(j for j, c in enumerate(ctx.coeffs(t)) if c)
-    codes = np.arange(ctx.q, dtype=np.int64)
-    return tuple(codes[codes // ctx.p**top % ctx.p == 0].tolist())
+    return tuple(np.flatnonzero(ctx.digits_matrix()[:, top] == 0).tolist())
 
 
 def make_plan(ctx: FieldCtx, a: int | None = None, t: int | None = None) -> ColoringPlan:
@@ -229,13 +227,12 @@ def build_coloring_2d(ctx: FieldCtx, plan: ColoringPlan) -> Coloring:
 def build_coloring_md(ctx: FieldCtx, m: int, plan: ColoringPlan) -> Coloring:
     """Color F_q^m by the plane coloring of the last two coordinates
     crossed with the identity on the leading ones."""
-    n_vertices = vertex_count(ctx.q, m, what="colorings")
+    vertex_count(ctx.q, m, what="colorings")
     base = build_coloring_2d(ctx, plan)
     if m == 2:
         return base
-    idx = np.arange(n_vertices, dtype=np.int64)
-    plane = ctx.q * ctx.q
-    colors = (idx // plane) * base.k + base.colors[idx % plane]
+    # the leading coordinates, as one index, pick a block of base.k colors
+    colors = (np.arange(ctx.q ** (m - 2))[:, None] * base.k + base.colors).ravel()
     return Coloring(q=ctx.q, m=m, colors=colors, k=ctx.q ** (m - 2) * base.k)
 
 
@@ -245,18 +242,16 @@ def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):
 
     Reads the unit circle S, never the neighbor rows. The colors form a
     grid over F_q^m, and u clashes with u + s exactly where the grid equals
-    itself translated by s: one take per coordinate along the addition row
-    of s's coordinate, the takes for a prefix shared with the previous point
-    reused. One point of each pair {s, -s} covers every edge. The smallest
+    itself translated by s: one take per coordinate along the sums a + x for
+    s's coordinate a, the takes for a prefix shared with the previous point
+    reused. The sums are formed only for the values a that the shifts and
+    their negatives take, so a sparse S needs no q x q table. One point of
+    each pair {s, -s} covers every edge. The smallest
     vertex on a clashing edge is the smaller end of that edge, so it is the
     first u, and its smallest clashing neighbor is the first v.
     """
     n = graph.n_vertices
-    if (
-        coloring.q != graph.q
-        or coloring.m != graph.m
-        or len(coloring.colors) != n
-    ):
+    if (coloring.q, coloring.m, len(coloring.colors)) != (graph.q, graph.m, n):
         raise IncompleteColoringError(
             f"coloring for q={coloring.q}, m={coloring.m},"
             f" {len(coloring.colors)} vertices does not cover this graph"
@@ -264,25 +259,28 @@ def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):
     colors = coloring.colors
     if np.any(colors < 0):
         raise IncompleteColoringError("some vertices are uncolored")
-    q, m = graph.q, graph.m
-    sums, coords = coordinate_sums(graph.ctx), circle_coords(graph)
-    neg = sums.argmin(axis=1)  # row a holds 0 at -a
+    ctx, q, m = graph.ctx, graph.q, graph.m
+    neg, coords = ctx.neg_vector(), index_coords(q, m, graph.connection_set)
     # the s with s < -s, one of each pair, and the leading coordinates each
     # shares with the one before it
-    shifts = coords[graph.connection_set < neg[coords] @ q ** np.arange(m - 1, -1, -1)]
+    shifts = coords[graph.connection_set < neg[coords] @ place_values(q, m)]
     shared = np.cumprod(shifts[1:] == shifts[:-1], axis=1).sum(axis=1)
+    taken = np.zeros(q, dtype=bool)
+    taken[shifts] = taken[neg[shifts]] = True
+    sums = ctx.add_arrays(np.flatnonzero(taken)[:, None], np.arange(q))  # a + x for taken a
+    row = np.cumsum(taken) - 1  # row[a]: the row of sums for a
     grid = colors.reshape((q,) * m)
     moved = [grid]  # moved[j]: the grid translated by the first j coordinates of s
     first = n  # smallest vertex on a clashing edge so far
     for s, keep in zip(shifts, np.concatenate(([0], shared))):
         del moved[keep + 1 :]
         for j in range(keep, m):
-            moved.append(moved[j].take(sums[s[j]], axis=j))
+            moved.append(moved[j].take(sums[row[s[j]]], axis=j))
         clash = moved[m] == grid  # u clashes with u + s
         if clash.any():
             back = clash  # back[u + s] = clash[u]
             for j in range(m):
-                back = back.take(sums[neg[s[j]]], axis=j)
+                back = back.take(sums[row[neg[s[j]]]], axis=j)
             first = min(first, int(clash.argmax()), int(back.argmax()))
             if first == 0:  # no vertex is smaller
                 break

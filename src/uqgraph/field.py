@@ -143,14 +143,14 @@ class FieldCtx:
 
     The first operation builds O(q) tables that the context keeps, and
     make_field caches contexts for the life of the process: 16 bytes per
-    element for exp and log, n digit bytes (4 at large p), 8 more per bulk
-    vector. At q = 1048573 that is about 36 MB kept; F_{3^12} keeps 26 MB.
+    element for exp and log, n digit bytes (4 at large p), 8 more per cached
+    vector. At q = 1048573 that is about 46 MB kept; F_{3^12} keeps 32 MB.
     Products over the digits run in row chunks, so building exp at F_{3^12}
     peaks near 23 MB (tracemalloc).
     """
 
     __slots__ = ("p", "n", "q", "modulus", "_powers", "_add_tab", "_squares", "_traces",
-                 "_digits", "_exp", "_log")
+                 "_negs", "_digits", "_exp", "_log")
 
     def __init__(self, p: int, n: int, modulus: tuple[int, ...]):
         self.p = p
@@ -162,6 +162,7 @@ class FieldCtx:
         self._add_tab = None
         self._squares = None
         self._traces = None
+        self._negs = None
         self._digits = None
         self._exp = self._log = None
 
@@ -350,6 +351,15 @@ class FieldCtx:
         if self._squares is None:
             self._squares = self.power_vector(2)
         return self._squares
+
+    def neg_vector(self) -> np.ndarray:
+        """negs[x] = -x for every code x: each digit d becomes (p - d) % p, recombined by Horner."""
+        if self._negs is None:
+            negs = np.zeros(self.q, dtype=np.int64)
+            for column in self.digits_matrix().T[::-1]:
+                negs = negs * self.p + (self.p - column) % self.p
+            self._negs = negs
+        return self._negs
 
     def trace_vector(self) -> np.ndarray:
         """traces[x] = abs_trace(x) for every code x.

@@ -1,26 +1,22 @@
 """Unit-quadrance graphs on F_q^m.
 
 Vertices are the points of F_q^m indexed row-major over canonical
-element codes, last coordinate fastest; two points are adjacent exactly
-when their quadrance (the sum of squared coordinate differences) is 1.
-The graph is a Cayley graph on the additive group: u ~ v exactly when
-v - u lies on the unit circle S, which is one ascending array of vertex
-indices. S is found in O(|S| + q**(m-1)), not from the q**m grid: each
-prefix of the first m - 1 coordinates, with quadrance a, ends on S at the
-square roots of 1 - a. A graph is S and nothing else, and its constructor
-refuses an S that is empty, leaves the vertices, is not closed under
-negation, holds 0 or repeats an index, and an m with q**m past the int64
-indices. The neighbors of u are its translates u + S (circle_translates,
-or the graph's `neighbors` for a block of vertices), which the triangle
-count, the coloring check, the dense spectrum and the chromatic search
-read. DIMACS export reads the sorted rows in index order, a block of q**j
-vertices at a time (q**j * |S| <= 2**17): the int32 rows over the last j
-coordinates are grown once, and each block adds the sums of its leading
-coordinates, so no (N, |S|) array is built. Every edge lies on the same
-number lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
-DIMACS export writes each edge as two 8-byte words, a head 'e U ' and a
-tail 'V' plus a newline, at most 2**17 edges at a time, so its memory
-stays flat.
+element codes, last coordinate fastest, a layout that only place_values
+and index_coords spell out; two points are adjacent exactly when their
+quadrance (the sum of squared coordinate differences) is 1. The graph is
+a Cayley graph on the additive group: u ~ v exactly when v - u lies on
+the unit circle S, one ascending array of vertex indices. S is found in
+O(|S| + q**(m-1)), not from the q**m grid: each prefix of the first m - 1
+coordinates, with quadrance a, ends on S at the square roots of 1 - a. A
+graph is S and nothing else, and its constructor refuses an S that is
+empty, leaves the vertices, is not closed under negation (the field's
+neg_vector on each coordinate), holds 0 or repeats an index, and an m
+with q**m past the int64 indices. The neighbors of u are its translates
+u + S (circle_translates, or the graph's `neighbors` for a block of
+vertices), which the triangle count, the coloring check, the dense
+spectrum and the chromatic search read; DIMACS export builds the same
+rows a block at a time, never an (N, |S|) array. Every edge lies on the
+same number lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
 """
 
 from __future__ import annotations
@@ -48,6 +44,16 @@ def vertex_coords(q: int, m: int, index: int) -> tuple[int, ...]:
         index, r = divmod(index, q)
         out.append(r)
     return tuple(reversed(out))
+
+
+def place_values(q: int, m: int) -> np.ndarray:
+    """q**(m-1), ..., q, 1: the weight of each coordinate in a row-major vertex index."""
+    return q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
+def index_coords(q: int, m: int, indices) -> np.ndarray:
+    """Coordinates of row-major vertex indices of any shape, on one more axis of length m."""
+    return np.asarray(indices)[..., None] // place_values(q, m) % q
 
 
 def quadrance(ctx: FieldCtx, x: Sequence[int], y: Sequence[int]) -> int:
@@ -99,24 +105,13 @@ def unit_circle(ctx: FieldCtx, m: int = 2) -> np.ndarray:
     acc = squares
     for _ in range(m - 2):
         acc = ctx.add_arrays(acc[:, None], squares).ravel()
-    key = ctx.add_arrays(1, ctx.mul_vector(ctx.p - 1)[squares])  # 1 - y**2
+    key = ctx.add_arrays(1, ctx.neg_vector()[squares])  # 1 - y**2
     roots, counts = np.argsort(key, kind="stable"), np.bincount(key, minlength=q)
     hits = counts[acc]  # the roots y with key[y] = a end each prefix
     # hit k of a prefix is roots[where key a starts + k]; shift takes off where its hits start
     shift = (np.cumsum(counts) - counts)[acc] - (np.cumsum(hits) - hits)
     prefixes = np.repeat(np.arange(len(acc)), hits)
     return prefixes * q + roots[np.repeat(shift, hits) + np.arange(len(prefixes))]
-
-
-def coordinate_sums(ctx: FieldCtx) -> np.ndarray:
-    """(q, q) codes a + x, row a: a take along row a translates one coordinate by a."""
-    codes = np.arange(ctx.q)
-    return ctx.add_arrays(codes[:, None], codes)
-
-
-def circle_coords(graph: UnitQuadranceGraph) -> np.ndarray:
-    """(|S|, m) coordinates of the unit circle, the base-q digits of its indices."""
-    return graph.connection_set[:, None] // graph.q ** np.arange(graph.m - 1, -1, -1) % graph.q
 
 
 def circle_translates(graph: UnitQuadranceGraph, vertices) -> np.ndarray:
@@ -126,12 +121,12 @@ def circle_translates(graph: UnitQuadranceGraph, vertices) -> np.ndarray:
     field sums a + s_j are formed once for each value a that the vertices
     take there, times the coordinate's place value, then gathered and added."""
     q, m = graph.q, graph.m
-    coords = np.asarray(vertices)[..., None] // q ** np.arange(m - 1, -1, -1) % q
+    coords, places = index_coords(q, m, vertices), place_values(q, m)
     translates = 0
-    for j, column in enumerate(circle_coords(graph).T):
+    for j, column in enumerate(index_coords(q, m, graph.connection_set).T):
         taken = np.zeros(q, dtype=bool)
         taken[coords[..., j]] = True
-        sums = graph.ctx.add_arrays(np.flatnonzero(taken)[:, None], column) * q ** (m - 1 - j)
+        sums = graph.ctx.add_arrays(np.flatnonzero(taken)[:, None], column) * places[j]
         translates += sums[np.cumsum(taken)[coords[..., j]] - 1]  # in place after the first
     return translates
 
@@ -144,9 +139,8 @@ class UnitQuadranceGraph:
     S must be a nonempty array of distinct nonzero indices in [0, q**m)
     with -S = S, or InvalidConnectionSetError is raised before any reader
     runs: 0 would put a loop at every vertex, and a repeated index would
-    count its edges twice. -S comes from the digit table, not from scalar
-    field calls. q**m above 2**63 raises TooLargeError first, since
-    indices and place values are int64.
+    count its edges twice. -S is the field's neg_vector on each coordinate.
+    q**m above 2**63 raises TooLargeError first: indices are int64.
     DIMACS export, chi and verify_coloring accept any such set at any
     m >= 1; chi takes its construction witness at m >= 2 only when it is
     proper on that set.
@@ -159,9 +153,9 @@ class UnitQuadranceGraph:
         self.ctx = ctx
         self.m = m
         self.connection_set = connection_set
-        n = self.n_vertices
+        n, q = self.n_vertices, self.q
         if n > 1 << 63:
-            raise TooLargeError(f"{self.q}**{m} vertices exceed int64 indices")
+            raise TooLargeError(f"{q}**{m} vertices exceed int64 indices")
         if not len(connection_set):
             raise InvalidConnectionSetError("the connection set is empty")
         outside = connection_set[(connection_set < 0) | (connection_set >= n)]
@@ -169,9 +163,7 @@ class UnitQuadranceGraph:
             raise InvalidConnectionSetError(
                 f"connection set index {outside[0]} is outside the vertices [0, {n})"
             )
-        digits = ctx.digits_matrix()[circle_coords(self)].astype(np.int64)  # (|S|, m, n)
-        codes = (ctx.p - digits) % ctx.p @ ctx.p ** np.arange(ctx.n)  # -x, digit by digit
-        negated = codes @ self.q ** np.arange(m - 1, -1, -1)
+        negated = ctx.neg_vector()[index_coords(q, m, connection_set)] @ place_values(q, m)
         ordered = np.sort(connection_set)  # S in any order
         if not np.array_equal(np.sort(negated), ordered):
             raise InvalidConnectionSetError("the connection set is not closed under negation")
@@ -245,8 +237,7 @@ def decimal_names(start: int, stop: int) -> np.ndarray:
     for d in range(1, width + 1):  # the values with d digits: one run, between powers of ten
         lo, hi = max(start, 10 ** (d - 1) if d > 1 else 0), min(stop, 10**d)
         if lo < hi:
-            run = np.arange(lo, hi)[:, None] // 10 ** np.arange(d - 1, -1, -1)
-            digits[lo - start : hi - start, :d] = run % 10 + ord("0")
+            digits[lo - start : hi - start, :d] = index_coords(10, d, np.arange(lo, hi)) + ord("0")
     return digits.view(f"S{width}").ravel()
 
 
@@ -310,8 +301,9 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
         j += 1
     width = q**j  # vertices per block
     step = min(width, (1 << 17) // degree)  # rows per write, below width only at j = 1
-    coords = circle_coords(graph).T
-    leading, trailing, places = coords[: m - j], coords[m - j :], q ** np.arange(m - 1, j - 1, -1)
+    coords = index_coords(q, m, graph.connection_set).T
+    leading, trailing, places = coords[: m - j], coords[m - j :], place_values(q, m)[: m - j, None]
+    blocks = index_coords(q, m - j, np.arange(graph.n_vertices // width))  # leading coordinates
 
     def trailing_rows(first: np.ndarray) -> np.ndarray:
         """Rows over the last j coordinates, the first of them taking the
@@ -326,11 +318,8 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
     edges = np.empty((min(step * degree, graph.n_edges), 2), dtype="<u8")
     try:
         write_ascii(sink, header.encode("ascii"))
-        for block in range(0, graph.n_vertices, width):
-            lead = np.zeros(degree, dtype=np.int64)
-            for a, c, place in zip(vertex_coords(q, m - j, block // width), leading, places):
-                lead += ctx.add_arrays(a, c) * place
-            lead = lead.astype(np.int32)
+        for block, prefix in zip(range(0, graph.n_vertices, width), blocks):
+            lead = (ctx.add_arrays(prefix[:, None], leading) * places).sum(axis=0).astype(np.int32)
             for start in range(block, block + width, step):
                 stop = min(start + step, block + width)
                 rows = whole if whole is not None else trailing_rows(np.arange(start, stop) - block)

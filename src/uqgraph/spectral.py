@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, NoConvergenceError, TooLargeError
 from .field import FieldCtx
-from .graph import circle_coords, circle_translates, unit_circle, vertex_count
+from .graph import circle_translates, index_coords, place_values, unit_circle, vertex_count
 
 DENSE_MAX_VERTICES = 4096
 DEFAULT_TOL = 1e-6
@@ -170,9 +170,8 @@ def dense_spectrum(graph) -> Spectrum:
         raise TooLargeError(f"{n} vertices exceed the dense bound {DENSE_MAX_VERTICES}")
     vertex_count(graph.q, graph.m, what="dense spectra")  # m >= 2: a swap needs two coordinates
     ctx, m = graph.ctx, graph.m
-    neg = ctx.mul_vector(ctx.neg(1))
-    places = ctx.q ** np.arange(m - 1, -1, -1)
-    circle, target = circle_coords(graph), np.sort(graph.connection_set)
+    neg, places = ctx.neg_vector(), place_values(ctx.q, m)
+    circle, target = index_coords(ctx.q, m, graph.connection_set), np.sort(graph.connection_set)
     generators = [  # images of S; at m = 2 the cycle is the swap
         ("negating coordinate 0", np.column_stack((neg[circle[:, 0]], circle[:, 1:]))),
         ("swapping coordinates 0 and 1", circle[:, [1, 0, *range(2, m)]]),
@@ -184,7 +183,7 @@ def dense_spectrum(graph) -> Spectrum:
     galois = ctx.power_vector(ctx.p ** (ctx.n // 2)) if ctx.n % 2 == 0 else None
     if galois is not None and not np.array_equal(np.sort(galois[circle] @ places), target):
         galois = None  # not an automorphism of this graph: the swaps alone split it
-    coords = np.arange(n)[:, None] // places % ctx.q
+    coords = index_coords(ctx.q, m, np.arange(n))
     bits = 1 << np.arange(m)
     sigma = (coords > neg[coords]) @ bits  # coordinates flipped from the representative
     orbit = np.minimum(coords, neg[coords]) @ places  # the representative

@@ -22,6 +22,7 @@ from uqgraph import (
     IncompleteColoringError,
     InvalidPlanError,
     NotNonsquareError,
+    UnitQuadranceGraph,
     build_coloring_2d,
     build_coloring_md,
     count_Aq,
@@ -497,6 +498,58 @@ def test_verify_coloring_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def _first_violation_by_all_pairs(graph, colors):
+    """Oracle at m = 1: every pair u < v, adjacent when v - u lies in S, with
+    the differences from the addition table and -u from multiplying by -1."""
+    ctx, q = graph.ctx, graph.q
+    minus = ctx.mul_vector(ctx.p - 1)
+    differences = ctx.add_table()[np.arange(q), minus[:, None]]  # row u: v - u
+    later = np.triu(np.ones((q, q), dtype=bool), 1)
+    clash = np.isin(differences, graph.connection_set) & (colors[:, None] == colors) & later
+    return tuple(int(x) for x in divmod(int(clash.argmax()), q)) if clash.any() else None
+
+
+def _odd_cycle_coloring(q):
+    """0, 1, 0, ... around the cycle of {1, -1}, the last vertex a third color."""
+    colors = np.arange(q, dtype=np.int64) % 2
+    colors[-1] = 2
+    return colors
+
+
+# the 13-cycle and the complete graph on F_1009, with S = every unit
+@pytest.mark.parametrize("q, circle, proper", [
+    (13, [1, 12], _odd_cycle_coloring(13)),
+    (1009, list(range(1, 1009)), np.arange(1009, dtype=np.int64)),
+])
+def test_verify_coloring_at_m1_against_the_all_pairs_oracle(q, circle, proper):
+    graph = UnitQuadranceGraph(field_for(q), 1, np.array(circle, dtype=np.int64))
+    coloring = Coloring(q=q, m=1, colors=proper, k=int(proper.max()) + 1)
+    assert verify_coloring(graph, coloring) is _first_violation_by_all_pairs(graph, proper) is None
+    colors = proper.copy()
+    u = q // 2 - 1
+    colors[u + 1] = colors[u]  # u and u + 1 are adjacent in both graphs
+    damaged = Coloring(q=q, m=1, colors=colors, k=coloring.k)
+    assert verify_coloring(graph, damaged) == _first_violation_by_all_pairs(graph, colors) == (u, u + 1)
+
+
+def test_verify_coloring_on_a_long_cycle_builds_no_q_by_q_table():
+    # a (q, q) table of every sum a + x and its argmin took 256 MiB at q = 4099,
+    # for a graph of 4099 edges
+    graph = UnitQuadranceGraph(field_for(4099), 1, np.array([1, 4098]))
+    proper = Coloring(q=4099, m=1, colors=_odd_cycle_coloring(4099), k=3)
+    colors = proper.colors.copy()
+    colors[2049] = colors[2048]
+    damaged = Coloring(q=4099, m=1, colors=colors, k=3)
+    tracemalloc.start()
+    try:
+        assert verify_coloring(graph, proper) is None
+        assert verify_coloring(graph, damaged) == (2048, 2049)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_coloring_file_round_trip(tmp_path):

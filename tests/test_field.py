@@ -616,3 +616,23 @@ def test_sums_match_the_digit_matmul_at_3_to_the_12():
     _assert_sums_match_the_digit_matmul(ctx, [
         (a, b), (a[:100, None], b[:100]), (ctx.q - 1, ctx.q - 1), (ctx.q - 1, a),
     ])
+
+
+@pytest.mark.parametrize("q", odd_prime_powers(3, 256))
+def test_neg_vector_is_scalar_neg_at_every_code(q):
+    ctx = field_for(q)
+    negs = ctx.neg_vector()
+    assert negs.tolist() == [ctx.neg(x) for x in range(q)]
+    assert not ctx.add_arrays(np.arange(q), negs).any()  # x + (-x) = 0
+    assert ctx.neg_vector() is negs  # cached
+
+
+@pytest.mark.parametrize("p, n", [(3, 12), (1048573, 1)])
+def test_neg_vector_matches_multiplying_by_minus_one_at_the_order_bound(p, n):
+    # built outside make_field's cache, so the tables are freed after the test
+    ctx = FieldCtx(p, n, _smallest_irreducible(p, n))
+    negs = ctx.neg_vector()
+    assert negs.dtype == np.int64
+    assert np.array_equal(negs, ctx.mul_vector(p - 1))  # the code p - 1 is -1
+    assert not ctx.add_arrays(np.arange(ctx.q), negs).any()
+    assert ctx.neg_vector() is negs

@@ -42,13 +42,21 @@ from uqgraph import (
     vertex_coords,
 )
 from uqgraph.graph import (
-    circle_coords,
     circle_translates,
-    coordinate_sums,
     decimal_names,
     dimacs_words,
+    index_coords,
+    place_values,
     write_ascii,
 )
+
+
+def coordinate_sums(ctx: FieldCtx) -> np.ndarray:
+    """Oracle: the (q, q) codes a + x, row a; a take along row a translates
+    one coordinate by a. verify_coloring read it whole before it formed the
+    rows of only the values its shifts take."""
+    codes = np.arange(ctx.q)
+    return ctx.add_arrays(codes[:, None], codes)
 
 
 def test_quadrance_examples():
@@ -231,7 +239,7 @@ def triangles_by_circle_pairs(graph):
     coordinate, in blocks of about 2**16 sums.
     """
     q, m, circle = graph.q, graph.m, graph.connection_set
-    coords, sums = circle_coords(graph), coordinate_sums(graph.ctx)
+    coords, sums = index_coords(q, m, circle), coordinate_sums(graph.ctx)
     columns = [sums[:, c] for c in coords.T]
     on_circle = np.zeros(graph.n_vertices, dtype=bool)
     on_circle[circle] = True
@@ -322,16 +330,45 @@ def test_graph_accepts_symmetric_connection_sets_in_any_order():
 
 @pytest.mark.parametrize("m", [40, 41])
 def test_graph_refuses_vertex_indices_past_int64(m):
-    # 3**40 > 2**63: circle_coords' place values 3**(m-1) would wrap in int64,
+    # 3**40 > 2**63: the place values 3**(m-1) would wrap in int64,
     # and at m = 41 the set {1, 2} read as not closed under negation
     with pytest.raises(TooLargeError, match=f"^3\\*\\*{m} vertices exceed int64 indices$"):
         UnitQuadranceGraph(make_field(3), m, np.array([1, 2]))
 
 
+@pytest.mark.parametrize("q, m", [(13, 1), (5, 2), (9, 2), (3, 3), (7, 3)])
+def test_index_coords_round_trip_against_vertex_coords(q, m):
+    n = q**m
+    assert place_values(q, m).tolist() == [q ** (m - 1 - j) for j in range(m)]
+    coords = index_coords(q, m, np.arange(n))
+    assert coords.shape == (n, m)
+    assert [tuple(row) for row in coords.tolist()] == [vertex_coords(q, m, u) for u in range(n)]
+    assert np.array_equal(coords @ place_values(q, m), np.arange(n))
+    assert index_coords(q, m, n - 1).tolist() == list(vertex_coords(q, m, n - 1))  # one index
+
+
+def test_index_coords_reach_place_values_of_3_to_the_38():
+    places = place_values(3, 39)
+    assert places.dtype == np.int64 and places[0] == 3**38
+    rng = np.random.default_rng(39)
+    vertices = np.concatenate([[0, 1, 3**38, 3**39 - 1], rng.integers(0, 3**39, 50)])
+    coords = index_coords(3, 39, vertices)
+    assert [tuple(row) for row in coords.tolist()] == [vertex_coords(3, 39, int(u)) for u in vertices]
+    assert np.array_equal(coords @ places, vertices)
+
+
+def test_index_coords_keep_the_shape_of_the_indices():
+    vertices = np.arange(5**3).reshape(25, 5)
+    coords = index_coords(5, 3, vertices)
+    assert coords.shape == (25, 5, 3)
+    assert coords[7, 2].tolist() == list(vertex_coords(5, 3, int(vertices[7, 2])))
+    assert np.array_equal(coords @ place_values(5, 3), vertices)
+
+
 def test_graph_with_the_largest_int64_indices_builds():
     graph = UnitQuadranceGraph(make_field(3), 39, np.array([1, 2]))
     assert graph.n_vertices == 3**39 < 2**63
-    assert circle_coords(graph).tolist() == [[0] * 38 + [1], [0] * 38 + [2]]
+    assert index_coords(3, 39, graph.connection_set).tolist() == [[0] * 38 + [1], [0] * 38 + [2]]
 
 
 def _neighbor_rows(graph):
@@ -341,7 +378,7 @@ def _neighbor_rows(graph):
     a + s_k[j] of coordinate_sums) give the rows over the first j + 1, all
     in int32, which holds every index below the vertex bound."""
     rows = np.zeros((1, graph.degree), dtype=np.int32)
-    for c in circle_coords(graph).T:
+    for c in index_coords(graph.q, graph.m, graph.connection_set).T:
         column = coordinate_sums(graph.ctx)[:, c].astype(np.int32, order="C")  # reshape is a view
         rows = (rows[:, None, :] * graph.q + column).reshape(-1, graph.degree)
     rows.sort(axis=1)

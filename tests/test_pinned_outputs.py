@@ -2,7 +2,8 @@
 arithmetic produced.
 
 A field rewrite that is proper but picks other codes (another slope, shift or
-vertex order) would pass every properness check; these pins catch it. Floats
+vertex order) would pass every properness check; these pins catch it. The
+m = 3 report pins the same kind of exact fields in three dimensions. Floats
 are compared at 1e-9, so numpy versions that round the last digit differently
 cannot flip them.
 """
@@ -102,3 +103,32 @@ def test_report_over_extension_fields_is_pinned(capsys):
     assert [row[0] for row in floats] == [row[0] for row in REPORT_FLOATS]
     for got, want in zip(floats, REPORT_FLOATS):
         assert got[1:] == pytest.approx(want[1:], abs=1e-9, rel=0)
+
+
+# `report --q 3..13 --m 3 --json --nodes 2000`, exact fields:
+# (q, degree, circleSize, constructionColors, constructionProper, chiStatus, chiLower, chiUpper,
+#  triangles, aqValue, checks as (aqIdentity, colorCount, degreeFormula, hoffmanLeChi,
+#  trianglePrediction)). They read the unit circle's prefix sums, verify's takes along three
+# axes and build_coloring_md's leading coordinates.
+REPORT_M3_EXACT = [
+    (3, 6, 6, None, None, "exact", 3, 3, 27, 0, (True, None, None, True, None)),
+    (5, 30, 30, 15, True, "bounded", 3, 10, 2500, 1, (True, True, None, None, None)),
+    (7, 42, 42, 28, True, "bounded", 4, 14, 19208, 1, (True, True, None, None, None)),
+    (9, 90, 90, 54, True, "bounded", 4, 29, 185895, 2, (True, True, None, None, None)),
+    (11, 110, 110, 66, True, "bounded", 3, 29, 292820, 2, (True, True, None, None, None)),
+    (13, 182, 182, 91, True, "bounded", 3, 40, 799708, 3, (True, True, None, None, None)),
+]
+
+
+def test_report_in_three_dimensions_is_pinned(capsys):
+    assert main(["report", "--q", "3..13", "--m", "3", "--json", "--nodes", "2000"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    checks = ("aqIdentity", "colorCount", "degreeFormula", "hoffmanLeChi", "trianglePrediction")
+    exact = [
+        (r["q"], r["degree"], r["circleSize"], r["constructionColors"], r["constructionProper"],
+         r["chiStatus"], r["chiLower"], r["chiUpper"], r["triangles"], r["aqValue"],
+         tuple(r["checks"][name] for name in checks))
+        for r in records
+    ]
+    assert exact == REPORT_M3_EXACT
+    assert all(r["m"] == 3 for r in records)

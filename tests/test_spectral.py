@@ -26,7 +26,7 @@ from uqgraph import (
     write_spectrum,
 )
 from uqgraph import build_graph, spectral
-from uqgraph.graph import UnitQuadranceGraph, circle_coords
+from uqgraph.graph import UnitQuadranceGraph, index_coords
 from uqgraph.spectral import _split, _swap
 
 
@@ -376,7 +376,7 @@ def sheared(graph, c):
     """The graph on the image of S under (x0, x1, ...) -> (x0 + c*x1, x1, ...):
     an automorphism of (F_q^m, +), so the same spectrum, but negating
     coordinate 0 does not keep the image for c != 0."""
-    ctx, coords = graph.ctx, circle_coords(graph)
+    ctx, coords = graph.ctx, index_coords(graph.q, graph.m, graph.connection_set)
     coords[:, 0] = ctx.add_arrays(coords[:, 0], ctx.mul_vector(c)[coords[:, 1]])
     return with_circle(graph, coords)
 
@@ -385,7 +385,7 @@ def doubled(graph, j):
     """The graph on the image of S under x_j -> 2 * x_j: the same spectrum,
     and every sign flip still keeps the image, but a coordinate permutation
     that moves j need not."""
-    ctx, coords = graph.ctx, circle_coords(graph)
+    ctx, coords = graph.ctx, index_coords(graph.q, graph.m, graph.connection_set)
     coords[:, j] = ctx.mul_vector(ctx.add(1, 1))[coords[:, j]]
     return with_circle(graph, coords)
 
