@@ -343,9 +343,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser(command) -> argparse.ArgumentParser:
     """Every subcommand with its help, and the options of `command` alone:
-    a call parses one subcommand, so it registers only that one's options."""
+    a call parses one subcommand, so it registers only that one's options.
+
+    Built on the first call for each `command` (a subcommand name or None)
+    and reused after: parse_args makes a fresh Namespace and leaves the
+    parser unchanged, handlers are looked up in _COMMANDS at dispatch, and
+    help and usage are formatted, at the terminal width, when printed."""
     parser = argparse.ArgumentParser(
         prog="uqgraph",
         description="Unit-quadrance graphs over finite fields: build, color, solve, analyze.",
@@ -384,6 +390,8 @@ def _fix_malloc_thresholds() -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command; a process may call it again and again. Each
+    subcommand's parser is built on its first call and reused after."""
     _fix_malloc_thresholds()
     argv = sys.argv[1:] if argv is None else list(argv)
     # the main parser takes no option values, so the first command name is

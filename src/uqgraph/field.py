@@ -10,9 +10,11 @@ order is identical across runs.
 
 Polynomials act on digit rows as n x n matrices over F_p: multiplying
 by h maps the row v to v @ M_h. Rabin's irreducibility test on the
-matrix X of multiplication by x chooses the modulus, and the order test
-g**((q-1)/r) != 1 chooses g, on M_g for n > 1 and by Python's pow mod p
-for n = 1; both are powers mod p, no polynomial division.
+matrix X of multiplication by x chooses the modulus. The order test
+g**((q-1)/r) != 1 chooses g: by Python's pow mod p for n = 1, and for
+n > 1 by square and multiply on g's digit polynomial packed into one
+Python int, whose products fold their high coefficients back through
+x**(n+k) mod f; neither divides polynomials.
 
 A sum adds digits: each digit sum is below 2p, so one conditional
 subtraction of p reduces it, and Horner recombines the digits (at n = 1
@@ -79,6 +81,53 @@ def _mat_pow(a, e, p) -> np.ndarray:
         a = a @ a % p
         e >>= 1
     return result
+
+
+class _PackedPolys:
+    """F_p[x]/(f) on Python ints, for the search for g: a polynomial
+    sum(c[j] * x**j) of degree below n is the int sum(c[j] << shifts[j]),
+    one slot of bits per coefficient.
+
+    A product is one int multiplication; its n - 1 high slots fold back
+    through x**(n + k) mod f, and each slot is reduced mod p. A slot holds
+    2n(p-1)**2, above any coefficient before reduction, so nothing carries
+    from one slot into the next.
+    """
+
+    def __init__(self, f, p):
+        n = len(f) - 1
+        slot = (2 * n * (p - 1) ** 2).bit_length()
+        self.p, self.mask, self.low = p, (1 << slot) - 1, (1 << (slot * n)) - 1
+        self.shifts = [slot * j for j in range(n)]
+        x_n = [-c % p for c in f[:n]]  # x**n mod f
+        self.folds, row = [], x_n
+        for k in range(n - 1):  # x**(n + k) mod f, for slot n + k of a product
+            self.folds.append((slot * (n + k), self.pack(row)))
+            row = [((row[j - 1] if j else 0) + row[-1] * x_n[j]) % p for j in range(n)]
+
+    def pack(self, digits) -> int:
+        return sum(d << t for d, t in zip(digits, self.shifts))
+
+    def digits(self, a: int) -> list[int]:
+        return [(a >> t) & self.mask for t in self.shifts]
+
+    def mul(self, a: int, b: int) -> int:
+        p, mask, prod = self.p, self.mask, a * b
+        acc = prod & self.low
+        for shift, fold in self.folds:
+            acc += ((prod >> shift) & mask) % p * fold
+        return sum(((acc >> t) & mask) % p << t for t in self.shifts)
+
+    def pow(self, a: int, e: int) -> int:
+        """a**e by square and multiply, for e >= 0."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return result
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -203,20 +252,19 @@ class FieldCtx:
         if self._exp is None:
             p, n, q = self.p, self.n, self.q
             # Multiplying by h is F_p-linear: row j of step holds the digits
-            # of h * x**j, that is h's digits times X**j, starting from h = g.
+            # of h * x**j, starting from h = g.
             divisors = _prime_divisors(q - 1)
             if n == 1:  # g is the first code of order q - 1, tested by pow mod p
                 g = next(code for code in range(1, q)
                          if all(pow(code, (q - 1) // r, q) != 1 for r in divisors))
                 step = np.array([[g]], dtype=np.int64)
-            else:
-                x = _times_x(self.modulus, p)
-                x_powers = np.stack([_mat_pow(x, j, p) for j in range(n)])
-                for code in range(1, q):  # the same first code, on its matrix
-                    step = np.array(self.coeffs(code)) @ x_powers % p
-                    if all(not np.array_equal(_mat_pow(step, (q - 1) // r, p), x_powers[0])
-                           for r in divisors):
-                        break
+            else:  # the same first code, by powers of its packed digit polynomial;
+                # codes below p lie in F_p, of order dividing p - 1, so none is g
+                polys = _PackedPolys(self.modulus, p)
+                g = next(a for a in map(polys.pack, map(self.coeffs, range(p, q)))
+                         if all(polys.pow(a, (q - 1) // r) != 1 for r in divisors))
+                step = np.array([polys.digits(polys.mul(g, 1 << t))
+                                 for t in polys.shifts], dtype=np.int64)
             digits, exp = self.digits_matrix(), np.ones(1, dtype=np.int64)
             while len(exp) < q - 1:  # exp[L:2L] = exp[:L] * g**L, then h = g**2L
                 exp = np.concatenate(

@@ -2,8 +2,12 @@
 80-column terminal, and every documented option of each subcommand.
 
 `main` registers the options of the named subcommand only; these texts are
-what the parser with every subcommand's options printed."""
+what the parser with every subcommand's options printed. Each subcommand's
+parser is built once per process, so the texts must not depend on which
+commands ran before."""
 
+import argparse
+import json
 import sys
 
 import pytest
@@ -197,3 +201,96 @@ PARSES = [
 def test_every_documented_option_parses(command, argv, parsed):
     args = cli._build_parser(command).parse_args([command, *argv])
     assert vars(args) == dict(parsed, command=command)
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one main call; chi's millis dropped."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    if argv[0] == "chi":
+        out = {k: v for k, v in json.loads(out).items() if k != "millis"}
+    return code, out, err
+
+
+def test_each_command_key_builds_one_parser_tree_per_process(capsys, monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    coloring = str(tmp_path / "coloring.txt")
+    sequence = [
+        ["build", "--q", "5", "--out", str(tmp_path / "graph.col")],
+        ["color", "--q", "5", "--json", "--out", coloring],
+        ["build"],  # usage error: --q is required
+        ["chi", "--q", "5", "--nodes", "1000", "--json"],
+        ["frobnicate"],
+        ["spectrum", "--q", "5", "--json"],
+        ["--help"],
+        ["triangles", "--q", "5", "--json"],
+        ["verify", coloring],
+        ["report", "--q", "5..7", "--json", "--nodes", "100"],
+    ]
+    first = [outcome(capsys, argv) for argv in sequence]
+    assert [code for code, _, _ in first] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 0]
+    # one tree per key, each the main parser ("uqgraph") and its seven subparsers
+    keys = len(cli._COMMANDS) + 1  # every subcommand, and None for --help and frobnicate
+    assert built.count("uqgraph") == keys and len(built) == keys * (len(cli._COMMANDS) + 1)
+    built.clear()
+    assert [outcome(capsys, argv) for argv in sequence] == first
+    assert built == []
+
+
+HELP_AND_ERRORS = (
+    [(["--help"], 0, MAIN_HELP, "")]
+    + [([command, "--help"], 0, text, "") for command, text in COMMAND_HELP.items()]
+    + [(argv, 2, "", err) for argv, err in ERRORS]
+)
+
+
+def test_pinned_texts_hold_in_any_order_on_reused_parsers(capsys):
+    cli._build_parser.cache_clear()
+    cases = HELP_AND_ERRORS
+    for order in (cases, cases[::-1], cases[1::2] + cases[::2]):
+        for argv, code, out, err in order:
+            assert exits(capsys, argv) == (code, out, err), argv
+
+
+def test_reused_parser_formats_help_at_the_current_width(capsys, monkeypatch):
+    assert exits(capsys, ["chi", "--help"]) == (0, COMMAND_HELP["chi"], "")
+    monkeypatch.setenv("COLUMNS", "200")
+    _, out, _ = exits(capsys, ["chi", "--help"])
+    assert out.splitlines()[0] == (
+        "usage: uqgraph chi [-h] --q Q [--m M] [--json] [--out OUT] [--timeout TIMEOUT]"
+        " [--nodes NODES]"
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    assert exits(capsys, ["chi", "--help"]) == (0, COMMAND_HELP["chi"], "")
+
+
+def test_report_parses_its_budget_after_a_failed_report(capsys, monkeypatch):
+    parsed = []
+
+    def handler(args):
+        parsed.append(vars(args))
+        return 0
+
+    text, options, _ = cli._COMMANDS["report"]
+    monkeypatch.setitem(cli._COMMANDS, "report", (text, options, handler))
+    assert exits(capsys, ["report", "--q", "5", "--bogus"]) == (
+        2, "", USAGE + "uqgraph: error: unrecognized arguments: --bogus\n"
+    )
+    assert main(["report", "--q", "5..9", "--nodes", "123", "--timeout", "7.5"]) == 0
+    assert main(["report", "--q", "5"]) == 0
+    assert parsed == [
+        dict(DEFAULTS, command="report", q="5..9", nodes=123, timeout=7.5),
+        dict(DEFAULTS, command="report", q="5", nodes=cli.DEFAULT_NODE_LIMIT,
+             timeout=cli.DEFAULT_TIME_LIMIT),
+    ]

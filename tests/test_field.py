@@ -23,6 +23,7 @@ from uqgraph import (
 from uqgraph.field import (
     DEFAULT_MAX_ORDER,
     FieldCtx,
+    _PackedPolys,
     _is_irreducible,
     _mat_pow,
     _prime_divisors,
@@ -532,10 +533,11 @@ def test_table_builds_peak_memory_stays_near_the_kept_tables():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the routes that pow mod p at n = 1 and the conditional
-# subtraction of p replaced. log_tables_by_matrices tests every candidate g
-# on its n x n matrix, 1 x 1 at n = 1; add_arrays_by_digit_matmul reduces
-# the int64 digit sums with % p and recombines them with one matmul.
+# Oracles: the routes that pow mod p at n = 1, the packed digit polynomials
+# at n > 1 and the conditional subtraction of p replaced.
+# log_tables_by_matrices tests every candidate g from code 1 on its n x n
+# matrix, 1 x 1 at n = 1; add_arrays_by_digit_matmul reduces the int64
+# digit sums with % p and recombines them with one matmul.
 
 
 def log_tables_by_matrices(ctx):
@@ -565,12 +567,12 @@ def add_arrays_by_digit_matmul(ctx, a, b):
     return np.add(digits[a], digits[b], dtype=np.int64) % ctx.p @ ctx._powers
 
 
-def _assert_same_tables(p):
-    ctx = FieldCtx(p, 1, _smallest_irreducible(p, 1))  # fresh, so nothing is cached
+def _assert_same_tables(p, n=1):
+    ctx = FieldCtx(p, n, _smallest_irreducible(p, n))  # fresh, so nothing is cached
     exp, log = ctx._log_tables()
     want_exp, want_log = log_tables_by_matrices(ctx)
-    assert exp[1] == want_exp[1], p  # g
-    assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log), p
+    assert exp[1] == want_exp[1], (p, n)  # g
+    assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log), (p, n)
 
 
 def test_prime_field_tables_match_the_matrix_route_below_3000():
@@ -583,6 +585,45 @@ def test_prime_field_tables_match_the_matrix_route_below_3000():
 @pytest.mark.parametrize("p", [9973, 65521, 1048573])
 def test_prime_field_tables_match_the_matrix_route_at_large_primes(p):
     _assert_same_tables(p)
+
+
+EXTENSIONS = [prime_power(q) for q in odd_prime_powers(9, 3**7) if prime_power(q)[1] > 1]
+
+
+def test_extension_field_tables_match_the_matrix_route_to_3_to_the_7():
+    assert len(EXTENSIONS) == 22 and EXTENSIONS[-1] == (3, 7)
+    for p, n in EXTENSIONS:
+        _assert_same_tables(p, n)
+
+
+@pytest.mark.parametrize("p, n", [(3, 12), (1021, 2), (5, 8)])
+def test_extension_field_tables_match_the_matrix_route_at_the_order_bound(p, n):
+    _assert_same_tables(p, n)
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 5), (11, 2), (5, 3), (7, 4), (1021, 2), (3, 12)])
+def test_packed_polys_multiply_like_the_digit_loops(p, n):
+    ctx = FieldCtx(p, n, _smallest_irreducible(p, n))
+    oracle, polys = DigitLoopField(ctx), _PackedPolys(ctx.modulus, p)
+    rng = random.Random(ctx.q)
+    sample = [0, 1, p - 1, p, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(60)]
+    for a, b in zip(sample, rng.sample(sample, len(sample))):
+        got = polys.mul(polys.pack(ctx.coeffs(a)), polys.pack(ctx.coeffs(b)))
+        assert polys.digits(got) == list(ctx.coeffs(oracle.mul(a, b))), (a, b)
+        e = rng.randrange(ctx.q)
+        assert polys.digits(polys.pow(polys.pack(ctx.coeffs(a)), e)) == list(
+            ctx.coeffs(oracle.pow(a, e))), (a, e)
+
+
+@pytest.mark.parametrize("p, n", [(11, 2), (5, 3), (3, 7)])
+def test_extension_field_tables_make_no_scalar_field_calls(monkeypatch, p, n):
+    def refuse(*args):
+        raise AssertionError("scalar FieldCtx call while building the tables")
+
+    for name in ("add", "sub", "neg", "mul", "pow", "inv", "quadratic_character", "abs_trace"):
+        monkeypatch.setattr(FieldCtx, name, refuse)
+    exp, log = FieldCtx(p, n, _smallest_irreducible(p, n))._log_tables()
+    assert len(exp) == p**n - 1 and log[1] == 0
 
 
 def _assert_sums_match_the_digit_matmul(ctx, pairs):
