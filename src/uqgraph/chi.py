@@ -54,8 +54,9 @@ import numpy as np
 from .construction import Coloring, build_coloring_md, make_plan, verify_coloring
 from .errors import ConstructionUnavailableError, InvalidPlanError, NoSlopeExistsError
 
-DEFAULT_TIME_LIMIT = 60.0
-DEFAULT_NODE_LIMIT = 10**8
+# the default budget counts nodes only, so a default record is the same on any machine
+DEFAULT_TIME_LIMIT = math.inf
+DEFAULT_NODE_LIMIT = 2_500_000
 _MASKS = weakref.WeakKeyDictionary()  # graph -> (order, masks), freed with the graph
 
 

@@ -219,7 +219,7 @@ def build_coloring_2d(ctx: FieldCtx, plan: ColoringPlan) -> Coloring:
     line_colors = np.empty(q, dtype=np.int64)
     line_colors[lines] = np.arange(len(lines))[:, None] * per_coset + np.arange(p) // 2
     # (x, y) lies on the line with intercept y - a*x.
-    intercepts = ctx.add_arrays(ctx.mul_vector(ctx.neg(plan.a))[:, None], np.arange(q))
+    intercepts = ctx.add_arrays(ctx.mul_vector(ctx.neg_vector()[plan.a])[:, None], np.arange(q))
     colors = line_colors[intercepts].ravel()
     return Coloring(q=q, m=2, colors=colors, k=len(lines) * per_coset)
 

@@ -8,13 +8,11 @@ the lexicographically smallest monic irreducible polynomial of degree n
 (coefficients compared constant term first), so a field of a given
 order is identical across runs.
 
-Polynomials act on digit rows as n x n matrices over F_p: multiplying
-by h maps the row v to v @ M_h. Rabin's irreducibility test on the
-matrix X of multiplication by x chooses the modulus. The order test
-g**((q-1)/r) != 1 chooses g: by Python's pow mod p for n = 1, and for
-n > 1 by square and multiply on g's digit polynomial packed into one
-Python int, whose products fold their high coefficients back through
-x**(n+k) mod f; neither divides polynomials.
+Polynomials mod f are packed into Python ints, one slot of bits per
+coefficient, and a product folds its high coefficients back through
+x**(n+k) mod f, so nothing divides polynomials. On them Rabin's
+irreducibility test chooses the modulus and the order test
+g**((q-1)/r) != 1 chooses g, by square and multiply, for every n.
 
 A sum adds digits: each digit sum is below 2p, so one conditional
 subtraction of p reduces it, and Horner recombines the digits (at n = 1
@@ -60,38 +58,16 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return p, n
 
 
-# ---------------------------------------------------------------------------
-# Polynomials over F_p act on digit rows as n x n matrices: row j of the
-# matrix of h holds the digits of h * x**j mod f, so v @ M is v * h.
-
-
-def _times_x(f, p) -> np.ndarray:
-    """The matrix X of multiplication by x mod the monic f: row j holds x**(j+1)."""
-    x = np.eye(len(f) - 1, k=1, dtype=np.int64)
-    x[-1] = -np.asarray(f[:-1], dtype=np.int64) % p
-    return x
-
-
-def _mat_pow(a, e, p) -> np.ndarray:
-    """a**e mod p by square and multiply, for e >= 0."""
-    result = np.eye(len(a), dtype=np.int64)
-    while e:
-        if e & 1:
-            result = result @ a % p
-        a = a @ a % p
-        e >>= 1
-    return result
-
-
 class _PackedPolys:
-    """F_p[x]/(f) on Python ints, for the search for g: a polynomial
-    sum(c[j] * x**j) of degree below n is the int sum(c[j] << shifts[j]),
-    one slot of bits per coefficient.
+    """F_p[x]/(f) on Python ints, for Rabin's test on a candidate modulus f
+    and the search for g: a polynomial sum(c[j] * x**j) of degree below n
+    is the int sum(c[j] << shifts[j]), one slot of bits per coefficient.
 
     A product is one int multiplication; its n - 1 high slots fold back
     through x**(n + k) mod f, and each slot is reduced mod p. A slot holds
-    2n(p-1)**2, above any coefficient before reduction, so nothing carries
-    from one slot into the next.
+    2n(p-1)**2, above any coefficient before reduction when both factors
+    have reduced coefficients, so nothing carries from one slot into the
+    next. A difference is therefore reduced slot by slot before it is used.
     """
 
     def __init__(self, f, p):
@@ -110,6 +86,9 @@ class _PackedPolys:
 
     def digits(self, a: int) -> list[int]:
         return [(a >> t) & self.mask for t in self.shifts]
+
+    def sub(self, a: int, b: int) -> int:
+        return self.pack([(c - d) % self.p for c, d in zip(self.digits(a), self.digits(b))])
 
     def mul(self, a: int, b: int) -> int:
         p, mask, prod = self.p, self.mask, a * b
@@ -146,22 +125,20 @@ def _prime_divisors(n: int) -> list[int]:
 
 
 def _is_irreducible(coeffs, p) -> bool:
-    """Irreducibility of a monic polynomial f of degree n over F_p (Rabin).
+    """Irreducibility of a monic polynomial f of degree n >= 2 over F_p (Rabin).
 
-    X**(p**n) = X says f divides x**(p**n) - x, so F_p[x]/(f) is a product
-    of fields of orders dividing p**n. There h is a unit exactly when
-    h**(p**n - 1) = 1, which stands in for gcd(h, f) = 1 with
+    x**(p**n) = x mod f says f divides x**(p**n) - x, so F_p[x]/(f) is a
+    product of fields of orders dividing p**n. There h is a unit exactly
+    when h**(p**n - 1) = 1, which stands in for gcd(h, f) = 1 with
     h = x**(p**(n/r)) - x for each prime r dividing n.
     """
     n = len(coeffs) - 1
-    x = _times_x(coeffs, p)
-    if not np.array_equal(_mat_pow(x, p**n, p), x):
+    polys = _PackedPolys(coeffs, p)
+    x = 1 << polys.shifts[1]
+    if polys.pow(x, p**n) != x:
         return False
-    identity = np.eye(n, dtype=np.int64)
-    return all(
-        np.array_equal(_mat_pow((_mat_pow(x, p ** (n // r), p) - x) % p, p**n - 1, p), identity)
-        for r in _prime_divisors(n)
-    )
+    return all(polys.pow(polys.sub(polys.pow(x, p ** (n // r)), x), p**n - 1) == 1
+               for r in _prime_divisors(n))
 
 
 def _smallest_irreducible(p: int, n: int) -> tuple[int, ...]:
@@ -251,20 +228,15 @@ class FieldCtx:
         """
         if self._exp is None:
             p, n, q = self.p, self.n, self.q
-            # Multiplying by h is F_p-linear: row j of step holds the digits
-            # of h * x**j, starting from h = g.
-            divisors = _prime_divisors(q - 1)
-            if n == 1:  # g is the first code of order q - 1, tested by pow mod p
-                g = next(code for code in range(1, q)
-                         if all(pow(code, (q - 1) // r, q) != 1 for r in divisors))
-                step = np.array([[g]], dtype=np.int64)
-            else:  # the same first code, by powers of its packed digit polynomial;
-                # codes below p lie in F_p, of order dividing p - 1, so none is g
-                polys = _PackedPolys(self.modulus, p)
-                g = next(a for a in map(polys.pack, map(self.coeffs, range(p, q)))
-                         if all(polys.pow(a, (q - 1) // r) != 1 for r in divisors))
-                step = np.array([polys.digits(polys.mul(g, 1 << t))
-                                 for t in polys.shifts], dtype=np.int64)
+            # g is the first code of order q - 1, by powers of its packed digit
+            # polynomial; at n > 1 the codes below p lie in F_p, of order
+            # dividing p - 1, so none is g. Multiplying by h is F_p-linear:
+            # row j of step holds the digits of h * x**j, starting from h = g.
+            polys, divisors = _PackedPolys(self.modulus, p), _prime_divisors(q - 1)
+            g = next(a for a in map(polys.pack, map(self.coeffs, range(1 if n == 1 else p, q)))
+                     if all(polys.pow(a, (q - 1) // r) != 1 for r in divisors))
+            step = np.array([polys.digits(polys.mul(g, 1 << t)) for t in polys.shifts],
+                            dtype=np.int64)
             digits, exp = self.digits_matrix(), np.ones(1, dtype=np.int64)
             while len(exp) < q - 1:  # exp[L:2L] = exp[:L] * g**L, then h = g**2L
                 exp = np.concatenate(

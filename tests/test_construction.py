@@ -41,6 +41,7 @@ from uqgraph import (
 )
 from uqgraph import construction
 from uqgraph.construction import _coset_reps, _read_lines, _require_shift, _require_slope
+from uqgraph.field import FieldCtx
 from uqgraph.graph import quadrance
 
 
@@ -386,6 +387,21 @@ def test_build_coloring_md_matches_2d_for_m2():
     plane = build_coloring_2d(ctx, plan)
     assert flat.k == plane.k
     assert np.array_equal(flat.colors, plane.colors)
+
+
+@pytest.mark.parametrize("q, m", [(5, 2), (7, 3), (9, 2), (25, 2), (27, 3), (127, 2)])
+def test_build_coloring_md_makes_no_scalar_field_calls(monkeypatch, q, m):
+    cached = field_for(q)
+    want = build_coloring_md(cached, m, make_plan(cached))
+
+    def refuse(*args):
+        raise AssertionError("scalar FieldCtx call while building a coloring")
+
+    for name in ("add", "sub", "neg", "mul", "pow", "inv", "quadratic_character", "abs_trace"):
+        monkeypatch.setattr(FieldCtx, name, refuse)
+    ctx = FieldCtx(cached.p, cached.n, cached.modulus)  # no tables or vectors built yet
+    got = build_coloring_md(ctx, m, make_plan(ctx))
+    assert got.k == want.k and np.array_equal(got.colors, want.colors)
 
 
 def test_expected_color_counts():

@@ -25,11 +25,9 @@ from uqgraph.field import (
     FieldCtx,
     _PackedPolys,
     _is_irreducible,
-    _mat_pow,
     _prime_divisors,
     _row_chunks,
     _smallest_irreducible,
-    _times_x,
 )
 
 
@@ -358,7 +356,8 @@ def test_smallest_irreducible_matches_the_list_oracle():
     fields = _fields_up_to_the_order_bound()
     assert len(fields) == 223
     for p, n in fields:
-        assert _smallest_irreducible(p, n) == list_smallest_irreducible(p, n), (p, n)
+        want = list_smallest_irreducible(p, n)
+        assert _smallest_irreducible(p, n) == want == matrix_smallest_irreducible(p, n), (p, n)
 
 
 @pytest.mark.parametrize("p, max_degree", [(3, 6), (5, 4), (7, 4)])
@@ -367,8 +366,9 @@ def test_is_irreducible_matches_the_list_oracle_on_every_monic(p, max_degree):
         irreducible = 0
         for cs in itertools.product(range(p), repeat=n):
             f = list(cs) + [1]
-            assert _is_irreducible(f, p) == list_is_irreducible(f, p), f
-            irreducible += list_is_irreducible(f, p)
+            want = list_is_irreducible(f, p)
+            assert _is_irreducible(f, p) == want == matrix_is_irreducible(f, p), f
+            irreducible += want
         # Gauss: n times the number of monic irreducibles of degree n is the
         # sum of mu(n/d) * p**d over the divisors d of n
         mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
@@ -533,11 +533,52 @@ def test_table_builds_peak_memory_stays_near_the_kept_tables():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: the routes that pow mod p at n = 1, the packed digit polynomials
-# at n > 1 and the conditional subtraction of p replaced.
-# log_tables_by_matrices tests every candidate g from code 1 on its n x n
-# matrix, 1 x 1 at n = 1; add_arrays_by_digit_matmul reduces the int64
-# digit sums with % p and recombines them with one matmul.
+# Oracles: the n x n matrix routes that the packed digit polynomials
+# replaced, and the digit matmul that the conditional subtraction of p
+# replaced. Polynomials over F_p act on digit rows as n x n matrices: row j
+# of the matrix of h holds the digits of h * x**j mod f, so v @ M is v * h.
+# matrix_is_irreducible runs Rabin's test on the matrix X of
+# multiplication by x; log_tables_by_matrices tests every candidate g from
+# code 1 on its n x n matrix, 1 x 1 at n = 1; add_arrays_by_digit_matmul
+# reduces the int64 digit sums with % p and recombines them with one matmul.
+
+
+def _times_x(f, p):
+    """The matrix X of multiplication by x mod the monic f: row j holds x**(j+1)."""
+    x = np.eye(len(f) - 1, k=1, dtype=np.int64)
+    x[-1] = -np.asarray(f[:-1], dtype=np.int64) % p
+    return x
+
+
+def _mat_pow(a, e, p):
+    """a**e mod p by square and multiply, for e >= 0."""
+    result = np.eye(len(a), dtype=np.int64)
+    while e:
+        if e & 1:
+            result = result @ a % p
+        a = a @ a % p
+        e >>= 1
+    return result
+
+
+def matrix_is_irreducible(coeffs, p):
+    """X**(p**n) = X, then (X**(p**(n/r)) - X)**(p**n - 1) = I for each prime r | n."""
+    n = len(coeffs) - 1
+    x = _times_x(coeffs, p)
+    if not np.array_equal(_mat_pow(x, p**n, p), x):
+        return False
+    identity = np.eye(n, dtype=np.int64)
+    return all(
+        np.array_equal(_mat_pow((_mat_pow(x, p ** (n // r), p) - x) % p, p**n - 1, p), identity)
+        for r in _prime_divisors(n)
+    )
+
+
+def matrix_smallest_irreducible(p, n):
+    for cs in itertools.product(range(p), repeat=n):
+        if cs[0] and matrix_is_irreducible(list(cs) + [1], p):
+            return cs + (1,)
+    raise AssertionError("no irreducible polynomial found")
 
 
 def log_tables_by_matrices(ctx):
@@ -613,9 +654,26 @@ def test_packed_polys_multiply_like_the_digit_loops(p, n):
         e = rng.randrange(ctx.q)
         assert polys.digits(polys.pow(polys.pack(ctx.coeffs(a)), e)) == list(
             ctx.coeffs(oracle.pow(a, e))), (a, e)
+        # a product is carry-free only on reduced coefficients, so a difference is reduced
+        got = polys.sub(polys.pack(ctx.coeffs(a)), polys.pack(ctx.coeffs(b)))
+        assert got == polys.pack(ctx.coeffs(oracle.sub(a, b))), (a, b)
 
 
-@pytest.mark.parametrize("p, n", [(11, 2), (5, 3), (3, 7)])
+def smallest_primitive_root(p):
+    """The smallest g in [1, p) with pow(g, (p-1)/r, p) != 1 for every prime r | p - 1."""
+    divisors = _prime_divisors(p - 1)
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // r, p) != 1 for r in divisors))
+
+
+def test_prime_field_g_is_the_smallest_primitive_root():
+    primes = [p for p in range(3, 10**4) if is_prime(p)] + [1048573]
+    assert len(primes) == 1229
+    for p in primes:
+        # built outside make_field's cache, so the tables are freed after each field
+        assert FieldCtx(p, 1, (0, 1))._log_tables()[0][1] == smallest_primitive_root(p), p
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (7, 1), (1021, 1), (11, 2), (5, 3), (3, 7)])
 def test_extension_field_tables_make_no_scalar_field_calls(monkeypatch, p, n):
     def refuse(*args):
         raise AssertionError("scalar FieldCtx call while building the tables")
