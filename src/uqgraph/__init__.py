@@ -29,14 +29,11 @@ _EXPORTS = {
         "read_coloring",
         "validate_plan",
         "verify_coloring",
-        "verify_cross_line_lemma",
-        "verify_line_lemma",
         "write_coloring",
     ),
     "errors": (
         "ConstructionUnavailableError",
         "DegenerateSpectrumError",
-        "DimensionMismatchError",
         "DimensionTooSmallError",
         "DivisionByZeroError",
         "EvenCharacteristicError",
@@ -57,11 +54,9 @@ _EXPORTS = {
         "build_graph",
         "degree_formula",
         "export_dimacs",
-        "quadrance",
         "triangle_count",
         "triangle_free_predicted",
         "unit_circle",
-        "vertex_coords",
     ),
     "spectral": (
         "EigenBoundReport",

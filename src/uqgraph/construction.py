@@ -176,33 +176,6 @@ def _coset_lines(ctx: FieldCtx, plan: ColoringPlan) -> np.ndarray:
     return ctx.add_arrays(reps[:, None], ctx.mul_vector(plan.t)[: ctx.p])
 
 
-def _no_unit_pair(ctx: FieldCtx, a: int, t: int) -> bool:
-    """Check Q(A, B) != 1 for A on line y = a*x + i and B on line
-    y = a*x + i + t, over all i and all pairs of points.
-
-    B - A = (d, a*d + t) with d = x_B - x_A, whatever i and x_A are, so
-    one check over d covers every pair: no d has d**2 + (a*d + t)**2 = 1.
-    """
-    ctx._check(t)
-    squares = ctx.square_vector()
-    rise = ctx.add_arrays(ctx.mul_vector(a), t)  # a*d + t for every d
-    return not np.any(ctx.add_arrays(squares, squares[rise]) == 1)
-
-
-def verify_line_lemma(ctx: FieldCtx, a: int) -> bool:
-    """Check Q(A, B) != 1 for distinct A, B on each line y = a*x + i,
-    from the difference B - A = (d, a*d) alone. Runs for any a, including
-    slopes violating the nonsquare requirement (for which it returns False)."""
-    return _no_unit_pair(ctx, a, 0)  # A = B has Q = 0, so no pair is excluded
-
-
-def verify_cross_line_lemma(ctx: FieldCtx, a: int, t: int) -> bool:
-    """Check Q(A, B) != 1 for A on line y = a*x + i and B on line
-    y = a*x + i + t, over all i, from the difference B - A = (d, a*d + t)
-    alone."""
-    return _no_unit_pair(ctx, a, t)
-
-
 def expected_color_count(ctx: FieldCtx, m: int = 2) -> int:
     """q**(m-2) * (p**n + p**(n-1)) / 2, the construction's color count."""
     return ctx.q ** (m - 2) * (ctx.p**ctx.n + ctx.p ** (ctx.n - 1)) // 2

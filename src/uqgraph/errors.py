@@ -21,12 +21,8 @@ class DivisionByZeroError(UQGraphError, ZeroDivisionError):
     """Multiplicative inverse of zero requested."""
 
 
-class DimensionMismatchError(UQGraphError, ValueError):
-    """Points of different dimensions were combined."""
-
-
 class DimensionTooSmallError(UQGraphError, ValueError):
-    """Graphs and quadrances need dimension at least 2."""
+    """Graphs need dimension at least 2."""
 
 
 class InvalidConnectionSetError(UQGraphError, ValueError):

@@ -21,12 +21,9 @@ same number lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     DimensionTooSmallError,
     InvalidConnectionSetError,
     IOFailureError,
@@ -37,15 +34,6 @@ from .field import FieldCtx, is_prime
 DEFAULT_MAX_VERTICES = 1 << 16
 
 
-def vertex_coords(q: int, m: int, index: int) -> tuple[int, ...]:
-    """Coordinates of a row-major vertex index, last coordinate fastest."""
-    out = []
-    for _ in range(m):
-        index, r = divmod(index, q)
-        out.append(r)
-    return tuple(reversed(out))
-
-
 def place_values(q: int, m: int) -> np.ndarray:
     """q**(m-1), ..., q, 1: the weight of each coordinate in a row-major vertex index."""
     return q ** np.arange(m - 1, -1, -1, dtype=np.int64)
@@ -54,25 +42,6 @@ def place_values(q: int, m: int) -> np.ndarray:
 def index_coords(q: int, m: int, indices) -> np.ndarray:
     """Coordinates of row-major vertex indices of any shape, on one more axis of length m."""
     return np.asarray(indices)[..., None] // place_values(q, m) % q
-
-
-def quadrance(ctx: FieldCtx, x: Sequence[int], y: Sequence[int]) -> int:
-    """Sum of squared coordinate differences, as an element code.
-
-    x and y are coordinate sequences of equal dimension >= 2.
-    """
-    cx, cy = tuple(x), tuple(y)
-    if len(cx) != len(cy):
-        raise DimensionMismatchError(
-            f"points of dimension {len(cx)} and {len(cy)} cannot be compared"
-        )
-    if len(cx) < 2:
-        raise DimensionTooSmallError("quadrance needs dimension >= 2")
-    acc = 0
-    for a, b in zip(cx, cy):
-        d = ctx.sub(a, b)
-        acc = ctx.add(acc, ctx.mul(d, d))
-    return acc
 
 
 def vertex_count(q: int, m: int, what: str = "unit-quadrance graphs") -> int:

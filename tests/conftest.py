@@ -1,7 +1,7 @@
 """Shared helpers: cached graph construction, prime-power enumeration, a
 one-second alarm, the traced peak of a refused call, the per-vertex
-coloring file writer, and the scalar element, vertex-index and
-neighbor-row oracles."""
+coloring file writer, and the scalar element, vertex-index, neighbor-row
+and line-lemma oracles."""
 
 import signal
 import tracemalloc
@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from uqgraph import TooLargeError, build_graph, make_field, prime_power, vertex_coords
+from uqgraph import TooLargeError, build_graph, make_field, prime_power
 
 
 def odd_prime_powers(lo: int, hi: int) -> list[int]:
@@ -38,7 +38,7 @@ def element(ctx, coeffs) -> int:
 
 def vertex_index(q: int, coords) -> int:
     """Row-major index of a coordinate vector, last coordinate fastest: the
-    inverse of vertex_coords, kept as an oracle."""
+    inverse of np.unravel_index over the shape (q,) * m, kept as an oracle."""
     idx = 0
     for c in coords:
         idx = idx * q + c
@@ -61,13 +61,32 @@ def adjacency_by_columns(graph):
     cols = digit_columns(q, m, q**m)
     adjacency = np.empty((q**m, len(graph.connection_set)), dtype=np.int64)
     for k, s in enumerate(graph.connection_set):
-        coords = vertex_coords(q, m, int(s))
+        coords = np.unravel_index(int(s), (q,) * m)
         acc = add_tab[cols[0], coords[0]]
         for j in range(1, m):
             acc = acc * q + add_tab[cols[j], coords[j]]
         adjacency[:, k] = acc
     adjacency.sort(axis=1)
     return adjacency
+
+
+def vectorized_no_unit_pair(ctx, a, t):
+    """Oracle for the line lemmas: True when no point A on a line
+    y = a*x + i and no point B on the line y = a*x + i + t are at quadrance
+    1, over every line offset i and every pair of points, through the
+    addition table. At t = 0 it checks pairs on one line, A = B included
+    (quadrance 0)."""
+    add_tab, squares = ctx.add_table(), ctx.square_vector()
+    minus = ctx.mul_vector(ctx.neg(1))  # -x for every x
+    on_line = ctx.mul_vector(a)
+    dx2 = squares[add_tab[:, minus]]  # (x_A - x_B)**2 for every pair
+    for i in range(ctx.q):
+        ya = add_tab[on_line, i]
+        yb = add_tab[on_line, ctx.add(i, t)]
+        dy2 = squares[add_tab[ya[:, None], minus[yb][None, :]]]
+        if np.any(add_tab[dx2, dy2] == 1):
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from conftest import field_for, graph_for, odd_prime_powers
+from conftest import field_for, graph_for, odd_prime_powers, vectorized_no_unit_pair
 from uqgraph import (
     build_coloring_2d,
     build_coloring_md,
@@ -29,8 +29,6 @@ from uqgraph import (
     triangle_count,
     triangle_free_predicted,
     verify_coloring,
-    verify_cross_line_lemma,
-    verify_line_lemma,
     write_coloring,
 )
 from uqgraph.cli import main
@@ -101,8 +99,8 @@ def test_criterion_5_line_lemmas_exhaustive():
         ctx = field_for(q)
         a = find_slope(ctx)
         t = find_shift(ctx, a)
-        assert verify_line_lemma(ctx, a), f"q={q}"
-        assert verify_cross_line_lemma(ctx, a, t), f"q={q}"
+        assert vectorized_no_unit_pair(ctx, a, 0), f"q={q}"
+        assert vectorized_no_unit_pair(ctx, a, t), f"q={q}"
     _report(5, "no same-line or t-offset pair at quadrance 1, q <= 31")
 
 

@@ -15,7 +15,6 @@ from uqgraph import (
     greedy_bound,
     hoffman_bound,
     verify_coloring,
-    vertex_coords,
 )
 from uqgraph import chi
 from uqgraph.chi import _neighbor_masks, _search_k_coloring
@@ -114,7 +113,7 @@ def test_exact_chromatic_q5():
     # neighbors; it is non-bipartite (odd cycles) and 3-colorable
     rows = g.neighbors(np.arange(g.n_vertices))
     for u in range(g.n_vertices):
-        xu, yu = vertex_coords(g.q, g.m, u)
+        xu, yu = np.unravel_index(u, (g.q,) * g.m)
         expected = {
             vertex_index(g.q, ((xu + 1) % 5, yu)),
             vertex_index(g.q, ((xu - 1) % 5, yu)),
@@ -866,7 +865,7 @@ def line_quotient(q):
     nonsquare = ctx.character_vector() == -1
     b = next(b for b in range(q) if nonsquare[ctx.add(ctx.mul(b, b), 1)])
     f = np.array([ctx.sub(ctx.mul(b, x), y) for x, y in
-                  (vertex_coords(q, 2, u) for u in range(q * q))])
+                  (np.unravel_index(u, (q, q)) for u in range(q * q))])
     return UnitQuadranceGraph(ctx, 1, np.unique(f[graph_for(q).connection_set])), f
 
 
@@ -895,7 +894,7 @@ def test_chi_takes_the_construction_witness_only_when_it_is_proper():
     clashes, so the witness comes from the search instead."""
     q, ctx = 13, field_for(13)
     quadrance = [ctx.add(ctx.mul(x, x), ctx.mul(y, y)) for x, y in
-                 (vertex_coords(q, 2, u) for u in range(q * q))]
+                 (np.unravel_index(u, (q, q)) for u in range(q * q))]
     graph = UnitQuadranceGraph(ctx, 2, np.flatnonzero(np.isin(quadrance, (1, 2))))
     assert len(graph.connection_set) == 24
     seed = chi._construction_seed(graph)

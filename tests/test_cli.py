@@ -268,6 +268,18 @@ def test_color_out_dash_prints_text_to_a_plain_stdout():
     assert stdout == coloring_text_by_lines(build_coloring_md(ctx, 2, make_plan(ctx))) + record
 
 
+def test_python_m_uqgraph_prints_what_main_prints():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ["report", "--q", "5..7", "--json", "--nodes", "1000"]
+    done = subprocess.run([sys.executable, "-m", "uqgraph", *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (done.returncode, done.stdout) == _stdout_of(argv)
+    refused = subprocess.run([sys.executable, "-m", "uqgraph", "build", "--q", "4"], env=env,
+                             capture_output=True, text=True, timeout=60)
+    assert (refused.returncode, refused.stdout) == (2, "")
+    assert refused.stderr == "error: characteristic 2 is not supported\n"
+
+
 def test_chi_out_dash_prints_text_to_a_plain_stdout():
     code, stdout = _stdout_of(["chi", "--q", "5", "--out", "-"])
     assert code == 0

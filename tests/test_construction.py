@@ -1,4 +1,5 @@
-"""Slope/shift search, character counts, line lemma checks, and colorings."""
+"""Slope/shift search, character counts, the certificate checks against the
+line lemmas, and colorings."""
 
 import io
 import tracemalloc
@@ -35,14 +36,11 @@ from uqgraph import (
     read_coloring,
     validate_plan,
     verify_coloring,
-    verify_cross_line_lemma,
-    verify_line_lemma,
     write_coloring,
 )
 from uqgraph import construction
 from uqgraph.construction import _coset_reps, _read_lines, _require_shift, _require_slope
 from uqgraph.field import FieldCtx
-from uqgraph.graph import quadrance
 
 
 def test_find_slope_examples():
@@ -103,25 +101,10 @@ def test_find_shift_rejects_bad_override():
         find_shift(f7, 5, override=1)  # 5 - 1 = 4 is a square
 
 
-def test_verify_line_lemma():
-    f7 = field_for(7)
-    assert verify_line_lemma(f7, 5) is True
-    assert verify_line_lemma(f7, 2) is True
-    # a=0 violates the nonsquare requirement and a witness pair exists
-    assert verify_line_lemma(f7, 0) is False
-
-
-@pytest.mark.parametrize("q", odd_prime_powers(5, 31))
-def test_line_and_cross_line_lemmas(q):
-    ctx = field_for(q)
-    a = find_slope(ctx)
-    t = find_shift(ctx, a)
-    assert verify_line_lemma(ctx, a)
-    assert verify_cross_line_lemma(ctx, a, t)
-
-
-# Oracles: the scalar loops these functions ran before they became array
-# expressions, one FieldCtx call per element or point pair.
+# Oracles: the line lemmas checked point pair by point pair, and the scalar
+# loops the certificate search, the character counts and the coloring ran
+# before they became array expressions, one FieldCtx call per element or
+# point pair.
 
 
 def scalar_line_lemma(ctx, a):
@@ -130,7 +113,8 @@ def scalar_line_lemma(ctx, a):
         pts = [(x, ctx.add(ctx.mul(a, x), i)) for x in range(q)]
         for u in range(q):
             for v in range(u + 1, q):
-                if quadrance(ctx, pts[u], pts[v]) == 1:
+                x, y = ctx.sub(pts[u][0], pts[v][0]), ctx.sub(pts[u][1], pts[v][1])
+                if ctx.add(ctx.mul(x, x), ctx.mul(y, y)) == 1:
                     return False
     return True
 
@@ -141,9 +125,10 @@ def scalar_cross_line_lemma(ctx, a, t):
         shifted = ctx.add(i, t)
         pts_a = [(x, ctx.add(ctx.mul(a, x), i)) for x in range(q)]
         pts_b = [(x, ctx.add(ctx.mul(a, x), shifted)) for x in range(q)]
-        for pa in pts_a:
-            for pb in pts_b:
-                if quadrance(ctx, pa, pb) == 1:
+        for xa, ya in pts_a:
+            for xb, yb in pts_b:
+                x, y = ctx.sub(xa, xb), ctx.sub(ya, yb)
+                if ctx.add(ctx.mul(x, x), ctx.mul(y, y)) == 1:
                     return False
     return True
 
@@ -232,42 +217,6 @@ def test_certificate_search_matches_scalar_loops(q):
     assert [t for t in range(-1, q + 1) if accepts(_require_shift, ctx, a, t)] == shifts
 
 
-def vectorized_no_unit_pair(ctx, a, t):
-    """The lemma check as it was before the difference argument: every line
-    offset i and every pair of points, through the addition table."""
-    add_tab, squares = ctx.add_table(), ctx.square_vector()
-    minus = ctx.mul_vector(ctx.neg(1))  # -x for every x
-    on_line = ctx.mul_vector(a)
-    dx2 = squares[add_tab[:, minus]]  # (x_A - x_B)**2 for every pair
-    for i in range(ctx.q):
-        ya = add_tab[on_line, i]
-        yb = add_tab[on_line, ctx.add(i, t)]
-        dy2 = squares[add_tab[ya[:, None], minus[yb][None, :]]]
-        if np.any(add_tab[dx2, dy2] == 1):
-            return False
-    return True
-
-
-@pytest.mark.parametrize("q", [3, 5, 7, 9, 11, 13, 25, 27])
-def test_difference_lemma_check_matches_all_pairs_oracle(q):
-    ctx = field_for(q)
-    verdicts = set()
-    for a in range(q):
-        assert verify_line_lemma(ctx, a) == vectorized_no_unit_pair(ctx, a, 0), a
-        for t in range(q):
-            verdict = verify_cross_line_lemma(ctx, a, t)
-            assert verdict == vectorized_no_unit_pair(ctx, a, t), (a, t)
-            verdicts.add(verdict)
-    assert verdicts == {True, False}
-
-
-def test_lemma_checks_reject_codes_outside_the_field():
-    ctx = field_for(7)
-    for a, t in [(-1, 0), (7, 0), (2, -1), (2, 7)]:
-        with pytest.raises(ValueError, match="outside"):
-            verify_cross_line_lemma(ctx, a, t)
-
-
 @pytest.mark.parametrize("q", odd_prime_powers(3, 243))
 def test_count_Aq_is_the_same_for_every_nonsquare(q):
     ctx = field_for(q)
@@ -286,13 +235,21 @@ def test_coset_reps_match_scalar_walk(q):
 
 @pytest.mark.parametrize("q", [3, 5, 7, 9, 11])
 def test_lemma_checks_match_scalar_oracle_for_every_slope_and_shift(q):
+    """The certificate checks are the line lemmas. Two points of a line
+    y = a*x + i differ by (d, a*d), at quadrance d**2 * (a**2 + 1): none is
+    1 when a**2 + 1 is a nonsquare or 0. Points of lines t apart differ by
+    (d, a*d + t), at quadrance 1 for some d exactly when a**2 + 1 - t**2 is
+    a square or 0, for every slope a."""
     ctx = field_for(q)
     verdicts = set()
     for a in range(q):
-        assert verify_line_lemma(ctx, a) == scalar_line_lemma(ctx, a), a
-        for t in range(q):
-            verdict = verify_cross_line_lemma(ctx, a, t)
-            assert verdict == scalar_cross_line_lemma(ctx, a, t), (a, t)
+        isotropic = scalar_slope_target(ctx, a) == 0
+        verdict = scalar_line_lemma(ctx, a)
+        assert verdict == (accepts(_require_slope, ctx, a) or isotropic), a
+        verdicts.add(verdict)
+        for t in range(1, q):
+            verdict = scalar_cross_line_lemma(ctx, a, t)
+            assert verdict == accepts(_require_shift, ctx, a, t), (a, t)
             verdicts.add(verdict)
     assert verdicts == {True, False}
 

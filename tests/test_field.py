@@ -659,6 +659,25 @@ def test_packed_polys_multiply_like_the_digit_loops(p, n):
         assert got == polys.pack(ctx.coeffs(oracle.sub(a, b))), (a, b)
 
 
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3),
+                                  (5, 4), (7, 2), (11, 2)])
+def test_packed_polys_multiply_only_reduced_polynomials(monkeypatch, p, n):
+    # a slot is sized for products of coefficients below p, so Rabin's test
+    # and the search for g must reduce every factor (a difference included)
+    multiply, calls = _PackedPolys.mul, []
+
+    def checked(self, a, b):
+        for c in (a, b):
+            assert 0 <= c <= self.low, (p, n, c)  # no bit above slot n - 1
+            assert max(self.digits(c)) < p, (p, n, self.digits(c))
+        calls.append(1)
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(_PackedPolys, "mul", checked)
+    FieldCtx(p, n, _smallest_irreducible(p, n))._log_tables()
+    assert calls
+
+
 def smallest_primitive_root(p):
     """The smallest g in [1, p) with pow(g, (p-1)/r, p) != 1 for every prime r | p - 1."""
     divisors = _prime_divisors(p - 1)

@@ -1,5 +1,6 @@
 """Graph construction, degrees, triangles, and DIMACS export."""
 
+import functools
 import hashlib
 import io
 import tracemalloc
@@ -20,7 +21,6 @@ from conftest import (
 )
 from uqgraph import (
     Coloring,
-    DimensionMismatchError,
     DimensionTooSmallError,
     FieldCtx,
     InvalidConnectionSetError,
@@ -34,12 +34,10 @@ from uqgraph import (
     export_dimacs,
     make_field,
     make_plan,
-    quadrance,
     triangle_count,
     triangle_free_predicted,
     unit_circle,
     verify_coloring,
-    vertex_coords,
 )
 from uqgraph.graph import (
     circle_translates,
@@ -59,35 +57,17 @@ def coordinate_sums(ctx: FieldCtx) -> np.ndarray:
     return ctx.add_arrays(codes[:, None], codes)
 
 
-def test_quadrance_examples():
-    f7 = field_for(7)
-    assert quadrance(f7, (0, 0), (1, 0)) == 1
-    # 2^2 + 3^2 = 13 = 6 mod 7
-    assert quadrance(f7, (0, 0), (2, 3)) == 6
-    assert quadrance(f7, (0, 0, 0), (1, 1, 1)) == 3
-    assert quadrance(f7, (4, 5), (4, 5)) == 0
-    assert quadrance(f7, (1, 2), (3, 4)) == quadrance(f7, (3, 4), (1, 2))
-
-
-def test_quadrance_dimension_errors():
-    f7 = field_for(7)
-    with pytest.raises(DimensionMismatchError):
-        quadrance(f7, (0, 0), (1, 0, 0))
-    with pytest.raises(DimensionTooSmallError):
-        quadrance(f7, (0,), (1,))
-
-
 def test_vertex_indexing_round_trip():
     for q, m in [(5, 2), (7, 3)]:
         for idx in range(q**m):
-            coords = vertex_coords(q, m, idx)
+            coords = np.unravel_index(idx, (q,) * m)
             assert vertex_index(q, coords) == idx
     assert vertex_index(7, (2, 3)) == 17
 
 
 def test_unit_circle_q5():
     circle = unit_circle(field_for(5), 2)
-    assert {vertex_coords(5, 2, i) for i in circle} == {(1, 0), (4, 0), (0, 1), (0, 4)}
+    assert {np.unravel_index(i, (5, 5)) for i in circle} == {(1, 0), (4, 0), (0, 1), (0, 4)}
     assert len(circle) == degree_formula(5) == 4
     indices = circle.tolist()
     assert indices == sorted(indices)
@@ -100,7 +80,7 @@ def test_unit_circle_q7_size():
 def test_unit_circle_is_symmetric():
     for q in (5, 7, 9, 13):
         ctx = field_for(q)
-        circle = {vertex_coords(q, 2, i) for i in unit_circle(ctx, 2)}
+        circle = {np.unravel_index(i, (q, q)) for i in unit_circle(ctx, 2)}
         for s in circle:
             assert (ctx.neg(s[0]), ctx.neg(s[1])) in circle
 
@@ -159,10 +139,10 @@ def test_adjacency_matches_quadrance_definition():
     for q in (5, 7):
         g = graph_for(q)
         for u in range(g.n_vertices):
-            xu, yu = vertex_coords(q, 2, u)
+            xu, yu = np.unravel_index(u, (q, q))
             row = g.neighbors(u)
             for v in range(u + 1, g.n_vertices):
-                xv, yv = vertex_coords(q, 2, v)
+                xv, yv = np.unravel_index(v, (q, q))
                 expected = ((xu - xv) ** 2 + (yu - yv) ** 2) % q == 1
                 assert (v in row) == expected
 
@@ -176,8 +156,8 @@ def test_translation_invariance(data):
     c = (data.draw(st.integers(0, q - 1)), data.draw(st.integers(0, q - 1)))
     u = data.draw(st.integers(0, g.n_vertices - 1))
     v = data.draw(st.integers(0, g.n_vertices - 1))
-    cu = vertex_coords(q, 2, u)
-    cv = vertex_coords(q, 2, v)
+    cu = np.unravel_index(u, (q, q))
+    cv = np.unravel_index(v, (q, q))
     tu = vertex_index(q, (ctx.add(cu[0], c[0]), ctx.add(cu[1], c[1])))
     tv = vertex_index(q, (ctx.add(cv[0], c[0]), ctx.add(cv[1], c[1])))
     assert (v in g.neighbors(u)) == (tv in g.neighbors(tu))
@@ -284,7 +264,7 @@ def test_circle_translates_are_the_neighbors_in_circle_order(q, m):
         assert np.array_equal(np.sort(translates), rows[u])
         # the k-th translate is u + S[k], coordinate by coordinate
         k = len(translates) // 2
-        su, sk = vertex_coords(q, m, u), vertex_coords(q, m, int(g.connection_set[k]))
+        su, sk = np.unravel_index(u, (q,) * m), np.unravel_index(g.connection_set[k], (q,) * m)
         assert translates[k] == vertex_index(q, [g.ctx.add(a, b) for a, b in zip(su, sk)])
 
 
@@ -337,14 +317,14 @@ def test_graph_refuses_vertex_indices_past_int64(m):
 
 
 @pytest.mark.parametrize("q, m", [(13, 1), (5, 2), (9, 2), (3, 3), (7, 3)])
-def test_index_coords_round_trip_against_vertex_coords(q, m):
+def test_index_coords_round_trip_against_unravel_index(q, m):
     n = q**m
     assert place_values(q, m).tolist() == [q ** (m - 1 - j) for j in range(m)]
     coords = index_coords(q, m, np.arange(n))
     assert coords.shape == (n, m)
-    assert [tuple(row) for row in coords.tolist()] == [vertex_coords(q, m, u) for u in range(n)]
+    assert np.array_equal(coords, np.column_stack(np.unravel_index(np.arange(n), (q,) * m)))
     assert np.array_equal(coords @ place_values(q, m), np.arange(n))
-    assert index_coords(q, m, n - 1).tolist() == list(vertex_coords(q, m, n - 1))  # one index
+    assert index_coords(q, m, n - 1).tolist() == list(np.unravel_index(n - 1, (q,) * m))  # one index
 
 
 def test_index_coords_reach_place_values_of_3_to_the_38():
@@ -353,7 +333,10 @@ def test_index_coords_reach_place_values_of_3_to_the_38():
     rng = np.random.default_rng(39)
     vertices = np.concatenate([[0, 1, 3**38, 3**39 - 1], rng.integers(0, 3**39, 50)])
     coords = index_coords(3, 39, vertices)
-    assert [tuple(row) for row in coords.tolist()] == [vertex_coords(3, 39, int(u)) for u in vertices]
+    # the base-3 digits of each index, most significant first (unravel_index
+    # takes at most 32 dimensions before numpy 2)
+    digits = [[int(d) for d in np.base_repr(u, 3).zfill(39)] for u in vertices.tolist()]
+    assert coords.tolist() == digits
     assert np.array_equal(coords @ places, vertices)
 
 
@@ -361,7 +344,7 @@ def test_index_coords_keep_the_shape_of_the_indices():
     vertices = np.arange(5**3).reshape(25, 5)
     coords = index_coords(5, 3, vertices)
     assert coords.shape == (25, 5, 3)
-    assert coords[7, 2].tolist() == list(vertex_coords(5, 3, int(vertices[7, 2])))
+    assert coords[7, 2].tolist() == list(np.unravel_index(vertices[7, 2], (5, 5, 5)))
     assert np.array_equal(coords @ place_values(5, 3), vertices)
 
 
@@ -561,11 +544,11 @@ def test_export_dimacs_failure():
 
 
 def test_unit_circle_lies_at_quadrance_one():
-    # the scalar quadrance over every vertex picks out exactly the circle
+    # the scalar sum of squared coordinates over every vertex picks out exactly the circle
     for q, m in [(5, 2), (9, 2), (3, 3), (5, 3)]:
         ctx = field_for(q)
-        origin = (0,) * m
-        at_one = [i for i in range(q**m) if quadrance(ctx, origin, vertex_coords(q, m, i)) == 1]
+        at_one = [i for i in range(q**m) if functools.reduce(
+            ctx.add, [ctx.mul(x, x) for x in np.unravel_index(i, (q,) * m)]) == 1]
         assert unit_circle(ctx, m).tolist() == at_one
 
 

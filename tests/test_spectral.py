@@ -22,7 +22,6 @@ from uqgraph import (
     spectrum_record,
     triangle_count,
     unit_circle,
-    vertex_coords,
     write_spectrum,
 )
 from uqgraph import build_graph, spectral
@@ -520,7 +519,7 @@ def scalar_cayley_eigenvalues(ctx, m):
     cols = [(idx // q ** (m - 1 - j)) % q for j in range(m)]
     eig = np.zeros(q**m)
     for s in unit_circle(ctx, m):
-        coords = vertex_coords(q, m, int(s))
+        coords = np.unravel_index(s, (q,) * m)
         inner = None
         for j in range(m):
             term = np.array([ctx.mul(x, coords[j]) for x in range(q)])[cols[j]]
@@ -543,7 +542,7 @@ def grid_cayley_eigenvalues(ctx, m):
     for s in circle:
         inner = sum(
             traces[ctx.mul_vector(c)].reshape((q,) + (1,) * (m - 1 - j))
-            for j, c in enumerate(vertex_coords(q, m, int(s)))
+            for j, c in enumerate(np.unravel_index(s, (q,) * m))
         )
         eig += cosines[inner]
     eig = eig.ravel()
