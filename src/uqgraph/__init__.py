@@ -43,7 +43,6 @@ _EXPORTS = {
         "IOFailureError",
         "NoConvergenceError",
         "NonPrimeError",
-        "NoSlopeExistsError",
         "NotNonsquareError",
         "TooLargeError",
         "UQGraphError",
@@ -59,11 +58,9 @@ _EXPORTS = {
         "unit_circle",
     ),
     "spectral": (
-        "EigenBoundReport",
         "Spectrum",
         "cayley_spectrum",
         "dense_spectrum",
-        "eigen_bound_report",
         "grouped_eigenvalues",
         "hoffman_bound",
         "spectrum_record",

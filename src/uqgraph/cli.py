@@ -38,7 +38,6 @@ from .graph import (
 from .spectral import (
     cayley_spectrum,
     dense_spectrum,
-    eigen_bound_report,
     hoffman_bound,
     spectrum_record,
     write_spectrum,
@@ -137,16 +136,6 @@ def cmd_chi(args) -> int:
     return EXIT_OK
 
 
-def _diagnostics(spectrum, q: int) -> dict:
-    """The magnitude flags that spectrum prints at m = 2 and report carries."""
-    bounds = eigen_bound_report(spectrum, q)
-    return {
-        "maxNonprincipalAbs": round(bounds.max_nonprincipal_abs, 9),
-        "withinSqrtQ": bounds.within_sqrt_q,
-        "withinTwoSqrtQ": bounds.within_two_sqrt_q,
-    }
-
-
 def cmd_spectrum(args) -> int:
     ctx = _field_for(args.q, args.m)
     methods = ["dense", "cayley"] if args.method == "both" else [args.method]
@@ -160,7 +149,12 @@ def cmd_spectrum(args) -> int:
         with _open_out(args.out) as sink:
             write_spectrum(preferred, sink)
     records = [spectrum_record(spectrum, ctx.q, args.m) for spectrum in spectra]
-    diagnostics = _diagnostics(preferred, ctx.q) if args.m == 2 else None
+    flags = ("withinSqrtQ", "withinTwoSqrtQ")  # printed once, from the preferred record
+    keys = ("maxNonprincipalAbs", *flags)
+    diagnostics = {key: records[-1][key] for key in keys} if args.m == 2 else None
+    for record in records:
+        for key in flags:
+            del record[key]
     if args.json:
         print(json.dumps({"spectra": records, "diagnostics": diagnostics}, sort_keys=True))
     else:
@@ -248,8 +242,6 @@ def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
     spectral = spectrum_record(spectrum, q, m)
     del spectral["method"]
     record.update(spectral)
-    within = ("withinSqrtQ", "withinTwoSqrtQ")  # the magnitude flags, at m = 2 only
-    record.update(_diagnostics(spectrum, q) if m == 2 else dict.fromkeys(within))
     record.update(_triangles_record(graph))
     # i -> u*u*i carries the count at t onto the count at u*u*t, and u*u*t runs
     # through every nonsquare: the smallest nonsquare stands for all of them

@@ -27,7 +27,6 @@ from .errors import (
     DimensionTooSmallError,
     IncompleteColoringError,
     InvalidPlanError,
-    NoSlopeExistsError,
     NotNonsquareError,
     TooLargeError,
 )
@@ -102,16 +101,13 @@ def _require_shift(ctx: FieldCtx, a: int, t: int) -> None:
 
 
 def find_slope(ctx: FieldCtx, override: int | None = None) -> int:
-    """Smallest slope a with a**2 + 1 a nonsquare, or a validated override."""
+    """Smallest slope a with a**2 + 1 a nonsquare, or a validated override.
+    Every odd q has (q - eta(-1)) / 2 of them, eta the quadratic character,
+    since the sum of eta(a**2 + 1) over F_q is -1."""
     if override is not None:
         _require_slope(ctx, override)
         return override
-    slopes = np.flatnonzero(_slope_chars(ctx) == -1)
-    if len(slopes) == 0:
-        raise NoSlopeExistsError(
-            f"no a with a^2+1 a nonsquare exists in F_{ctx.q}"
-        )
-    return int(slopes[0])
+    return int(np.flatnonzero(_slope_chars(ctx) == -1)[0])
 
 
 def count_Aq(ctx: FieldCtx, t: int) -> CharCountReport:
@@ -127,7 +123,8 @@ def count_Aq(ctx: FieldCtx, t: int) -> CharCountReport:
 
 def find_shift(ctx: FieldCtx, a: int, override: int | None = None) -> int:
     """Smallest nonzero t with a**2 + 1 - t**2 a nonsquare, or a validated
-    override. Unavailable for q = 3, where no such t exists."""
+    override. A nonsquare c = a**2 + 1 has (q + eta(-1)) / 2 - 1 such t,
+    at least one for q >= 5 and none for q = 3, where it is unavailable."""
     if ctx.q <= 3:
         raise ConstructionUnavailableError(
             f"no shift exists for q={ctx.q}; the construction needs q > 3"
@@ -136,12 +133,7 @@ def find_shift(ctx: FieldCtx, a: int, override: int | None = None) -> int:
     if override is not None:
         _require_shift(ctx, a, override)
         return override
-    shifts = np.flatnonzero(_shift_chars(ctx, a)[1:] == -1) + 1
-    if len(shifts) == 0:
-        raise ConstructionUnavailableError(
-            f"no shift with a^2+1-t^2 a nonsquare exists in F_{ctx.q}"
-        )  # unreachable for q >= 5
-    return int(shifts[0])
+    return int(np.flatnonzero(_shift_chars(ctx, a)[1:] == -1)[0]) + 1
 
 
 def _coset_reps(ctx: FieldCtx, t: int) -> tuple[int, ...]:

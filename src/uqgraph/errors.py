@@ -34,10 +34,6 @@ class IOFailureError(UQGraphError):
     """Writing to the supplied sink failed."""
 
 
-class NoSlopeExistsError(UQGraphError):
-    """Exhaustive search found no slope a with a**2 + 1 a nonsquare."""
-
-
 class NotNonsquareError(UQGraphError, ValueError):
     """An argument required to be a nonsquare is not one."""
 

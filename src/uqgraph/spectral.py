@@ -13,7 +13,8 @@ circle's indicator over (Z_p)^(nm), the base-p digits of a vertex index
 (real because the circle is symmetric). Agreement of the two multisets
 validates the graph build and the vertex index layout, not the trace.
 The extreme eigenvalues feed the spectral chromatic lower bound
-1 - lambda1/lambda_min.
+1 - lambda1/lambda_min, and spectrum_record alone turns a spectrum into
+the printed numbers, the largest non-principal |eigenvalue| among them.
 """
 
 from __future__ import annotations
@@ -54,17 +55,6 @@ class Spectrum:
     def slack(self) -> float:
         """DEFAULT_TOL scaled by max(1, |lambda1|): values closer than this are equal."""
         return DEFAULT_TOL * max(1.0, abs(self.lambda1))
-
-
-@dataclass(frozen=True)
-class EigenBoundReport:
-    """Measured magnitude of non-principal eigenvalues against sqrt(q) and
-    2*sqrt(q); both flags are reported, neither is asserted."""
-
-    q: int
-    max_nonprincipal_abs: float
-    within_sqrt_q: bool
-    within_two_sqrt_q: bool
 
 
 def _swap(m: int, j: int) -> np.ndarray:
@@ -269,19 +259,6 @@ def hoffman_bound(spectrum: Spectrum) -> float:
     return 1.0 - spectrum.lambda1 / spectrum.lambda_min
 
 
-def eigen_bound_report(spectrum: Spectrum, q: int) -> EigenBoundReport:
-    """Compare the largest non-principal |eigenvalue| against sqrt(q) and
-    2*sqrt(q). One copy of the principal (largest) eigenvalue is excluded."""
-    rest = spectrum.eigenvalues[1:]
-    max_abs = float(np.max(np.abs(rest))) if rest.size else 0.0
-    return EigenBoundReport(
-        q=q,
-        max_nonprincipal_abs=max_abs,
-        within_sqrt_q=max_abs <= sqrt(q) + spectrum.slack,
-        within_two_sqrt_q=max_abs <= 2.0 * sqrt(q) + spectrum.slack,
-    )
-
-
 def grouped_eigenvalues(spectrum: Spectrum) -> list[tuple[float, int]]:
     """Cluster the descending eigenvalues into (value, multiplicity) pairs,
     merging values closer than the spectrum's slack."""
@@ -305,19 +282,29 @@ def write_spectrum(spectrum: Spectrum, sink) -> None:
 
 
 def spectrum_record(spectrum: Spectrum, q: int, m: int) -> dict:
-    """JSON-ready summary with the spectral lower bound and the magnitude
-    diagnostic; hoffman is null for degenerate spectra."""
-    report = eigen_bound_report(spectrum, q)
+    """JSON-ready summary: the extremes, the spectral lower bound (null for
+    a degenerate spectrum) and the largest non-principal |eigenvalue|.
+
+    One copy of the principal (largest) eigenvalue is left out of that
+    maximum, which is 0.0 when nothing else is left. At m = 2 the unrounded
+    maximum is compared against sqrt(q) and 2*sqrt(q), the magnitude bound
+    the paper's lower bound rests on: both flags are reported, neither is
+    asserted, and both are null at other m.
+    """
+    max_abs = float(np.abs(spectrum.eigenvalues[1:]).max(initial=0.0))
     try:
         hoffman = round(hoffman_bound(spectrum), 9)
     except DegenerateSpectrumError:
         hoffman = None
+    plane = m == 2
     return {
         "q": q,
         "m": m,
         "method": spectrum.method,
         "lambda1": round(spectrum.lambda1, 9),
         "lambdaMin": round(spectrum.lambda_min, 9),
-        "maxNonprincipalAbs": round(report.max_nonprincipal_abs, 9),
+        "maxNonprincipalAbs": round(max_abs, 9),
         "hoffman": hoffman,
+        "withinSqrtQ": max_abs <= sqrt(q) + spectrum.slack if plane else None,
+        "withinTwoSqrtQ": max_abs <= 2.0 * sqrt(q) + spectrum.slack if plane else None,
     }

@@ -18,7 +18,6 @@ from uqgraph import (
     count_Aq,
     degree_formula,
     dense_spectrum,
-    eigen_bound_report,
     exact_chromatic,
     expected_color_count,
     find_shift,
@@ -26,6 +25,7 @@ from uqgraph import (
     hoffman_bound,
     make_plan,
     read_coloring,
+    spectrum_record,
     triangle_count,
     triangle_free_predicted,
     verify_coloring,
@@ -139,9 +139,12 @@ def test_criterion_8_hoffman_and_magnitude_flags():
         assert math.ceil(bound - 1e-9) <= result.lower
     flags = {}
     for q in odd_prime_powers(3, 31):
-        report = eigen_bound_report(cayley_spectrum(field_for(q), 2), q)
-        assert report.within_two_sqrt_q is True, f"q={q}"
-        flags[q] = report.within_sqrt_q  # reported, not asserted
+        spec = cayley_spectrum(field_for(q), 2)
+        record = spectrum_record(spec, q, 2)
+        assert record["withinTwoSqrtQ"] is True, f"q={q}"
+        # the bound again, on the spectrum itself rather than the record
+        assert np.abs(spec.eigenvalues[1:]).max() <= 2 * math.sqrt(q) + spec.slack, f"q={q}"
+        flags[q] = record["withinSqrtQ"]  # reported, not asserted
     _report(8, f"Hoffman <= chi; sqrt(q) flags (informational): {flags}")
 
 

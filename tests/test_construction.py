@@ -39,8 +39,15 @@ from uqgraph import (
     write_coloring,
 )
 from uqgraph import construction
-from uqgraph.construction import _coset_reps, _read_lines, _require_shift, _require_slope
-from uqgraph.field import FieldCtx
+from uqgraph.construction import (
+    _coset_reps,
+    _read_lines,
+    _require_shift,
+    _require_slope,
+    _shift_chars,
+    _slope_chars,
+)
+from uqgraph.field import FieldCtx, make_field, prime_power
 
 
 def test_find_slope_examples():
@@ -99,6 +106,24 @@ def test_find_shift_rejects_bad_override():
         find_shift(f7, 5, override=0)
     with pytest.raises(InvalidPlanError):
         find_shift(f7, 5, override=1)  # 5 - 1 = 4 is a square
+
+
+def test_slope_and_shift_counts_leave_no_field_without_a_plan():
+    # sum over a of eta(a^2 + 1) is -1, so (q - eta(-1)) / 2 slopes exist; for a
+    # nonsquare c the sum over t of eta(c - t^2) is -eta(-1), so (q + eta(-1)) / 2
+    # values of t qualify, t = 0 among them: find_slope and, for q >= 5,
+    # find_shift always find one
+    qs = odd_prime_powers(3, 4096)
+    assert len(qs) == 592
+    for q in qs:
+        ctx = make_field.__wrapped__(*prime_power(q))  # uncached: kept, they would hold 50 MiB
+        eta = (-1) ** ((q - 1) // 2)  # eta(-1)
+        slopes = np.flatnonzero(_slope_chars(ctx) == -1)
+        assert len(slopes) == (q - eta) // 2 >= 1, q
+        for a in slopes[:3].tolist():
+            shifts = np.count_nonzero(_shift_chars(ctx, a)[1:] == -1)
+            assert shifts == (q + eta) // 2 - 1, (q, a)
+            assert shifts >= 1 or q == 3, (q, a)
 
 
 # Oracles: the line lemmas checked point pair by point pair, and the scalar

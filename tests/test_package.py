@@ -52,7 +52,7 @@ def test_star_import_binds_each_submodules_own_object():
         "print(json.dumps([len(uqgraph.__all__), same]))"
     )
     count, same = names
-    assert count == len(set(uqgraph.__all__)) == 53
+    assert count == len(set(uqgraph.__all__)) == 50
     assert same == list(uqgraph.__all__)
 
 

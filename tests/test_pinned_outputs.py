@@ -132,3 +132,52 @@ def test_report_in_three_dimensions_is_pinned(capsys):
     ]
     assert exact == REPORT_M3_EXACT
     assert all(r["m"] == 3 for r in records)
+
+
+# `spectrum --q Q --m M --method METHOD` without --json: one line per method, then the
+# magnitude line at m = 2 only. Keys and words are compared exactly, numbers at 1e-9.
+SPECTRUM_TEXT = [
+    (7, 2, "both", [
+        "method=dense lambda1=8.0 lambdaMin=-4.493959207 hoffman=2.780167472",
+        "method=cayley lambda1=8.0 lambdaMin=-4.493959207 hoffman=2.780167472",
+        "maxNonprincipalAbs=4.493959207 withinSqrtQ=False withinTwoSqrtQ=True",
+    ]),
+    (49, 2, "both", [
+        "method=dense lambda1=48.0 lambdaMin=-11.652792811 hoffman=5.119184197",
+        "method=cayley lambda1=48.0 lambdaMin=-11.652792811 hoffman=5.119184197",
+        "maxNonprincipalAbs=13.305585622 withinSqrtQ=False withinTwoSqrtQ=True",
+    ]),
+    (13, 3, "both", [
+        "method=dense lambda1=182.0 lambdaMin=-25.244487253 hoffman=8.209494817",
+        "method=cayley lambda1=182.0 lambdaMin=-25.244487253 hoffman=8.209494817",
+    ]),
+    (3, 5, "cayley", [
+        "method=cayley lambda1=90.0 lambdaMin=-9.0 hoffman=11.0",
+    ]),
+]
+
+
+def split_fields(line):
+    """(key, word) pairs with every number replaced by None, and the numbers."""
+    words, numbers = [], []
+    for field in line.split(" "):
+        key, _, value = field.partition("=")
+        try:
+            numbers.append(float(value))
+            words.append((key, None))
+        except ValueError:
+            words.append((key, value))
+    return words, numbers
+
+
+@pytest.mark.parametrize("q, m, method, lines", SPECTRUM_TEXT)
+def test_spectrum_text_output_is_pinned(capsys, q, m, method, lines):
+    assert main(["spectrum", "--q", str(q), "--m", str(m), "--method", method]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\n")
+    got = out.splitlines()
+    assert len(got) == len(lines)
+    for got_line, want_line in zip(got, lines):
+        (got_words, got_numbers), (want_words, want_numbers) = map(split_fields, (got_line, want_line))
+        assert got_words == want_words
+        assert got_numbers == pytest.approx(want_numbers, abs=1e-9, rel=0)

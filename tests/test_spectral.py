@@ -15,7 +15,6 @@ from uqgraph import (
     Spectrum,
     cayley_spectrum,
     dense_spectrum,
-    eigen_bound_report,
     grouped_eigenvalues,
     hoffman_bound,
     make_field,
@@ -641,21 +640,71 @@ def test_hoffman_q7_below_exact_chi():
     assert math.ceil(bound - 1e-9) <= 4
 
 
-def test_eigen_bound_report_excludes_principal():
-    spec = Spectrum(eigenvalues=np.array([8.0, 2.0, -1.0]), method="dense")
-    report = eigen_bound_report(spec, 7)
-    assert report.max_nonprincipal_abs == pytest.approx(2.0)
-    assert report.within_sqrt_q is True
-    assert report.within_two_sqrt_q is True
+def magnitude_fields(eigenvalues, q, m=2):
+    record = spectrum_record(Spectrum(eigenvalues=np.array(eigenvalues), method="dense"), q, m)
+    return record["maxNonprincipalAbs"], record["withinSqrtQ"], record["withinTwoSqrtQ"]
 
 
-def test_eigen_bound_report_measured():
+def test_spectrum_record_max_excludes_principal():
+    assert magnitude_fields([8.0, 2.0, -1.0], 7) == (2.0, True, True)
+    assert magnitude_fields([8.0, 1.0, -4.0], 7) == (4.0, False, True)  # sqrt(7) < 4 < 2*sqrt(7)
+    assert magnitude_fields([8.0, 6.0, -1.0], 7) == (6.0, False, False)
+    assert magnitude_fields([3.0], 7) == (0.0, True, True)  # nothing but the principal one
+
+
+def test_spectrum_record_flags_allow_the_slack_and_only_the_max_is_rounded():
+    bound, slack = 2.0 * math.sqrt(7), 8e-6  # slack = 1e-6 * |lambda1|
+    assert magnitude_fields([8.0, -(bound + slack / 2)], 7)[2] is True
+    assert magnitude_fields([8.0, -(bound + 2 * slack)], 7)[2] is False
+    got = magnitude_fields([8.0, 1.23456789049], 7)[0]
+    assert got == 1.23456789  # rounded to 9 places for printing only
+
+
+def test_spectrum_record_flags_are_null_off_the_plane():
+    for eigenvalues in ([8.0, 2.0, -1.0], [8.0, 6.0, -1.0], [3.0]):
+        assert magnitude_fields(eigenvalues, 7, 3)[1:] == (None, None)
+    spec = cayley_spectrum(field_for(5), 3)
+    record = spectrum_record(spec, 5, 3)
+    assert (record["withinSqrtQ"], record["withinTwoSqrtQ"]) == (None, None)
+    assert record["maxNonprincipalAbs"] == round(float(np.abs(spec.eigenvalues[1:]).max()), 9)
+    assert record["maxNonprincipalAbs"] > 2 * math.sqrt(5)  # the plane's bound does not hold here
+
+
+def test_spectrum_record_measured():
     for q in (5, 7):
-        report = eigen_bound_report(cayley_spectrum(field_for(q), 2), q)
+        record = spectrum_record(cayley_spectrum(field_for(q), 2), q, 2)
         # measured magnitudes obey the classical 2*sqrt(q) bound; the bare
         # sqrt(q) flag is reported, not asserted
-        assert report.within_two_sqrt_q is True
-        assert isinstance(report.within_sqrt_q, bool)
+        assert record["withinTwoSqrtQ"] is True
+        assert isinstance(record["withinSqrtQ"], bool)
+
+
+def kloosterman_plane_spectrum(p):
+    """Oracle: the eigenvalues of D_p for a prime p as Kloosterman sums.
+
+    Expanding [Q(x) = 1] as (1/p) * sum over t of e(t(Q(x) - 1)) and summing
+    the two Gauss sums gives, for k != 0, lambda_k = eta(-1) * sum over t != 0
+    of e(-t - Q(k)/(4t)), e(x) = exp(2*pi*i*x/p) (Medrano, Myers, Stark and
+    Terras 1996): the eigenvalue depends on Q(k) alone. Q(k) = c != 0 holds
+    for p - eta(-1) points k, Q(k) = 0 for p - 1 + (p - 1)*eta(-1) points k != 0.
+    """
+    eta = (-1) ** ((p - 1) // 2)  # eta(-1)
+    t = np.arange(1, p)
+    inverse_4t = np.array([pow(4 * int(u), -1, p) for u in t])
+    values = [eta * np.cos(2 * np.pi * ((-t - c * inverse_4t) % p) / p).sum() for c in range(p)]
+    counts = [(p - 1) * (1 + eta)] + [p - eta] * (p - 1)
+    eig = np.concatenate([[p - eta], np.repeat(values, counts)])  # the degree, then k != 0
+    return np.sort(eig)[::-1]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_spectrum_record_max_matches_kloosterman_sums(p):
+    eig = kloosterman_plane_spectrum(p)
+    cayley = cayley_spectrum(field_for(p), 2)
+    assert np.max(np.abs(cayley.eigenvalues - eig)) < 1e-9
+    record = spectrum_record(cayley, p, 2)
+    assert record["maxNonprincipalAbs"] == pytest.approx(np.abs(eig[1:]).max(), abs=1e-9)
+    assert record["withinTwoSqrtQ"] is True  # Weil: |K(a, b)| <= 2*sqrt(p)
 
 
 def test_dense_too_large():
@@ -683,6 +732,7 @@ def test_spectrum_record_shape():
     record = spectrum_record(cayley_spectrum(field_for(7), 2), 7, 2)
     assert set(record) == {
         "q", "m", "method", "lambda1", "lambdaMin", "maxNonprincipalAbs", "hoffman",
+        "withinSqrtQ", "withinTwoSqrtQ",
     }
     assert record["method"] == "cayley"
     assert record["lambda1"] == pytest.approx(8.0)
