@@ -19,12 +19,9 @@ _EXPORTS = {
         "CharCountReport",
         "Coloring",
         "ColoringPlan",
-        "build_coloring_2d",
         "build_coloring_md",
         "count_Aq",
         "expected_color_count",
-        "find_shift",
-        "find_slope",
         "make_plan",
         "read_coloring",
         "validate_plan",

@@ -38,7 +38,6 @@ from .graph import (
 from .spectral import (
     cayley_spectrum,
     dense_spectrum,
-    hoffman_bound,
     spectrum_record,
     write_spectrum,
 )
@@ -237,9 +236,7 @@ def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
     record["chiStatus"] = result.status
     record["chiLower"] = result.lower
     record["chiUpper"] = result.upper
-    spectrum = cayley_spectrum(ctx, m)
-    hoffman = hoffman_bound(spectrum)  # raises on a degenerate spectrum
-    spectral = spectrum_record(spectrum, q, m)
+    spectral = spectrum_record(cayley_spectrum(ctx, m), q, m)
     del spectral["method"]
     record.update(spectral)
     record.update(_triangles_record(graph))
@@ -258,9 +255,9 @@ def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
         "trianglePrediction": (
             record["triangles"] == 0 if record["predictedTriangleFree"] else None
         ),
-        "hoffmanLeChi": (
-            math.ceil(hoffman - 1e-9) <= result.upper
-            if result.status == "exact"
+        "hoffmanLeChi": (  # null for a degenerate spectrum, whose bound is null
+            math.ceil(record["hoffman"] - 1e-9) <= result.upper
+            if result.status == "exact" and record["hoffman"] is not None
             else None
         ),
     }

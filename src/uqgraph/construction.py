@@ -12,6 +12,11 @@ the plane coloring is applied to the last two coordinates and the
 leading coordinates become part of the color, which multiplies the count
 by q**(m-2) and stays proper: equal colors force the leading coordinates
 to agree, reducing the quadrance to the plane case.
+
+make_plan finds the certificate (a, t), checking only the values it is
+given; validate_plan checks a plan built elsewhere; build_coloring_md
+checks its plan once and colors every m >= 2 on one path, the plane
+being the case of a single block.
 """
 
 from __future__ import annotations
@@ -95,19 +100,7 @@ def _require_shift(ctx: FieldCtx, a: int, t: int) -> None:
     if not 0 < t < ctx.q:
         raise InvalidPlanError(f"shift t={t} must be a nonzero code in [1, {ctx.q})")
     if _shift_chars(ctx, a)[t] != -1:
-        raise InvalidPlanError(
-            f"t={t} rejected: a^2+1-t^2 is a square in F_{ctx.q}"
-        )
-
-
-def find_slope(ctx: FieldCtx, override: int | None = None) -> int:
-    """Smallest slope a with a**2 + 1 a nonsquare, or a validated override.
-    Every odd q has (q - eta(-1)) / 2 of them, eta the quadratic character,
-    since the sum of eta(a**2 + 1) over F_q is -1."""
-    if override is not None:
-        _require_slope(ctx, override)
-        return override
-    return int(np.flatnonzero(_slope_chars(ctx) == -1)[0])
+        raise InvalidPlanError(f"t={t} rejected: a^2+1-t^2 is a square in F_{ctx.q}")
 
 
 def count_Aq(ctx: FieldCtx, t: int) -> CharCountReport:
@@ -121,21 +114,6 @@ def count_Aq(ctx: FieldCtx, t: int) -> CharCountReport:
     return CharCountReport(t=t, brute_count=brute, formula_value=(ctx.q + sign - 2) // 4)
 
 
-def find_shift(ctx: FieldCtx, a: int, override: int | None = None) -> int:
-    """Smallest nonzero t with a**2 + 1 - t**2 a nonsquare, or a validated
-    override. A nonsquare c = a**2 + 1 has (q + eta(-1)) / 2 - 1 such t,
-    at least one for q >= 5 and none for q = 3, where it is unavailable."""
-    if ctx.q <= 3:
-        raise ConstructionUnavailableError(
-            f"no shift exists for q={ctx.q}; the construction needs q > 3"
-        )
-    _require_slope(ctx, a)
-    if override is not None:
-        _require_shift(ctx, a, override)
-        return override
-    return int(np.flatnonzero(_shift_chars(ctx, a)[1:] == -1)[0]) + 1
-
-
 def _coset_reps(ctx: FieldCtx, t: int) -> tuple[int, ...]:
     """The smallest code of each coset x + F_p*t, ascending.
 
@@ -143,19 +121,37 @@ def _coset_reps(ctx: FieldCtx, t: int) -> tuple[int, ...]:
     digits above it alone, so each coset has exactly one code with that
     digit 0, and it is the smallest.
     """
-    top = max(j for j, c in enumerate(ctx.coeffs(t)) if c)
+    top = int(np.flatnonzero(ctx.digits_matrix()[t])[-1])
     return tuple(np.flatnonzero(ctx.digits_matrix()[:, top] == 0).tolist())
 
 
 def make_plan(ctx: FieldCtx, a: int | None = None, t: int | None = None) -> ColoringPlan:
-    """Assemble a validated plan, honoring optional slope/shift overrides."""
-    slope = find_slope(ctx, override=a)
-    shift = find_shift(ctx, slope, override=t)
-    return ColoringPlan(a=slope, t=shift)
+    """The smallest slope a with a**2 + 1 a nonsquare, then the smallest
+    nonzero shift t with a**2 + 1 - t**2 a nonsquare; an override is checked
+    instead of searched for, the slope before any shift.
+
+    Every odd q has (q - eta(-1)) / 2 slopes, eta the quadratic character,
+    since the sum of eta(a**2 + 1) over F_q is -1. A nonsquare c = a**2 + 1
+    has (q + eta(-1)) / 2 - 1 shifts, at least one for q >= 5 and none for
+    q = 3, where the construction is unavailable.
+    """
+    if a is None:
+        a = int(np.flatnonzero(_slope_chars(ctx) == -1)[0])
+    else:
+        _require_slope(ctx, a)
+    if ctx.q <= 3:
+        raise ConstructionUnavailableError(
+            f"no shift exists for q={ctx.q}; the construction needs q > 3"
+        )
+    if t is None:
+        t = int(np.flatnonzero(_shift_chars(ctx, a)[1:] == -1)[0]) + 1
+    else:
+        _require_shift(ctx, a, t)
+    return ColoringPlan(a=a, t=t)
 
 
 def validate_plan(ctx: FieldCtx, plan: ColoringPlan) -> None:
-    """Check the slope and shift certificates."""
+    """Check the slope and shift certificates of a plan built elsewhere."""
     _require_slope(ctx, plan.a)
     _require_shift(ctx, plan.a, plan.t)
 
@@ -173,8 +169,12 @@ def expected_color_count(ctx: FieldCtx, m: int = 2) -> int:
     return ctx.q ** (m - 2) * (ctx.p**ctx.n + ctx.p ** (ctx.n - 1)) // 2
 
 
-def build_coloring_2d(ctx: FieldCtx, plan: ColoringPlan) -> Coloring:
-    """Color F_q^2 by fused line pairs along each coset of the plan."""
+def build_coloring_md(ctx: FieldCtx, m: int, plan: ColoringPlan) -> Coloring:
+    """Color F_q^m: the plane of the last two coordinates by fused line pairs
+    along each coset of the plan, and each value of the leading coordinates,
+    as one index, picks its own block of the plane's colors (one block at
+    m = 2)."""
+    vertex_count(ctx.q, m, what="colorings")
     validate_plan(ctx, plan)
     p, q = ctx.p, ctx.q
     # Line rep + k*t of a coset shares color k // 2 with its pair partner;
@@ -185,20 +185,9 @@ def build_coloring_2d(ctx: FieldCtx, plan: ColoringPlan) -> Coloring:
     line_colors[lines] = np.arange(len(lines))[:, None] * per_coset + np.arange(p) // 2
     # (x, y) lies on the line with intercept y - a*x.
     intercepts = ctx.add_arrays(ctx.mul_vector(ctx.neg_vector()[plan.a])[:, None], np.arange(q))
-    colors = line_colors[intercepts].ravel()
-    return Coloring(q=q, m=2, colors=colors, k=len(lines) * per_coset)
-
-
-def build_coloring_md(ctx: FieldCtx, m: int, plan: ColoringPlan) -> Coloring:
-    """Color F_q^m by the plane coloring of the last two coordinates
-    crossed with the identity on the leading ones."""
-    vertex_count(ctx.q, m, what="colorings")
-    base = build_coloring_2d(ctx, plan)
-    if m == 2:
-        return base
-    # the leading coordinates, as one index, pick a block of base.k colors
-    colors = (np.arange(ctx.q ** (m - 2))[:, None] * base.k + base.colors).ravel()
-    return Coloring(q=ctx.q, m=m, colors=colors, k=ctx.q ** (m - 2) * base.k)
+    k = len(lines) * per_coset  # colors in one block
+    colors = (np.arange(q ** (m - 2))[:, None] * k + line_colors[intercepts].ravel()).ravel()
+    return Coloring(q=q, m=m, colors=colors, k=q ** (m - 2) * k)
 
 
 def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):

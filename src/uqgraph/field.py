@@ -210,15 +210,6 @@ class FieldCtx:
         if not 0 <= x < self.q:
             raise ValueError(f"element code {x} outside [0, {self.q})")
 
-    def coeffs(self, code: int) -> tuple[int, ...]:
-        """Little-endian coefficient vector of an element code."""
-        self._check(code)
-        out = []
-        for _ in range(self.n):
-            code, r = divmod(code, self.p)
-            out.append(r)
-        return tuple(out)
-
     # -- arithmetic: sums by digits, products by discrete logarithms ---------
 
     def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -233,11 +224,13 @@ class FieldCtx:
             # dividing p - 1, so none is g. Multiplying by h is F_p-linear:
             # row j of step holds the digits of h * x**j, starting from h = g.
             polys, divisors = _PackedPolys(self.modulus, p), _prime_divisors(q - 1)
-            g = next(a for a in map(polys.pack, map(self.coeffs, range(1 if n == 1 else p, q)))
+            digits, exp = self.digits_matrix(), np.ones(1, dtype=np.int64)
+            # one digit row at a time, as Python ints: the search stops at g
+            candidates = map(polys.pack, map(np.ndarray.tolist, digits[1 if n == 1 else p :]))
+            g = next(a for a in candidates
                      if all(polys.pow(a, (q - 1) // r) != 1 for r in divisors))
             step = np.array([polys.digits(polys.mul(g, 1 << t)) for t in polys.shifts],
                             dtype=np.int64)
-            digits, exp = self.digits_matrix(), np.ones(1, dtype=np.int64)
             while len(exp) < q - 1:  # exp[L:2L] = exp[:L] * g**L, then h = g**2L
                 exp = np.concatenate(
                     [exp] + [digits[exp[rows]] @ step % p @ self._powers

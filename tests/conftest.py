@@ -1,7 +1,7 @@
 """Shared helpers: cached graph construction, prime-power enumeration, a
 one-second alarm, the traced peak of a refused call, the per-vertex
-coloring file writer, and the scalar element, vertex-index, neighbor-row
-and line-lemma oracles."""
+coloring file writer, and the scalar coefficient, element, vertex-index,
+neighbor-row and line-lemma oracles."""
 
 import signal
 import tracemalloc
@@ -22,9 +22,23 @@ def odd_prime_powers(lo: int, hi: int) -> list[int]:
     return out
 
 
+def scalar_coeffs(ctx, code: int) -> tuple[int, ...]:
+    """Little-endian coefficient vector of an element code, digit by digit
+    with divmod: the scalar loop ctx.digits_matrix() replaced, kept as an
+    oracle."""
+    if not 0 <= code < ctx.q:
+        raise ValueError(f"element code {code} outside [0, {ctx.q})")
+    out = []
+    for _ in range(ctx.n):
+        code, r = divmod(code, ctx.p)
+        out.append(r)
+    return tuple(out)
+
+
 def element(ctx, coeffs) -> int:
     """Canonical code of the element with the given little-endian
-    coefficient vector: the inverse of ctx.coeffs, kept as an oracle."""
+    coefficient vector, by Horner: the inverse of a row of
+    ctx.digits_matrix() and of scalar_coeffs, kept as an oracle."""
     coeffs = tuple(coeffs)
     if len(coeffs) != ctx.n:
         raise ValueError(f"expected {ctx.n} coefficients, got {len(coeffs)}")

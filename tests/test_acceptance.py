@@ -12,7 +12,6 @@ import numpy as np
 
 from conftest import field_for, graph_for, odd_prime_powers, vectorized_no_unit_pair
 from uqgraph import (
-    build_coloring_2d,
     build_coloring_md,
     cayley_spectrum,
     count_Aq,
@@ -20,8 +19,6 @@ from uqgraph import (
     dense_spectrum,
     exact_chromatic,
     expected_color_count,
-    find_shift,
-    find_slope,
     hoffman_bound,
     make_plan,
     read_coloring,
@@ -46,7 +43,7 @@ def test_criterion_1_chi_d7_both_directions():
     assert result.lower == result.upper == 4  # no 3-coloring exists
     assert verify_coloring(g7, result.witness) is None
     ctx = field_for(7)
-    coloring = build_coloring_2d(ctx, make_plan(ctx, a=5, t=3))
+    coloring = build_coloring_md(ctx, 2, make_plan(ctx, a=5, t=3))
     assert coloring.k == 4
     assert verify_coloring(g7, coloring) is None
     assert time.perf_counter() - start < 60.0
@@ -57,7 +54,7 @@ def test_criterion_2_color_count_formula():
     for q in (5, 7, 9, 11, 13, 25, 27):
         start = time.perf_counter()
         ctx = field_for(q)
-        coloring = build_coloring_2d(ctx, make_plan(ctx))
+        coloring = build_coloring_md(ctx, 2, make_plan(ctx))
         assert coloring.k == expected_color_count(ctx, 2)
         assert verify_coloring(graph_for(q), coloring) is None
         assert time.perf_counter() - start < 10.0
@@ -97,10 +94,9 @@ def test_criterion_4_Aq_identity():
 def test_criterion_5_line_lemmas_exhaustive():
     for q in odd_prime_powers(5, 31):
         ctx = field_for(q)
-        a = find_slope(ctx)
-        t = find_shift(ctx, a)
-        assert vectorized_no_unit_pair(ctx, a, 0), f"q={q}"
-        assert vectorized_no_unit_pair(ctx, a, t), f"q={q}"
+        plan = make_plan(ctx)
+        assert vectorized_no_unit_pair(ctx, plan.a, 0), f"q={q}"
+        assert vectorized_no_unit_pair(ctx, plan.a, plan.t), f"q={q}"
     _report(5, "no same-line or t-offset pair at quadrance 1, q <= 31")
 
 

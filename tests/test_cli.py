@@ -10,10 +10,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import coloring_text_by_lines, field_for, graph_for, within_a_second
-from uqgraph import build_coloring_md, cli, exact_chromatic, make_plan
+from uqgraph import Spectrum, build_coloring_md, cli, exact_chromatic, make_plan, spectral
 from uqgraph.cli import main
 from uqgraph.field import FieldCtx, make_field
 
@@ -515,6 +516,42 @@ def test_report_fields_equal_the_spectrum_and_triangles_records(capsys, q_range,
         triangles = json.loads(stdout)
         for key in ("triangles", "predictedTriangleFree"):
             assert record[key] == triangles[key], (record["q"], key)
+
+
+def test_report_computes_the_hoffman_bound_once_per_record(capsys, monkeypatch):
+    calls = []
+
+    def counted(spectrum, _inner=spectral.hoffman_bound):
+        calls.append(spectrum.n)
+        return _inner(spectrum)
+
+    monkeypatch.setattr(spectral, "hoffman_bound", counted)
+    monkeypatch.setattr(cli, "hoffman_bound", counted, raising=False)
+    code, stdout, _ = run(capsys, "report", "--q", "5..13", "--json", "--nodes", "2000")
+    assert code == 0
+    records = json.loads(stdout)
+    assert calls == [record["q"] ** 2 for record in records] == [25, 49, 81, 121, 169]
+    assert all(record["hoffman"] is not None for record in records)
+
+
+def test_report_on_a_degenerate_spectrum_nulls_the_bound_and_its_check(capsys, monkeypatch):
+    """A spectrum with no negative eigenvalue has no spectral bound: report
+    prints hoffman and checks.hoffmanLeChi as null and the rest of the record
+    as usual. No D_q^m has one, since each has edges and so a negative
+    eigenvalue; a patched Cayley spectrum stands in."""
+    def nonnegative(ctx, m):
+        eigenvalues = np.zeros(ctx.q**m)
+        eigenvalues[0] = 8.0
+        return Spectrum(eigenvalues=eigenvalues, method="cayley")
+
+    monkeypatch.setattr(cli, "cayley_spectrum", nonnegative)
+    code, stdout, _ = run(capsys, "report", "--q", "7", "--json")
+    assert code == 0
+    (record,) = json.loads(stdout)
+    assert (record["lambda1"], record["lambdaMin"], record["hoffman"]) == (8.0, 0.0, None)
+    assert record["checks"]["hoffmanLeChi"] is None
+    assert (record["chiStatus"], record["chiUpper"], record["constructionColors"]) == ("exact", 4, 4)
+    assert "error" not in record
 
 
 def test_report_empty_range_is_input_error(capsys):

@@ -1,5 +1,5 @@
-"""Slope/shift search, character counts, the certificate checks against the
-line lemmas, and colorings."""
+"""The plan search and its refusals, character counts, the certificate
+checks against the line lemmas, and colorings."""
 
 import io
 import tracemalloc
@@ -24,13 +24,10 @@ from uqgraph import (
     InvalidPlanError,
     NotNonsquareError,
     UnitQuadranceGraph,
-    build_coloring_2d,
     build_coloring_md,
     count_Aq,
     exact_chromatic,
     expected_color_count,
-    find_shift,
-    find_slope,
     greedy_bound,
     make_plan,
     read_coloring,
@@ -39,6 +36,7 @@ from uqgraph import (
     write_coloring,
 )
 from uqgraph import construction
+from uqgraph.cli import main
 from uqgraph.construction import (
     _coset_reps,
     _read_lines,
@@ -51,16 +49,16 @@ from uqgraph.field import FieldCtx, make_field, prime_power
 
 
 def test_find_slope_examples():
-    assert find_slope(field_for(7)) == 2  # 2^2+1 = 5, the smallest nonsquare hit
-    assert find_slope(field_for(5)) == 1  # 1+1 = 2, nonsquare mod 5
-    assert find_slope(field_for(7), override=5) == 5  # 5^2+1 = 5 is a nonsquare
+    assert make_plan(field_for(7)).a == 2  # 2^2+1 = 5, the smallest nonsquare hit
+    assert make_plan(field_for(5)).a == 1  # 1+1 = 2, nonsquare mod 5
+    assert make_plan(field_for(7), a=5).a == 5  # 5^2+1 = 5 is a nonsquare
 
 
 def test_find_slope_rejects_bad_override():
     with pytest.raises(InvalidPlanError):
-        find_slope(field_for(7), override=0)  # 0^2+1 = 1 is a square
+        make_plan(field_for(7), a=0)  # 0^2+1 = 1 is a square
     with pytest.raises(InvalidPlanError):
-        find_slope(field_for(7), override=9)
+        make_plan(field_for(7), a=9)
 
 
 def test_count_Aq_example():
@@ -88,31 +86,68 @@ def test_count_Aq_matches_formula_everywhere(q):
 
 def test_find_shift_examples():
     f7 = field_for(7)
-    assert find_shift(f7, 5) == 3  # t^2 = 2, 5 - 2 = 3 nonsquare
-    assert find_shift(f7, 2) == 3  # a^2+1 = 5 again
-    assert find_shift(f7, 5, override=3) == 3
+    assert make_plan(f7, a=5).t == 3  # t^2 = 2, 5 - 2 = 3 nonsquare
+    assert make_plan(f7, a=2).t == 3  # a^2+1 = 5 again
+    assert make_plan(f7, a=5, t=3).t == 3
 
 
 def test_find_shift_unavailable_for_q3():
+    # a = 1 and a = 2 are the slopes of F_3 (a^2+1 = 2); no shift exists for either
     f3 = field_for(3)
-    for a in range(3):
+    for a, t in [(1, None), (2, None), (1, 1), (2, 2), (None, 1)]:
         with pytest.raises(ConstructionUnavailableError):
-            find_shift(f3, a)
+            make_plan(f3, a=a, t=t)
 
 
 def test_find_shift_rejects_bad_override():
     f7 = field_for(7)
     with pytest.raises(InvalidPlanError):
-        find_shift(f7, 5, override=0)
+        make_plan(f7, a=5, t=0)
     with pytest.raises(InvalidPlanError):
-        find_shift(f7, 5, override=1)  # 5 - 1 = 4 is a square
+        make_plan(f7, a=5, t=1)  # 5 - 1 = 4 is a square
+
+
+def test_make_plan_refusal_order():
+    # a bad slope is refused before q = 3 and before any shift search: at q = 5,
+    # a = 2 gives a^2+1 = 0, where no shift exists and the search would index an
+    # empty array
+    with pytest.raises(InvalidPlanError, match=r"^a=2 rejected: a\^2\+1 is a square in F_5$"):
+        make_plan(field_for(5), a=2)
+    with pytest.raises(InvalidPlanError, match=r"^a=2 rejected"):
+        make_plan(field_for(5), a=2, t=1)
+    with pytest.raises(InvalidPlanError, match=r"^a=0 rejected: a\^2\+1 is a square in F_3$"):
+        make_plan(field_for(3), a=0)
+    with pytest.raises(InvalidPlanError, match=r"^slope code 3 outside"):
+        make_plan(field_for(3), a=3, t=1)
+    with pytest.raises(ConstructionUnavailableError, match=r"^no shift exists for q=3;"):
+        make_plan(field_for(3))
+    # the shift is checked only after the slope passes
+    with pytest.raises(InvalidPlanError, match=r"^t=1 rejected"):
+        make_plan(field_for(7), a=5, t=1)
+    with pytest.raises(InvalidPlanError, match=r"^a=0 rejected"):
+        make_plan(field_for(7), a=0, t=1)
+
+
+def test_make_plan_and_coloring_compute_each_character_vector_at_most_twice(
+        monkeypatch, capsys):
+    # color searches for a and t once each, and build_coloring_md checks the plan once
+    calls = {"_slope_chars": 0, "_shift_chars": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(construction, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(construction, name, counted)
+    assert main(["color", "--q", "13"]) == 0
+    assert "proper: True" in capsys.readouterr().out
+    assert all(1 <= count <= 2 for count in calls.values()), calls
 
 
 def test_slope_and_shift_counts_leave_no_field_without_a_plan():
     # sum over a of eta(a^2 + 1) is -1, so (q - eta(-1)) / 2 slopes exist; for a
     # nonsquare c the sum over t of eta(c - t^2) is -eta(-1), so (q + eta(-1)) / 2
-    # values of t qualify, t = 0 among them: find_slope and, for q >= 5,
-    # find_shift always find one
+    # values of t qualify, t = 0 among them: make_plan always finds a slope and,
+    # for q >= 5, a shift
     qs = odd_prime_powers(3, 4096)
     assert len(qs) == 592
     for q in qs:
@@ -230,14 +265,14 @@ def accepts(check, *args):
 @pytest.mark.parametrize("q", odd_prime_powers(3, 243))
 def test_certificate_search_matches_scalar_loops(q):
     ctx = field_for(q)
-    a = find_slope(ctx)
-    assert a == scalar_find_slope(ctx)
     slopes = [b for b in range(q) if scalar_slope_ok(ctx, b)]
     assert [b for b in range(-1, q + 1) if accepts(_require_slope, ctx, b)] == slopes
     if q == 3:
         return
-    for b in slopes:
-        assert find_shift(ctx, b) == scalar_find_shift(ctx, b), b
+    a = make_plan(ctx).a
+    assert a == scalar_find_slope(ctx)
+    for b in slopes:  # a good slope and no shift: the smallest shift
+        assert make_plan(ctx, a=b).t == scalar_find_shift(ctx, b), b
     shifts = [t for t in range(1, q) if scalar_shift_ok(ctx, a, t)]
     assert [t for t in range(-1, q + 1) if accepts(_require_shift, ctx, a, t)] == shifts
 
@@ -286,7 +321,7 @@ def test_count_Aq_and_coloring_match_scalar_oracles(q):
         if ctx.quadratic_character(t) == -1:
             assert count_Aq(ctx, t).brute_count == scalar_count_Aq(ctx, t), t
     plan = make_plan(ctx)
-    coloring = build_coloring_2d(ctx, plan)
+    coloring = build_coloring_md(ctx, 2, plan)
     assert (coloring.colors.tolist(), coloring.k) == scalar_coloring_2d(ctx, plan)
 
 
@@ -319,7 +354,7 @@ def test_validate_plan_rejects_garbage():
 def test_build_coloring_2d_q7_paper_choice():
     ctx = field_for(7)
     plan = make_plan(ctx, a=5, t=3)
-    coloring = build_coloring_2d(ctx, plan)
+    coloring = build_coloring_md(ctx, 2, plan)
     assert coloring.k == 4
     assert verify_coloring(graph_for(7), coloring) is None
     # line i carries the color of point (0, i); the coset walk 0,3,6,2,5,1,4
@@ -334,7 +369,7 @@ def test_build_coloring_2d_q7_paper_choice():
 @pytest.mark.parametrize("q", [5, 7, 9, 11, 13, 25, 27])
 def test_build_coloring_2d_count_and_properness(q):
     ctx = field_for(q)
-    coloring = build_coloring_2d(ctx, make_plan(ctx))
+    coloring = build_coloring_md(ctx, 2, make_plan(ctx))
     assert coloring.k == expected_color_count(ctx, 2)
     assert verify_coloring(graph_for(q), coloring) is None
     used = np.unique(coloring.colors)
@@ -363,12 +398,16 @@ def test_build_coloring_md_guards():
 
 
 def test_build_coloring_md_matches_2d_for_m2():
+    # the plane is the coloring of F_q^3 with one block: block i of F_q^3 is the
+    # plane's colors shifted by i*k
     ctx = field_for(7)
     plan = make_plan(ctx)
-    flat = build_coloring_md(ctx, 2, plan)
-    plane = build_coloring_2d(ctx, plan)
-    assert flat.k == plane.k
-    assert np.array_equal(flat.colors, plane.colors)
+    plane = build_coloring_md(ctx, 2, plan)
+    assert (plane.colors.tolist(), plane.k) == scalar_coloring_2d(ctx, plan)
+    space = build_coloring_md(ctx, 3, plan)
+    assert space.k == 7 * plane.k
+    blocks = space.colors.reshape(7, 49) - plane.k * np.arange(7)[:, None]
+    assert np.array_equal(blocks, np.broadcast_to(plane.colors, (7, 49)))
 
 
 @pytest.mark.parametrize("q, m", [(5, 2), (7, 3), (9, 2), (25, 2), (27, 3), (127, 2)])
@@ -552,7 +591,7 @@ def test_verify_coloring_on_a_long_cycle_builds_no_q_by_q_table():
 
 def test_coloring_file_round_trip(tmp_path):
     ctx = field_for(7)
-    coloring = build_coloring_2d(ctx, make_plan(ctx))
+    coloring = build_coloring_md(ctx, 2, make_plan(ctx))
     path = tmp_path / "coloring.txt"
     write_coloring(coloring, path)
     text = path.read_text()

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import element, field_for, odd_prime_powers, refused_peak, within_a_second
+from conftest import (
+    element,
+    field_for,
+    odd_prime_powers,
+    refused_peak,
+    scalar_coeffs,
+    within_a_second,
+)
 from uqgraph import (
     DivisionByZeroError,
     EvenCharacteristicError,
@@ -118,15 +125,20 @@ def test_extension_multiplication_against_polynomial_oracle():
 
 
 def test_element_coeffs_round_trip():
+    # each row of digits_matrix is the coefficient vector of its code
+    for p, n in [(3, 3), (5, 3), (3, 7)]:
+        ctx = make_field(p, n)
+        digits = ctx.digits_matrix()
+        assert digits.shape == (ctx.q, n)
+        for code in range(ctx.q):
+            assert element(ctx, digits[code].tolist()) == code, (p, n, code)
     f27 = make_field(3, 3)
-    for code in range(27):
-        assert element(f27, f27.coeffs(code)) == code
     with pytest.raises(ValueError):
         element(f27, (1, 2))
     with pytest.raises(ValueError):
         element(f27, (3, 0, 0))
     with pytest.raises(ValueError):
-        f27.coeffs(27)
+        scalar_coeffs(f27, 27)
 
 
 def test_quadratic_character_prime_field():
@@ -587,7 +599,7 @@ def log_tables_by_matrices(ctx):
     x_powers = np.stack([_mat_pow(x, j, p) for j in range(n)])
     divisors = _prime_divisors(q - 1)
     for code in range(1, q):
-        step = np.array(ctx.coeffs(code)) @ x_powers % p
+        step = np.array(scalar_coeffs(ctx, code)) @ x_powers % p
         if all(not np.array_equal(_mat_pow(step, (q - 1) // r, p), x_powers[0])
                for r in divisors):
             break
@@ -649,14 +661,14 @@ def test_packed_polys_multiply_like_the_digit_loops(p, n):
     rng = random.Random(ctx.q)
     sample = [0, 1, p - 1, p, ctx.q - 1] + [rng.randrange(ctx.q) for _ in range(60)]
     for a, b in zip(sample, rng.sample(sample, len(sample))):
-        got = polys.mul(polys.pack(ctx.coeffs(a)), polys.pack(ctx.coeffs(b)))
-        assert polys.digits(got) == list(ctx.coeffs(oracle.mul(a, b))), (a, b)
+        got = polys.mul(polys.pack(scalar_coeffs(ctx, a)), polys.pack(scalar_coeffs(ctx, b)))
+        assert polys.digits(got) == list(scalar_coeffs(ctx, oracle.mul(a, b))), (a, b)
         e = rng.randrange(ctx.q)
-        assert polys.digits(polys.pow(polys.pack(ctx.coeffs(a)), e)) == list(
-            ctx.coeffs(oracle.pow(a, e))), (a, e)
+        assert polys.digits(polys.pow(polys.pack(scalar_coeffs(ctx, a)), e)) == list(
+            scalar_coeffs(ctx, oracle.pow(a, e))), (a, e)
         # a product is carry-free only on reduced coefficients, so a difference is reduced
-        got = polys.sub(polys.pack(ctx.coeffs(a)), polys.pack(ctx.coeffs(b)))
-        assert got == polys.pack(ctx.coeffs(oracle.sub(a, b))), (a, b)
+        got = polys.sub(polys.pack(scalar_coeffs(ctx, a)), polys.pack(scalar_coeffs(ctx, b)))
+        assert got == polys.pack(scalar_coeffs(ctx, oracle.sub(a, b))), (a, b)
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3),
