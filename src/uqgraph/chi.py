@@ -2,9 +2,10 @@
 
 The solver is DSATUR-ordered backtracking with branch and bound: the
 upper bound is seeded from a greedy DSATUR coloring and, when the graph
-carries a field (m >= 2), from the line-pairing construction, taken only
-when it is proper on the graph's own connection set; the lower
-bound is the larger of a bounded clique search and min(greedy colors, 3).
+carries a field (m >= 2), from the line-pairing construction, built only
+when its closed-form count is below greedy's and taken only when it is
+proper on the graph's own connection set; the lower bound is the
+larger of a bounded clique search and min(greedy colors, 3).
 Each round tries to exhaust (upper-1)-colorings with color-permutation
 symmetry removed (the first vertex is fixed to color 0 and new colors
 are introduced in order). A completed exhaustion proves optimality; an
@@ -51,7 +52,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .construction import Coloring, build_coloring_md, make_plan, verify_coloring
+from .construction import Coloring, construct, expected_color_count
 from .errors import ConstructionUnavailableError
 
 # the default budget counts nodes only, so a default record is the same on any machine
@@ -137,17 +138,6 @@ def clique_lower(graph, node_budget: int = 100_000) -> int:
                 for row in graph.neighbors(np.array(later[start : start + 256]))]
         extend(1, (1 << len(later)) - 1, rows)
     return best
-
-
-def _construction_seed(graph) -> Coloring | None:
-    ctx = getattr(graph, "ctx", None)
-    if ctx is None or graph.m < 2:  # the construction colors F_q^m for m >= 2
-        return None
-    try:
-        plan = make_plan(ctx)
-        return build_coloring_md(ctx, graph.m, plan)
-    except ConstructionUnavailableError:  # q = 3 has no shift; make_plan's own choices are valid
-        return None
 
 
 def _neighbor_masks(graph) -> tuple[list[int], list[int]]:
@@ -286,10 +276,15 @@ def exact_chromatic(
     witness = greedy_bound(graph)
     upper = witness.k
     odd_cycle = min(upper, 3)  # exact: DSATUR 2-colors every bipartite graph
-    seed = _construction_seed(graph)
-    # the construction colors the unit-circle graph, which this one need not be
-    if seed is not None and seed.k < upper and verify_coloring(graph, seed) is None:
-        upper, witness = seed.k, seed
+    ctx = getattr(graph, "ctx", None)
+    # the construction colors F_q^m, m >= 2, but this graph need not be D_q^m
+    if ctx is not None and graph.m >= 2 and expected_color_count(ctx, graph.m) < upper:
+        try:
+            _, seed, violation = construct(graph)
+            if violation is None:
+                upper, witness = seed.k, seed
+        except ConstructionUnavailableError:  # q = 3 has no shift
+            pass
     lower = max(
         odd_cycle,
         clique_lower(graph, node_budget=min(100_000, node_limit)),

@@ -16,10 +16,9 @@ from contextlib import contextmanager
 
 from .chi import DEFAULT_NODE_LIMIT, DEFAULT_TIME_LIMIT, exact_chromatic
 from .construction import (
-    build_coloring_md,
+    construct,
     count_Aq,
     expected_color_count,
-    make_plan,
     read_coloring,
     verify_coloring,
     write_coloring,
@@ -97,15 +96,9 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _construct(graph, a=None, t=None):
-    plan = make_plan(graph.ctx, a=a, t=t)
-    coloring = build_coloring_md(graph.ctx, graph.m, plan)
-    return plan, coloring, verify_coloring(graph, coloring)
-
-
 def cmd_color(args) -> int:
     ctx = _field_for(args.q, args.m, what="colorings")
-    plan, coloring, violation = _construct(build_graph(ctx, args.m), args.a, args.t)
+    plan, coloring, violation = construct(build_graph(ctx, args.m), args.a, args.t)
     if args.out:
         with _open_out(args.out, binary=True) as sink:
             write_coloring(coloring, sink)
@@ -225,7 +218,7 @@ def _report_record(q: int, m: int, time_limit: float, node_limit: int) -> dict:
         "circleSize": len(graph.connection_set),
     }
     try:
-        _, coloring, violation = _construct(graph)
+        _, coloring, violation = construct(graph)
         record["constructionColors"] = coloring.k
         record["constructionProper"] = violation is None
     except UQGraphError as exc:

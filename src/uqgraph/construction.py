@@ -16,7 +16,8 @@ to agree, reducing the quadrance to the plane case.
 make_plan finds the certificate (a, t), checking only the values it is
 given; validate_plan checks a plan built elsewhere; build_coloring_md
 checks its plan once and colors every m >= 2 on one path, the plane
-being the case of a single block.
+being the case of a single block. construct is the one route from plan to
+checked coloring: color, report and chi's seed all call it.
 """
 
 from __future__ import annotations
@@ -242,6 +243,15 @@ def verify_coloring(graph: UnitQuadranceGraph, coloring: Coloring):
         return None
     ends = circle_translates(graph, first)
     return (first, int(ends[colors[ends] == colors[first]].min()))
+
+
+def construct(graph: UnitQuadranceGraph, a: int | None = None, t: int | None = None):
+    """(plan, coloring, violation): make_plan's certificate for the graph's
+    field, with a and t checked when given, the coloring of F_q^m built from
+    it, and verify_coloring's verdict on the graph's own connection set."""
+    plan = make_plan(graph.ctx, a=a, t=t)
+    coloring = build_coloring_md(graph.ctx, graph.m, plan)
+    return plan, coloring, verify_coloring(graph, coloring)
 
 
 # ---------------------------------------------------------------------------

@@ -111,8 +111,8 @@ class UnitQuadranceGraph:
     count its edges twice. -S is the field's neg_vector on each coordinate.
     q**m above 2**63 raises TooLargeError first: indices are int64.
     DIMACS export, chi and verify_coloring accept any such set at any
-    m >= 1; chi takes its construction witness at m >= 2 only when it is
-    proper on that set.
+    m >= 1; chi builds its construction witness at m >= 2 only when its
+    closed-form count beats greedy, and takes it only when proper on that set.
     dense_spectrum raises DimensionTooSmallError at m = 1 and refuses a set
     that the signed coordinate permutations do not keep; triangle_count
     assumes the unit circle.
@@ -180,13 +180,11 @@ def triangle_count(graph: UnitQuadranceGraph) -> int:
     S is the unit circle, so translations and the orthogonal group of the
     quadrance act transitively on the arcs (Witt's theorem makes O(Q)
     transitive on S): every edge has the common neighbors of 0 and s0 =
-    S[0], lambda = |S & (s0 + S)| of them. There are N * |S| / 2 edges and
-    a triangle has three, so T = N * |S| * lambda / 6.
+    S[0], lambda = |S & (s0 + S)| of them, two sets of distinct indices.
+    N * |S| / 2 edges, three to a triangle, give T = N * |S| * lambda / 6.
     """
     circle = graph.connection_set
-    on_circle = np.zeros(graph.n_vertices, dtype=bool)
-    on_circle[circle] = True
-    common = int(np.count_nonzero(on_circle[circle_translates(graph, int(circle[0]))]))
+    common = len(np.intersect1d(circle, circle_translates(graph, circle[0]), assume_unique=True))
     return graph.n_vertices * len(circle) * common // 6
 
 

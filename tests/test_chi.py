@@ -6,7 +6,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from conftest import adjacency_by_columns, field_for, graph_for, vertex_index
+from conftest import adjacency_by_columns, field_for, graph_for, odd_prime_powers, vertex_index
 from uqgraph import (
     build_graph,
     cayley_spectrum,
@@ -18,7 +18,14 @@ from uqgraph import (
 )
 from uqgraph import chi
 from uqgraph.chi import _neighbor_masks, _search_k_coloring
-from uqgraph.construction import Coloring
+from uqgraph.construction import (
+    Coloring,
+    build_coloring_md,
+    construct,
+    expected_color_count,
+    make_plan,
+)
+from uqgraph.errors import ConstructionUnavailableError
 from uqgraph.graph import UnitQuadranceGraph
 
 
@@ -888,19 +895,66 @@ def test_chi_of_line_quotients_lifts_to_the_plane(q, expected, nodes):
     assert verify_coloring(graph_for(q), lift) is None
 
 
+def quadrance_graph(q, values):
+    """Cay(F_q^2, S) with S the points whose quadrance x**2 + y**2 is in values."""
+    ctx = field_for(q)
+    quadrance = [ctx.add(ctx.mul(x, x), ctx.mul(y, y)) for x, y in
+                 (np.unravel_index(u, (q, q)) for u in range(q * q))]
+    return UnitQuadranceGraph(ctx, 2, np.flatnonzero(np.isin(quadrance, values)))
+
+
 def test_chi_takes_the_construction_witness_only_when_it_is_proper():
     """The line-pairing construction colors the unit-circle graph. With the
     24 points of quadrance 1 or 2 as the connection set its coloring
     clashes, so the witness comes from the search instead."""
-    q, ctx = 13, field_for(13)
-    quadrance = [ctx.add(ctx.mul(x, x), ctx.mul(y, y)) for x, y in
-                 (np.unravel_index(u, (q, q)) for u in range(q * q))]
-    graph = UnitQuadranceGraph(ctx, 2, np.flatnonzero(np.isin(quadrance, (1, 2))))
+    graph = quadrance_graph(13, (1, 2))
     assert len(graph.connection_set) == 24
-    seed = chi._construction_seed(graph)
-    assert verify_coloring(graph, seed) == (0, 14)
+    _, seed, violation = construct(graph)
+    assert violation == verify_coloring(graph, seed) == (0, 14)
     assert clashes_on_rows(graph, seed.colors)  # the rows see the clash that S does
     result = exact_chromatic(graph, node_limit=1)
     assert verify_coloring(graph, result.witness) is None
     assert not clashes_on_rows(graph, result.witness.colors)
     assert result.upper == result.witness.k == greedy_bound(graph).k
+
+
+def ungated_seed(graph, upper):
+    """chi's construction seed as it was before the gate: always plan and
+    build, and take the coloring when it has fewer than upper colors and is
+    proper on the graph's own connection set. Kept as the oracle for the
+    gate; None where the seed is not taken."""
+    try:
+        seed = build_coloring_md(graph.ctx, graph.m, make_plan(graph.ctx))
+    except ConstructionUnavailableError:  # q = 3 has no shift
+        return None
+    return seed if seed.k < upper and verify_coloring(graph, seed) is None else None
+
+
+GATE_POINTS = ([(q, 2) for q in odd_prime_powers(3, 61)] + [(q, 3) for q in odd_prime_powers(3, 13)]
+               + [(q, 4) for q in odd_prime_powers(3, 7)])
+
+
+def test_construction_gate_matches_the_ungated_seed(monkeypatch):
+    """chi builds the construction only when its closed-form count is below
+    greedy's, and the witness before any search is the one the ungated seed
+    gives: the construction where it is taken, else greedy's coloring."""
+    built = []
+    monkeypatch.setattr(chi, "construct", lambda graph: built.append(graph) or construct(graph))
+    taken = []
+    graphs = [((q, m), graph_for(q, m)) for q, m in GATE_POINTS]
+    for point, graph in graphs + [("quadrance 1, 2", quadrance_graph(13, (1, 2)))]:
+        ctx, m = graph.ctx, graph.m
+        if ctx.q == 3:
+            with pytest.raises(ConstructionUnavailableError):
+                construct(graph)
+        else:
+            assert construct(graph)[1].k == expected_color_count(ctx, m), point
+        greedy = greedy_bound(graph)
+        seed = ungated_seed(graph, greedy.k)
+        built.clear()
+        witness = exact_chromatic(graph, node_limit=0).witness
+        assert built == ([graph] if expected_color_count(ctx, m) < greedy.k else []), point
+        assert witness.colors.tolist() == (seed or greedy).colors.tolist(), point
+        if seed is not None:
+            taken.append(point)
+    assert taken == [(7, 2), (11, 2)]

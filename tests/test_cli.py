@@ -14,7 +14,16 @@ import numpy as np
 import pytest
 
 from conftest import coloring_text_by_lines, field_for, graph_for, within_a_second
-from uqgraph import Spectrum, build_coloring_md, cli, exact_chromatic, make_plan, spectral
+from uqgraph import (
+    Spectrum,
+    build_coloring_md,
+    chi,
+    cli,
+    construction,
+    exact_chromatic,
+    make_plan,
+    spectral,
+)
 from uqgraph.cli import main
 from uqgraph.field import FieldCtx, make_field
 
@@ -532,6 +541,52 @@ def test_report_computes_the_hoffman_bound_once_per_record(capsys, monkeypatch):
     records = json.loads(stdout)
     assert calls == [record["q"] ** 2 for record in records] == [25, 49, 81, 121, 169]
     assert all(record["hoffman"] is not None for record in records)
+
+
+def count_construction_calls(monkeypatch):
+    """Wrap make_plan, build_coloring_md and verify_coloring in
+    uqgraph.construction, FieldCtx.character_vector and chi's construct, and
+    return, for each, the list of the q of every call."""
+    calls = {name: [] for name in ("make_plan", "build_coloring_md", "verify_coloring")}
+    for name, seen in calls.items():
+        def counted(first, *args, _inner=getattr(construction, name), _seen=seen, **kwargs):
+            _seen.append(first.q)
+            return _inner(first, *args, **kwargs)
+
+        monkeypatch.setattr(construction, name, counted)
+    calls["character_vector"] = chars = []
+    inner = FieldCtx.character_vector
+    monkeypatch.setattr(FieldCtx, "character_vector", lambda ctx: chars.append(ctx.q) or inner(ctx))
+    calls["chi.construct"] = seeds = []
+    monkeypatch.setattr(chi, "construct",
+                        lambda graph: seeds.append(graph.q) or construction.construct(graph))
+    return calls
+
+
+def test_report_plans_and_builds_the_construction_once_per_record(capsys, monkeypatch):
+    """report builds the construction once per q for constructionColors, and
+    chi builds it again only where its closed-form count beats greedy."""
+    calls = count_construction_calls(monkeypatch)
+    code, stdout, _ = run(capsys, "report", "--q", "5..31", "--json", "--nodes", "20000")
+    assert code == 0
+    qs = [record["q"] for record in json.loads(stdout)]
+    assert calls["chi.construct"] == [7, 11]
+    for name in ("make_plan", "build_coloring_md", "verify_coloring"):
+        assert sorted(calls[name]) == sorted(qs + [7, 11]), name
+    assert len(calls["make_plan"]) == 14 and len(calls["character_vector"]) == 80
+    monkeypatch.undo()
+    calls = count_construction_calls(monkeypatch)
+    code, _, _ = run(capsys, "report", "--q", "13", "--json", "--nodes", "1000")
+    assert code == 0 and len(calls["character_vector"]) == 6
+    assert calls["chi.construct"] == []
+
+
+def test_chi_builds_no_construction_that_greedy_beats(capsys, monkeypatch):
+    # greedy's 31 colors at q = 127 beat the construction's 64, so chi never plans it
+    calls = count_construction_calls(monkeypatch)
+    code, stdout, _ = run(capsys, "chi", "--q", "127", "--nodes", "1000")
+    assert code == 0 and json.loads(stdout)["upper"] == 31
+    assert calls["make_plan"] == calls["chi.construct"] == []
 
 
 def test_report_on_a_degenerate_spectrum_nulls_the_bound_and_its_check(capsys, monkeypatch):
