@@ -1,11 +1,13 @@
 """Exact chromatic numbers at desk scale.
 
-The solver is DSATUR-ordered backtracking with branch and bound: the
-upper bound is seeded from a greedy DSATUR coloring and, when the graph
-carries a field (m >= 2), from the line-pairing construction, built only
-when its closed-form count is below greedy's and taken only when it is
-proper on the graph's own connection set; the lower bound is the
-larger of a bounded clique search and min(greedy colors, 3).
+Every graph is a Cayley graph Cay(F_q^m, S); the neighbors of u are its
+translates u + S. The solver is DSATUR-ordered backtracking with branch
+and bound: the upper bound is seeded from a greedy DSATUR coloring and,
+at m >= 2, from the line-pairing construction, built only when its
+closed-form count is below greedy's and taken only when it is proper on
+the graph's own connection set; the lower bound is the larger of a
+bounded clique search and 3. S is non-empty and p is odd, so for any s
+in S the points 0, s, 2s, ..., (p-1)s are a cycle of odd length p.
 Each round tries to exhaust (upper-1)-colorings with color-permutation
 symmetry removed (the first vertex is fixed to color 0 and new colors
 are introduced in order). A completed exhaustion proves optimality; an
@@ -14,20 +16,15 @@ node budget starts no further round.
 
 The greedy coloring is the search's first descent with k = N colors: no
 vertex can see N colors, so it never backtracks, keeps no snapshot and
-takes the most saturated vertex and its lowest free color at every
-step. DSATUR colors every bipartite graph with at most 2 colors (Brelaz,
-CACM 22, 1979), and an odd cycle needs 3, so min(greedy colors, 3) is
-the exact odd-cycle bound.
+takes the most saturated vertex and its lowest free color at every step.
 
-The search state is a few Python-int bitsets over vertex ranks: ranks
-sort vertices by degree, descending, then by index, so the lowest set
-bit of a candidate set is the DSATUR tie-break (on a field graph every
-degree is equal and rank = index). Each vertex has one neighbor mask,
-N**2 / 8 bytes in all, built once per graph for the greedy descent and
-every round, from graph.neighbors(vertices), one row per vertex: on a
-field graph the translates u + S of a block of vertices, so no (N, |S|)
-array of rows is ever held. forbid[c] holds the uncolored vertices with
-a neighbor of color c (exact on uncolored vertices only), and saturation
+The search state is a few Python-int bitsets over vertex indices. Every
+degree is |S|, so the lowest set bit of a candidate set is the DSATUR
+tie-break. Each vertex has one neighbor mask, N**2 / 8 bytes in all,
+built once per graph for the greedy descent and every round from the
+translates u + S of a block of vertices at a time, so no (N, |S|) array
+of rows is ever held. forbid[c] holds the uncolored vertices with a
+neighbor of color c (exact on uncolored vertices only), and saturation
 is a bit-sliced counter over them. Coloring v with c touches
 nbr[v] & uncolored & ~forbid[c]. The next vertex is the lowest bit of the
 counter's maximum, narrowed from the top slice down; the slices that
@@ -54,11 +51,12 @@ import numpy as np
 
 from .construction import Coloring, construct, expected_color_count
 from .errors import ConstructionUnavailableError
+from .graph import UnitQuadranceGraph
 
 # the default budget counts nodes only, so a default record is the same on any machine
 DEFAULT_TIME_LIMIT = math.inf
 DEFAULT_NODE_LIMIT = 2_500_000
-_MASKS = weakref.WeakKeyDictionary()  # graph -> (order, masks), freed with the graph
+_MASKS = weakref.WeakKeyDictionary()  # graph -> neighbor masks, freed with the graph
 
 
 @dataclass(frozen=True)
@@ -85,30 +83,27 @@ class ChiResult:
         }
 
 
-def greedy_bound(graph) -> Coloring:
+def greedy_bound(graph: UnitQuadranceGraph) -> Coloring:
     """Proper coloring from greedy assignment in DSATUR order.
 
-    Ties break by degree, then by smallest vertex index, so the result is
-    deterministic. It is the search's first descent with N colors, which
-    never backtracks, and it 2-colors every bipartite graph (Brelaz 1979).
+    Every degree is |S|, so ties break by smallest vertex index and the
+    result is deterministic. It is the search's first descent with N
+    colors, which never backtracks.
     """
     return _search_k_coloring(graph, graph.n_vertices, math.inf, math.inf, 0)[1]
 
 
-def clique_lower(graph, node_budget: int = 100_000) -> int:
+def clique_lower(graph: UnitQuadranceGraph, node_budget: int = 100_000) -> int:
     """Size of the largest clique found within the node budget.
 
     Always a valid chromatic lower bound; exact when the search finishes
-    before the budget runs out (it does on desk-scale instances). Each
-    root r is searched over bitmasks local to its later neighbors N+(r).
-    A graph with a field is a Cayley graph, so vertex 0's subtree over
-    N+(0) = S already holds a largest clique and is the only one searched.
+    before the budget runs out (it does on desk-scale instances). The
+    graph is a Cayley graph, so a largest clique translates onto one that
+    holds vertex 0, with its other vertices in N+(0) = S. Only vertex 0's
+    subtree is searched, over bitmasks local to S.
     """
-    n = graph.n_vertices
-    if n == 0:
-        return 0
     best = 1
-    nodes = 0
+    nodes = 1  # the root, vertex 0
 
     def extend(size: int, cand: int, rows: list[int]) -> None:
         nonlocal best, nodes
@@ -127,48 +122,31 @@ def clique_lower(graph, node_budget: int = 100_000) -> int:
             if sub:
                 extend(size + 1, sub, rows)
 
-    for r in range(1 if getattr(graph, "ctx", None) is not None else n):
-        if nodes >= node_budget or n - r <= best:  # a clique from r on has <= n - r vertices
-            break
-        nodes += 1
-        later = sorted(w for w in graph.neighbors(np.array([r]))[0].tolist() if w > r)
-        bit = {w: 1 << i for i, w in enumerate(later)}
-        rows = [sum(bit.get(x, 0) for x in row.tolist())  # 256 neighbors' rows at a time
-                for start in range(0, len(later), 256)
-                for row in graph.neighbors(np.array(later[start : start + 256]))]
-        extend(1, (1 << len(later)) - 1, rows)
+    later = np.sort(graph.connection_set).tolist()  # N+(0) = S, as 0 is not in S
+    bit = {w: 1 << i for i, w in enumerate(later)}
+    rows = [sum(bit.get(x, 0) for x in row.tolist())  # 256 neighbors' rows at a time
+            for start in range(0, len(later), 256)
+            for row in graph.neighbors(np.array(later[start : start + 256]))]
+    extend(1, (1 << len(later)) - 1, rows)
     return best
 
 
-def _neighbor_masks(graph) -> tuple[list[int], list[int]]:
-    """(order, masks): order[r] is the vertex of rank r, and bit s of
-    masks[r] is set when the vertex of rank s is a neighbor. Ranks sort
-    by degree, descending, then by index; a graph with a field is a
-    Cayley graph, every degree is |S| and rank = index, so only a graph
-    without one reads its degrees first. Rows come from graph.neighbors
-    for at most 256 vertices (and 4 MB of bits) at a time, scattered into
-    one bool array and packed with one packbits."""
+def _neighbor_masks(graph: UnitQuadranceGraph) -> list[int]:
+    """Bit v of masks[u] is set when v is a neighbor of u. The rows u + S
+    come from graph.neighbors for at most 256 vertices (and 4 MB of bits)
+    at a time, scattered into one bool array and packed with one packbits."""
     n = graph.n_vertices
-    order = np.arange(n)
-    if getattr(graph, "ctx", None) is None:
-        order = np.argsort([-len(row) for row in graph.neighbors(order)], kind="stable")
-    rank = np.argsort(order)  # the inverse permutation
     step = max(1, min(256, (1 << 22) // n))
     bits = np.zeros((min(step, n), n), dtype=bool)
     masks = []
     for start in range(0, n, step):
-        rows = graph.neighbors(order[start : start + step])
-        if isinstance(rows, np.ndarray):  # a Cayley graph: every row is |S| long
-            lengths, flat = rows.shape[1], rows.ravel()
-        else:  # a list of rows of any lengths
-            lengths, flat = [len(row) for row in rows], np.concatenate(rows)
-        at = np.repeat(np.arange(len(rows)), lengths)
-        cols = rank[flat]
-        bits[at, cols] = True
+        rows = graph.neighbors(np.arange(start, min(start + step, n)))
+        at = np.arange(len(rows))[:, None]
+        bits[at, rows] = True
         packed = np.packbits(bits[: len(rows)], axis=1, bitorder="little")
-        bits[at, cols] = False
+        bits[at, rows] = False
         masks += [int.from_bytes(row, "little") for row in packed]
-    return order.tolist(), masks
+    return masks
 
 
 def _add_one(sat: list[int], carry: int) -> None:
@@ -181,18 +159,15 @@ def _add_one(sat: list[int], carry: int) -> None:
         j += 1
 
 
-def _search_k_coloring(graph, k, deadline, node_limit, nodes):
+def _search_k_coloring(graph: UnitQuadranceGraph, k, deadline, node_limit, nodes):
     """Try to k-color the graph; returns (status, coloring, nodes) with
     status in {"found", "none", "budget"}."""
-    n = graph.n_vertices
-    if n == 0:
-        return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
+    n, max_degree = graph.n_vertices, graph.degree
     if k < 1:
         return "none", None, nodes
     if graph not in _MASKS:  # greedy_bound and every search round share one build
         _MASKS[graph] = _neighbor_masks(graph)
-    vertex, nbr = _MASKS[graph]
-    max_degree = nbr[0].bit_count()
+    nbr = _MASKS[graph]
     # with more colors than any degree no vertex runs out, so nothing is undone
     snapshots = k <= max_degree
     k = min(k, max_degree + 1)  # no vertex's lowest free color exceeds its degree
@@ -200,15 +175,15 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
     slices = [(j, 1 << j) for j in reversed(range(width))]
     forbid = [0] * k  # forbid[c]: uncolored vertices with a neighbor of color c
     sat = [0] * width  # bit j of each uncolored vertex's saturation
-    unc = (1 << n) - 2  # uncolored, less rank 0: the first frame's vertex
+    unc = (1 << n) - 2  # uncolored, less vertex 0: the first frame's vertex
     max_used = -1
     check = min(node_limit, (nodes | 1023) + 1)  # the next node that reads the budget
-    # frame: [rank, last color tried, colors left, (forbid, max_used) before its first try]
+    # frame: [vertex, last color tried, colors left, (forbid, max_used) before its first try]
     frame = [0, -1, 1, None]
     stack = [frame]
     while True:
-        r, c, left, _ = frame
-        low = 1 << r
+        v, c, left, _ = frame
+        low = 1 << v
         c += 1
         while forbid[c] & low:
             c += 1
@@ -222,7 +197,7 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
         if c > max_used:
             max_used = c
         f = forbid[c]
-        carry = nbr[r] & unc & ~f
+        carry = nbr[v] & unc & ~f
         forbid[c] = f | carry
         j = 0
         while carry:  # add 1 to the counters of the vertices in carry
@@ -232,8 +207,8 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
             j += 1
         if not unc:
             colors = [0] * n
-            for r, c, *_ in stack:
-                colors[vertex[r]] = c
+            for v, c, *_ in stack:
+                colors[v] = c
             witness = Coloring(graph.q, graph.m, np.array(colors, dtype=np.int64), max_used + 1)
             return "found", witness, nodes
         best = unc  # narrowed to the uncolored vertices of highest saturation
@@ -265,7 +240,7 @@ def _search_k_coloring(graph, k, deadline, node_limit, nodes):
 
 
 def exact_chromatic(
-    graph,
+    graph: UnitQuadranceGraph,
     time_limit: float = DEFAULT_TIME_LIMIT,
     node_limit: int = DEFAULT_NODE_LIMIT,
 ) -> ChiResult:
@@ -275,20 +250,16 @@ def exact_chromatic(
     deadline = t0 + time_limit
     witness = greedy_bound(graph)
     upper = witness.k
-    odd_cycle = min(upper, 3)  # exact: DSATUR 2-colors every bipartite graph
-    ctx = getattr(graph, "ctx", None)
     # the construction colors F_q^m, m >= 2, but this graph need not be D_q^m
-    if ctx is not None and graph.m >= 2 and expected_color_count(ctx, graph.m) < upper:
+    if graph.m >= 2 and expected_color_count(graph.ctx, graph.m) < upper:
         try:
             _, seed, violation = construct(graph)
             if violation is None:
                 upper, witness = seed.k, seed
         except ConstructionUnavailableError:  # q = 3 has no shift
             pass
-    lower = max(
-        odd_cycle,
-        clique_lower(graph, node_budget=min(100_000, node_limit)),
-    )
+    # 0, s, ..., (p-1)s for any s in S is a cycle of odd length p
+    lower = max(3, clique_lower(graph, node_budget=min(100_000, node_limit)))
     nodes = 0
     while lower < upper and nodes < node_limit:  # a spent budget starts no round
         status, found, nodes = _search_k_coloring(

@@ -1,6 +1,5 @@
 """Greedy bound, clique bound, and the exact chromatic solver."""
 
-from itertools import combinations, product
 from time import perf_counter
 
 import numpy as np
@@ -29,41 +28,71 @@ from uqgraph.errors import ConstructionUnavailableError
 from uqgraph.graph import UnitQuadranceGraph
 
 
-class StubGraph:
-    """Minimal graph protocol for solver tests on hand-built instances."""
-
-    def __init__(self, n, edges, q=0, m=2):
-        self.q, self.m = q, m
-        self._n = n
-        self._adj = [set() for _ in range(n)]
-        for u, v in edges:
-            self._adj[u].add(v)
-            self._adj[v].add(u)
-
-    @property
-    def n_vertices(self):
-        return self._n
-
-    def neighbors(self, vertices):
-        """One sorted row per vertex, as a list: degrees may differ."""
-        vertices = np.asarray(vertices).tolist()
-        return [np.array(sorted(self._adj[u]), dtype=np.int64) for u in vertices]
-
-
 def neighbor_lists(graph):
-    """Every vertex's sorted neighbors from an oracle: a stub's own edge
-    sets, or adjacency_by_columns for a field graph."""
-    if isinstance(graph, StubGraph):
-        return [sorted(adj) for adj in graph._adj]
+    """Every vertex's sorted neighbors from the adjacency_by_columns oracle."""
     return adjacency_by_columns(graph).tolist()
 
 
+def edge_list(graph):
+    """Every edge {u, v}, u < v, once, from the adjacency_by_columns oracle."""
+    return [(u, v) for u, row in enumerate(neighbor_lists(graph)) for v in row if u < v]
+
+
 def brute_chi(n, edges):
-    for k in range(1, n + 1):
-        for assignment in product(range(k), repeat=n):
-            if all(assignment[u] != assignment[v] for u, v in edges):
-                return k
-    return n
+    """The fewest independent sets that cover the n vertices, over every
+    subset of them: an exhaustive oracle that shares no code with chi.
+    Best[mask] takes the independent set I holding the lowest vertex of
+    mask and recurses on mask minus I, in 3**n / 2 steps."""
+    adjacent = [0] * n
+    for u, v in edges:
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+    independent = [True] * (1 << n)
+    best = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        independent[mask] = independent[rest] and not adjacent[low.bit_length() - 1] & rest
+        fewest, sub = n, rest
+        while True:  # I = low | sub for every subset sub of rest
+            if independent[low | sub]:
+                fewest = min(fewest, best[rest ^ sub] + 1)
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+        best[mask] = fewest
+    return best[-1]
+
+
+def test_brute_chi_on_known_graphs():
+    """The oracle on graphs chi no longer takes: no vertex, one vertex, the
+    even and odd cycles C6 and C5, K4 and the Petersen graph."""
+    petersen = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6), (6, 8),
+                (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)]
+    c6, c5 = ([(i, (i + 1) % n) for i in range(n)] for n in (6, 5))
+    k4 = [(u, v) for v in range(4) for u in range(v)]
+    cases = [(0, [], 0), (1, [], 1), (6, c6, 2), (5, c5, 3), (4, k4, 4), (10, petersen, 3)]
+    assert [brute_chi(n, edges) for n, edges, _ in cases] == [chi for *_, chi in cases]
+
+
+def symmetric_set(rng, q, m):
+    """A seeded random connection set of F_q^m, q prime: each pair {x, -x},
+    x != 0, joins S with one chance drawn per set, and S is never empty."""
+    shape = (q,) * m
+    negated = np.ravel_multi_index(tuple(-np.array(np.unravel_index(np.arange(q**m), shape)) % q),
+                                   shape)
+    pairs = [x for x in range(1, q**m) if x < negated[x]]
+    chance = rng.uniform(0.1, 0.9)
+    chosen = [x for x in pairs if rng.random() < chance] or [pairs[int(rng.integers(len(pairs)))]]
+    return np.sort(np.concatenate([chosen, negated[chosen]]))
+
+
+def random_cayley_graphs(seed, points, count):
+    """count seeded Cay(F_q^m, S) with random symmetric S, (q, m) drawn from points."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        q, m = points[int(rng.integers(len(points)))]
+        yield UnitQuadranceGraph(field_for(q), m, symmetric_set(rng, q, m))
 
 
 def test_greedy_bound_q7():
@@ -80,26 +109,10 @@ def test_greedy_bound_q5():
     assert coloring.k >= 3
 
 
-def test_greedy_single_vertex():
-    assert greedy_bound(StubGraph(1, [])).k == 1
-
-
-def test_empty_graph():
-    assert greedy_bound(StubGraph(0, [])).k == 0
-    result = exact_chromatic(StubGraph(0, []))
-    assert (result.status, result.lower, result.upper) == ("exact", 0, 0)
-
-
 def test_clique_lower():
     assert clique_lower(graph_for(7)) == 2  # triangle-free
     assert clique_lower(graph_for(5)) == 2
     assert clique_lower(graph_for(11)) == 3  # a triangle exists, no K4
-
-
-def test_clique_lower_stubs():
-    k4 = StubGraph(4, list(combinations(range(4), 2)))
-    assert clique_lower(k4) == 4
-    assert clique_lower(StubGraph(3, [])) == 1
 
 
 def test_exact_chromatic_q7():
@@ -147,43 +160,49 @@ def test_exact_chromatic_tiny_timeout_still_valid():
     assert verify_coloring(graph_for(13), result.witness) is None
 
 
+BRUTE_FORCE_POINTS = [(5, 1), (7, 1), (11, 1), (3, 2)]
+
+
+def brute_force_graphs():
+    """40 seeded random symmetric S on Z_5, Z_7, Z_11 and F_3^2."""
+    return list(random_cayley_graphs(20260808, BRUTE_FORCE_POINTS, 40))
+
+
 def test_exact_matches_brute_force_on_random_graphs():
-    rng = np.random.default_rng(20260808)
-    for _ in range(25):
-        n = int(rng.integers(5, 9))
-        edges = [
-            (u, v) for u, v in combinations(range(n), 2) if rng.random() < 0.5
-        ]
-        g = StubGraph(n, edges)
+    """Random circulants and Cayley graphs on F_3^2, each solved exactly and
+    its witness checked edge by edge against the oracle's edges."""
+    graphs = brute_force_graphs()
+    assert {(g.q, g.m) for g in graphs} == set(BRUTE_FORCE_POINTS)
+    for g in graphs:
+        edges = edge_list(g)
         result = exact_chromatic(g)
         assert result.status == "exact"
-        assert result.lower == result.upper == brute_chi(n, edges)
+        assert result.lower == result.upper == brute_chi(g.n_vertices, edges)
         witness = result.witness.colors
         assert all(witness[u] != witness[v] for u, v in edges)
 
 
-def small_stub_graphs():
-    """(graph, chromatic number) for n = 0 and n = 1, C5, C6, K4 and the
-    Petersen graph."""
-    petersen = StubGraph(
-        10,
-        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 7), (7, 9), (9, 6), (6, 8),
-         (8, 5), (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
-    )
+def small_cayley_graphs():
+    """(graph, chromatic number, clique number) for the 5-cycle
+    Cay(Z_5, {1, 4}) and the complete graphs Cay(Z_p, F_p*), p = 5, 7."""
     return [
-        (StubGraph(0, []), 0),
-        (StubGraph(1, []), 1),
-        (StubGraph(5, [(i, (i + 1) % 5) for i in range(5)]), 3),
-        (StubGraph(6, [(i, (i + 1) % 6) for i in range(6)]), 2),
-        (StubGraph(4, list(combinations(range(4), 2))), 4),
-        (petersen, 3),
+        (UnitQuadranceGraph(field_for(5), 1, np.array([1, 4])), 3, 2),
+        (UnitQuadranceGraph(field_for(5), 1, np.arange(1, 5)), 5, 5),
+        (UnitQuadranceGraph(field_for(7), 1, np.arange(1, 7)), 7, 7),
     ]
 
 
 def test_exact_known_structured_graphs():
-    for graph, expected in small_stub_graphs():
+    for graph, expected, _ in small_cayley_graphs():
         result = exact_chromatic(graph)
         assert (result.status, result.lower, result.upper) == ("exact", expected, expected)
+
+
+def test_clique_lower_stubs():
+    """The small graphs whose clique number is known by hand: the complete
+    graphs K_5 and K_7 give their order, the 5-cycle gives 2."""
+    for graph, _, clique in small_cayley_graphs():
+        assert clique_lower(graph) == clique
 
 
 def test_bound_monotonicity():
@@ -226,8 +245,6 @@ def scan_search_k_coloring(graph, k, deadline, node_limit, nodes):
     """The DSATUR search as it was before the score array: pick() scans
     every vertex at every node. Kept as the oracle for the array search."""
     n = graph.n_vertices
-    if n == 0:
-        return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
     if k < 1:
         return "none", None, nodes
     nbrs = neighbor_lists(graph)
@@ -327,18 +344,14 @@ def search_outcomes(search, graph):
     return out
 
 
-def uneven_stub_graphs():
-    """50 seeded random graphs whose per-vertex edge weights spread the
-    degrees, so ties in the DSATUR key are rare and the order matters."""
-    rng = np.random.default_rng(20261017)
-    for _ in range(50):
-        n = int(rng.integers(10, 61))
-        weight = rng.uniform(0.05, 0.95, size=n)
-        yield StubGraph(n, [
-            (u, v)
-            for u, v in combinations(range(n), 2)
-            if rng.random() < weight[u] * weight[v]
-        ])
+RANDOM_SET_POINTS = [(p, 1) for p in (5, 7, 11, 13, 17, 19, 23, 29, 31)] + [(3, 2), (5, 2)]
+
+
+def random_connection_sets():
+    """50 seeded Cayley graphs with random symmetric S on Z_p (p <= 31),
+    F_3^2 and F_5^2: S and its density vary, so the searches meet graphs
+    far from D_q^m, from sparse circulants to near-complete ones."""
+    return random_cayley_graphs(20261017, RANDOM_SET_POINTS, 50)
 
 
 ORACLE_POINTS = [(5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (3, 3), (5, 3)]
@@ -351,7 +364,9 @@ def test_score_array_search_matches_scan_oracle(q, m):
 
 
 def test_score_array_search_matches_scan_oracle_on_uneven_degrees():
-    for g in uneven_stub_graphs():
+    """Random symmetric connection sets; every degree is |S|, so the scan's
+    degree tie-break always falls to the lowest index."""
+    for g in random_connection_sets():
         assert search_outcomes(_search_k_coloring, g) == search_outcomes(
             scan_search_k_coloring, g
         )
@@ -363,8 +378,6 @@ def memoryview_search_k_coloring(graph, k, deadline, node_limit, nodes):
     of the int64 key array, undone neighbor by neighbor. Kept as the oracle
     for the bitset search."""
     n = graph.n_vertices
-    if n == 0:
-        return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
     if k < 1:
         return "none", None, nodes
     nbrs = neighbor_lists(graph)
@@ -448,8 +461,9 @@ def test_bitset_search_matches_memoryview_oracle(q, m):
 
 
 def test_bitset_search_matches_memoryview_oracle_on_uneven_degrees():
-    """Degrees differ, so a vertex's rank is not its index."""
-    for g in uneven_stub_graphs():
+    """Random symmetric connection sets: every degree is |S|, and the bitset
+    search's lowest-index tie-break is the memoryview oracle's argmax."""
+    for g in random_connection_sets():
         assert search_outcomes(_search_k_coloring, g) == search_outcomes(
             memoryview_search_k_coloring, g
         )
@@ -457,7 +471,7 @@ def test_bitset_search_matches_memoryview_oracle_on_uneven_degrees():
 
 def test_bitset_greedy_descent_matches_memoryview_oracle():
     """k = N: more colors than any degree, so no frame keeps a snapshot."""
-    for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs()):
+    for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(random_connection_sets()):
         n = g.n_vertices
         new = _search_k_coloring(g, n, float("inf"), float("inf"), 0)
         old = memoryview_search_k_coloring(g, n, float("inf"), float("inf"), 0)
@@ -486,49 +500,56 @@ def test_budget_stops_at_the_first_multiple_of_1024_past_a_deadline():
     ]
 
 
+def brooks_exception(graph) -> bool:
+    """True when every component is an odd cycle or a complete graph, the
+    graphs that Brooks' theorem leaves with chi = degree + 1. Every s in S
+    has odd order p, so degree 2 gives odd cycles; the graph is
+    vertex-transitive, so its components are complete when N(0) is a clique."""
+    rows = neighbor_lists(graph)
+    return graph.degree == 2 or all(set(rows[0]) - {w} <= set(rows[w]) for w in rows[0])
+
+
 def test_found_witness_matches_memoryview_oracle_on_both_sides_of_the_snapshot_rule():
     """k = max degree keeps a snapshot in every frame with two free colors;
-    k = max degree + 1 keeps none. Each search colors every vertex, and the
-    witness read off the stack is the oracle's."""
-    for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs()):
+    k = max degree + 1 keeps none. Each search colors every vertex, bar
+    k = max degree on Brooks' odd cycles and complete graphs, which it
+    refutes, and the witness read off the stack is the oracle's."""
+    graphs = [graph_for(q, m) for q, m in ORACLE_POINTS] + list(random_connection_sets())
+    refuted = 0
+    for g in graphs:
         max_degree = max(map(len, neighbor_lists(g)))
         for k in (max_degree, max_degree + 1):
             new = _search_k_coloring(g, k, float("inf"), float("inf"), 0)
             old = memoryview_search_k_coloring(g, k, float("inf"), float("inf"), 0)
-            assert new[0] == old[0] == "found" and new[2] == old[2]
-            assert new[1].k == old[1].k
-            assert np.array_equal(new[1].colors, old[1].colors)
+            want = "none" if k == max_degree and brooks_exception(g) else "found"
+            assert new[0] == old[0] == want and new[2] == old[2]
+            refuted += want == "none"
+            if want == "found":
+                assert new[1].k == old[1].k
+                assert np.array_equal(new[1].colors, old[1].colors)
+    assert 0 < refuted < len(graphs) // 2
 
 
 def masks_one_vertex_at_a_time(graph):
-    """Neighbor masks in rank order, one packbits per vertex: the oracle for
-    the blocked build in _neighbor_masks."""
-    n, nbrs = graph.n_vertices, neighbor_lists(graph)
-    degrees = np.array([len(x) for x in nbrs], dtype=np.int64)
-    order = np.argsort(-degrees, kind="stable")
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    masks = []
-    for u in order.tolist():
+    """Neighbor masks in index order, one packbits per vertex from the
+    oracle's rows: the oracle for the blocked build in _neighbor_masks."""
+    n, masks = graph.n_vertices, []
+    for nbrs in neighbor_lists(graph):
         row = np.zeros(n, dtype=bool)
-        row[rank[nbrs[u]]] = True
+        row[nbrs] = True
         masks.append(int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little"))
-    return order.tolist(), masks
+    return masks
 
 
 def test_blocked_neighbor_masks_match_one_vertex_at_a_time():
-    """On uneven stubs rank is not index; F_27 adds digit-wise, (5,3)
-    translates three coordinates, and at (27,2) and (3,8) the build packs
-    more than one block of at most 256 vertices."""
-    for g in list(uneven_stub_graphs())[:5]:
-        order, masks = _neighbor_masks(g)
-        assert order != list(range(g.n_vertices))
-        assert (order, masks) == masks_one_vertex_at_a_time(g)
+    """Random circulants and random S on F_3^2 and F_5^2; F_27 adds
+    digit-wise, (5,3) translates three coordinates, and at (27,2) and
+    (3,8) the build packs more than one block of at most 256 vertices."""
+    for g in list(random_connection_sets())[:5]:
+        assert _neighbor_masks(g) == masks_one_vertex_at_a_time(g)
     for q, m in [(27, 2), (5, 3), (3, 8)]:
         g = graph_for(q, m)
-        order, masks = _neighbor_masks(g)
-        assert order == list(range(g.n_vertices))  # a field graph is regular
-        assert (order, masks) == masks_one_vertex_at_a_time(g)
+        assert _neighbor_masks(g) == masks_one_vertex_at_a_time(g)
     assert graph_for(27).n_vertices > 256 and g.n_vertices > 256
 
 
@@ -567,8 +588,6 @@ def array_search_k_coloring(graph, k, deadline, node_limit, nodes):
     colored test per neighbor, as it was before the -1 forbid sentinel and
     the memoryview score. Kept as the oracle for _search_k_coloring."""
     n = graph.n_vertices
-    if n == 0:
-        return "found", Coloring(graph.q, graph.m, np.zeros(0, dtype=np.int64), 0), nodes
     if k < 1:
         return "none", None, nodes
     nbrs = neighbor_lists(graph)
@@ -650,91 +669,53 @@ def test_search_matches_score_array_oracle(q, m):
 
 
 def test_search_matches_score_array_oracle_on_uneven_degrees():
-    for g in uneven_stub_graphs():
+    """Random symmetric connection sets: every degree is |S|, so the
+    argmax of the oracle's scores breaks ties by index as the search does."""
+    for g in random_connection_sets():
         assert search_outcomes(_search_k_coloring, g) == search_outcomes(
             array_search_k_coloring, g
         )
 
 
+def cayley_test_graphs():
+    """The D_q^m oracle points, the random connection sets and the small
+    Cayley graphs, for the tests that run on every instance."""
+    return ([graph_for(q, m) for q, m in ORACLE_POINTS] + list(random_connection_sets())
+            + [g for g, *_ in small_cayley_graphs()])
+
+
 def test_greedy_matches_array_oracle():
-    extra = list(bipartite_stub_graphs()) + [StubGraph(0, []), StubGraph(1, [])]
-    for g in [graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs()) + extra:
+    for g in cayley_test_graphs():
         new, old = greedy_bound(g), array_greedy_bound(g)
         assert new.k == old.k
         assert new.colors.dtype == old.colors.dtype
         assert np.array_equal(new.colors, old.colors)
 
 
-def bfs_structural_lower(graph) -> int:
-    """1 for edgeless, 2 for bipartite with edges, 3 when an odd cycle
-    exists, by breadth-first 2-coloring, as exact_chromatic computed it
-    before it read min(k, 3) off the greedy coloring. Kept as the oracle
-    for that bound."""
-    n = graph.n_vertices
-    if n == 0:
-        return 0
-    side = [-1] * n
-    nbrs = neighbor_lists(graph)
-    has_edge = False
-    for start in range(n):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in nbrs[u]:
-                if w == u:
-                    continue
-                has_edge = True
-                if side[w] < 0:
-                    side[w] = side[u] ^ 1
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return 3
-    return 2 if has_edge else 1
-
-
-def bipartite_stub_graphs():
-    """120 seeded graphs that are bipartite by construction: up to four
-    components, each with random sides and edges only across them, plus
-    isolated vertices, all under a random relabeling."""
-    rng = np.random.default_rng(20261018)
-    for _ in range(120):
-        sizes = rng.integers(1, 16, size=int(rng.integers(1, 5)))
-        n = int(sizes.sum() + rng.integers(0, 6))
-        label = rng.permutation(n).tolist()
-        edges, start = [], 0
-        for size in sizes.tolist():
-            side = rng.integers(0, 2, size=size)
-            density = rng.uniform(0.1, 0.9)
-            edges += [
-                (label[start + u], label[start + v])
-                for u, v in combinations(range(size), 2)
-                if side[u] != side[v] and rng.random() < density
-            ]
-            start += size
-        yield StubGraph(n, edges)
-
-
-def structural_test_graphs():
-    return ([graph_for(q, m) for q, m in ORACLE_POINTS] + list(uneven_stub_graphs())
-            + list(bipartite_stub_graphs()) + [g for g, _ in small_stub_graphs()])
-
-
-def test_odd_cycle_bound_from_greedy_matches_bfs_oracle():
-    """DSATUR 2-colors every bipartite graph (Brelaz 1979), so min(k, 3) of
-    the greedy coloring is 0, 1, 2 or 3 exactly as the BFS finds it."""
-    bounds = [(min(greedy_bound(g).k, 3), bfs_structural_lower(g)) for g in structural_test_graphs()]
-    assert all(bound == oracle for bound, oracle in bounds)
-    assert {oracle for _, oracle in bounds} == {0, 1, 2, 3}
-    assert sum(oracle == 2 for _, oracle in bounds) >= 100
+def test_odd_cycle_bound_is_a_p_cycle_through_0():
+    """For the first s in S, 0, s, 2s, ..., (p-1)s are p distinct vertices,
+    each adjacent to the next and the last to 0: a cycle of odd length p,
+    so chi >= 3 on every graph, and the bracket says so before any search."""
+    circulants = [g for g in brute_force_graphs() if g.m == 1]
+    graphs = [graph_for(q, m) for q, m in ORACLE_POINTS] + circulants
+    for g in graphs:
+        ctx, m = g.ctx, g.m
+        s = np.unravel_index(int(g.connection_set[0]), (g.q,) * m)
+        walk, point = [], (0,) * m
+        for _ in range(ctx.p):
+            walk.append(vertex_index(g.q, point))
+            point = tuple(ctx.add(int(x), int(y)) for x, y in zip(point, s))
+        assert point == (0,) * m and len(set(walk)) == ctx.p, (g.q, m)
+        rows = neighbor_lists(g)
+        assert all(v in rows[u] for u, v in zip(walk, walk[1:] + walk[:1])), (g.q, m)
+        assert exact_chromatic(g, node_limit=1).lower >= 3
+    assert {g.q for g in circulants} == {5, 7, 11}
 
 
 def test_greedy_is_the_search_first_descent():
     """With k = n colors no vertex can see every color, so the search
     never backtracks: it finds a coloring after exactly n nodes."""
-    for g in structural_test_graphs():
+    for g in cayley_test_graphs():
         status, _, nodes = _search_k_coloring(g, g.n_vertices, float("inf"), float("inf"), 0)
         assert (status, nodes) == ("found", g.n_vertices)
 
@@ -749,8 +730,8 @@ BRACKETS_BEFORE_SEARCH = {
 @pytest.mark.parametrize("q, m", list(BRACKETS_BEFORE_SEARCH))
 def test_bracket_before_any_search(q, m):
     """At node_limit=1 only the greedy, construction, odd-cycle and clique
-    bounds act: the bracket is [3, upper] with upper the smaller of the
-    greedy and construction colors."""
+    bounds act: the bracket is [3, upper], 3 from the p-cycle 0, s, ...,
+    (p-1)s, with upper the smaller of the greedy and construction colors."""
     result = exact_chromatic(graph_for(q, m), node_limit=1)
     upper = BRACKETS_BEFORE_SEARCH[q, m]
     assert (result.lower, result.upper) == (3, upper)
@@ -763,8 +744,6 @@ def global_clique_lower(graph, node_budget=100_000):
     mask per vertex and a top-level loop over every vertex. Kept as the
     oracle for clique_lower."""
     n = graph.n_vertices
-    if n == 0:
-        return 0
     rows = [sum(1 << v for v in nbrs) for nbrs in neighbor_lists(graph)]
     best = 1
     nodes = 0
@@ -802,7 +781,9 @@ def test_clique_lower_from_vertex_0_matches_global_oracle(q, m):
 
 
 def test_clique_lower_matches_global_oracle_on_uneven_degrees():
-    for g in uneven_stub_graphs():
+    """Random symmetric connection sets: cliques of 2 up to p vertices, each
+    found from vertex 0 over S alone."""
+    for g in random_connection_sets():
         for budget in CLIQUE_BUDGETS:
             assert clique_lower(g, budget) == global_clique_lower(g, budget), budget
 
@@ -838,10 +819,13 @@ def test_masks_are_built_once_per_exact_chromatic(monkeypatch):
     assert result.witness.k == 6 and verify_coloring(g, result.witness) is None
     builds.clear()
     rounds.clear()
-    result = exact_chromatic(list(uneven_stub_graphs())[1], node_limit=100000)
-    assert len(builds) == 1 and [k for _, k, *_ in rounds] == [52, 8, 7]
-    assert (result.status, result.lower, result.nodes) == ("exact", 8, 263)
-    assert result.witness.colors[:10].tolist() == [7, 3, 3, 1, 4, 5, 1, 1, 0, 2]
+    g = list(random_connection_sets())[13]  # a circulant on Z_19 of degree 14
+    result = exact_chromatic(g, node_limit=100000)
+    assert (g.q, g.m, g.degree) == (19, 1, 14)
+    assert len(builds) == 1 and [k for _, k, *_ in rounds] == [19, 11, 10, 9]
+    assert (result.status, result.lower, result.nodes) == ("exact", 10, 766)
+    assert result.witness.colors[:10].tolist() == [0, 1, 8, 0, 1, 2, 3, 2, 9, 3]
+    assert verify_coloring(g, result.witness) is None
 
 
 def test_masks_live_as_long_as_their_graph(monkeypatch):
