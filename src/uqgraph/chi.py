@@ -21,9 +21,9 @@ takes the most saturated vertex and its lowest free color at every step.
 The search state is a few Python-int bitsets over vertex indices. Every
 degree is |S|, so the lowest set bit of a candidate set is the DSATUR
 tie-break. Each vertex has one neighbor mask, N**2 / 8 bytes in all,
-built once per graph for the greedy descent and every round from the
-translates u + S of a block of vertices at a time, so no (N, |S|) array
-of rows is ever held. forbid[c] holds the uncolored vertices with a
+built once per graph for the greedy descent, the clique bound and every
+round by translating S's mask one base-p digit at a time, so no
+neighbor row is ever formed. forbid[c] holds the uncolored vertices with a
 neighbor of color c (exact on uncolored vertices only), and saturation
 is a bit-sliced counter over them. Coloring v with c touches
 nbr[v] & uncolored & ~forbid[c]. The next vertex is the lowest bit of the
@@ -100,12 +100,15 @@ def clique_lower(graph: UnitQuadranceGraph, node_budget: int = 100_000) -> int:
     before the budget runs out (it does on desk-scale instances). The
     graph is a Cayley graph, so a largest clique translates onto one that
     holds vertex 0, with its other vertices in N+(0) = S. Only vertex 0's
-    subtree is searched, over bitmasks local to S.
+    subtree is searched, over the search's neighbor masks, its candidates
+    starting at masks[0] = S. A call on its own builds the masks (about
+    0.6 s and N**2 / 8 bytes at q = 251); exact_chromatic has them already.
     """
+    masks = _masks(graph)
     best = 1
     nodes = 1  # the root, vertex 0
 
-    def extend(size: int, cand: int, rows: list[int]) -> None:
+    def extend(size: int, cand: int) -> None:
         nonlocal best, nodes
         while cand:
             if nodes >= node_budget:
@@ -118,34 +121,36 @@ def clique_lower(graph: UnitQuadranceGraph, node_budget: int = 100_000) -> int:
             nodes += 1
             if size + 1 > best:
                 best = size + 1
-            sub = cand & rows[v]
+            sub = cand & masks[v]
             if sub:
-                extend(size + 1, sub, rows)
+                extend(size + 1, sub)
 
-    later = np.sort(graph.connection_set).tolist()  # N+(0) = S, as 0 is not in S
-    bit = {w: 1 << i for i, w in enumerate(later)}
-    rows = [sum(bit.get(x, 0) for x in row.tolist())  # 256 neighbors' rows at a time
-            for start in range(0, len(later), 256)
-            for row in graph.neighbors(np.array(later[start : start + 256]))]
-    extend(1, (1 << len(later)) - 1, rows)
+    extend(1, masks[0])
     return best
 
 
+def _masks(graph: UnitQuadranceGraph) -> list[int]:
+    """The graph's neighbor masks, built on first use and kept while it lives."""
+    if graph not in _MASKS:  # greedy_bound, the clique bound and every round share one build
+        _MASKS[graph] = _neighbor_masks(graph)
+    return _MASKS[graph]
+
+
 def _neighbor_masks(graph: UnitQuadranceGraph) -> list[int]:
-    """Bit v of masks[u] is set when v is a neighbor of u. The rows u + S
-    come from graph.neighbors for at most 256 vertices (and 4 MB of bits)
-    at a time, scattered into one bool array and packed with one packbits."""
-    n = graph.n_vertices
-    step = max(1, min(256, (1 << 22) // n))
-    bits = np.zeros((min(step, n), n), dtype=bool)
-    masks = []
-    for start in range(0, n, step):
-        rows = graph.neighbors(np.arange(start, min(start + step, n)))
-        at = np.arange(len(rows))[:, None]
-        bits[at, rows] = True
-        packed = np.packbits(bits[: len(rows)], axis=1, bitorder="little")
-        bits[at, rows] = False
-        masks += [int.from_bytes(row, "little") for row in packed]
+    """Bit v of masks[u] is set when v is in u + S. The base-p digits of an
+    index are its group digits, so masks[0] is S's and, for each w = p**j
+    < N, masks[u] for u in [w, p*w) is masks[u - w] plus 1 in digit j: the
+    bits whose digit j is below p - 1 (keep) move up w, the rest wrap down."""
+    n, p = graph.n_vertices, graph.ctx.p
+    masks = [sum(1 << s for s in graph.connection_set.tolist())]
+    w = 1
+    while w < n:
+        wrap = (p - 1) * w
+        keep = ((1 << wrap) - 1) * (((1 << n) - 1) // ((1 << p * w) - 1))
+        for u in range(wrap):  # masks[u] for u >= w was appended at step u - w
+            up = masks[u] & keep
+            masks.append((up << w) | ((masks[u] ^ up) >> wrap))
+        w *= p
     return masks
 
 
@@ -165,9 +170,7 @@ def _search_k_coloring(graph: UnitQuadranceGraph, k, deadline, node_limit, nodes
     n, max_degree = graph.n_vertices, graph.degree
     if k < 1:
         return "none", None, nodes
-    if graph not in _MASKS:  # greedy_bound and every search round share one build
-        _MASKS[graph] = _neighbor_masks(graph)
-    nbr = _MASKS[graph]
+    nbr = _masks(graph)
     # with more colors than any degree no vertex runs out, so nothing is undone
     snapshots = k <= max_degree
     k = min(k, max_degree + 1)  # no vertex's lowest free color exceeds its degree

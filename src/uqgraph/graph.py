@@ -12,11 +12,11 @@ graph is S and nothing else, and its constructor refuses an S that is
 empty, leaves the vertices, is not closed under negation (the field's
 neg_vector on each coordinate), holds 0 or repeats an index, and an m
 with q**m past the int64 indices. The neighbors of u are its translates
-u + S (circle_translates, or the graph's `neighbors` for a block of
-vertices), which the triangle count, the coloring check, the dense
-spectrum and the chromatic search read; DIMACS export builds the same
-rows a block at a time, never an (N, |S|) array. Every edge lies on the
-same number lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
+u + S (circle_translates, for one vertex or a block), which the triangle
+count, the coloring check and the dense spectrum read; chi translates
+S's bitmask instead, and DIMACS export builds the rows a block at a
+time, never an (N, |S|) array. Every edge lies on the same number
+lambda = |S & (s0 + S)| of triangles, so T = N * |S| * lambda / 6.
 """
 
 from __future__ import annotations
@@ -141,10 +141,6 @@ class UnitQuadranceGraph:
         repeated = ordered[1:][ordered[1:] == ordered[:-1]]
         if len(repeated):
             raise InvalidConnectionSetError(f"connection set index {repeated[0]} is repeated")
-
-    def neighbors(self, vertices) -> np.ndarray:
-        """circle_translates: one row u + S per vertex u, in circle order."""
-        return circle_translates(self, vertices)
 
     @property
     def q(self) -> int:

@@ -25,7 +25,7 @@ from uqgraph.construction import (
     make_plan,
 )
 from uqgraph.errors import ConstructionUnavailableError
-from uqgraph.graph import UnitQuadranceGraph
+from uqgraph.graph import UnitQuadranceGraph, circle_translates
 
 
 def neighbor_lists(graph):
@@ -131,7 +131,7 @@ def test_exact_chromatic_q5():
     assert verify_coloring(g, result.witness) is None
     # cross-check: D_5 is the 5x5 torus grid, whose edges join coordinate
     # neighbors; it is non-bipartite (odd cycles) and 3-colorable
-    rows = g.neighbors(np.arange(g.n_vertices))
+    rows = circle_translates(g, np.arange(g.n_vertices))
     for u in range(g.n_vertices):
         xu, yu = np.unravel_index(u, (g.q,) * g.m)
         expected = {
@@ -532,7 +532,7 @@ def test_found_witness_matches_memoryview_oracle_on_both_sides_of_the_snapshot_r
 
 def masks_one_vertex_at_a_time(graph):
     """Neighbor masks in index order, one packbits per vertex from the
-    oracle's rows: the oracle for the blocked build in _neighbor_masks."""
+    oracle's rows: the oracle for the digit translates in _neighbor_masks."""
     n, masks = graph.n_vertices, []
     for nbrs in neighbor_lists(graph):
         row = np.zeros(n, dtype=bool)
@@ -542,15 +542,16 @@ def masks_one_vertex_at_a_time(graph):
 
 
 def test_blocked_neighbor_masks_match_one_vertex_at_a_time():
-    """Random circulants and random S on F_3^2 and F_5^2; F_27 adds
-    digit-wise, (5,3) translates three coordinates, and at (27,2) and
-    (3,8) the build packs more than one block of at most 256 vertices."""
+    """Masks translated from S's mask one base-p digit at a time: random
+    circulants and random S on F_3^2 and F_5^2; F_27 adds digit-wise,
+    (5,3) translates three coordinates and (3,8) eight digits; 37 is a
+    prime above 36, the largest base numpy's base_repr takes, and F_25
+    and F_9 give each coordinate two base-p digits."""
     for g in list(random_connection_sets())[:5]:
         assert _neighbor_masks(g) == masks_one_vertex_at_a_time(g)
-    for q, m in [(27, 2), (5, 3), (3, 8)]:
+    for q, m in [(27, 2), (5, 3), (3, 8), (37, 2), (25, 2), (9, 3)]:
         g = graph_for(q, m)
         assert _neighbor_masks(g) == masks_one_vertex_at_a_time(g)
-    assert graph_for(27).n_vertices > 256 and g.n_vertices > 256
 
 
 def test_pinned_search_counts():
@@ -773,7 +774,8 @@ CLIQUE_BUDGETS = (0, 1, 2, 3, 10, 500, 20000, 100000)
 
 
 @pytest.mark.parametrize("q, m", [(5, 2), (7, 2), (9, 2), (11, 2), (13, 2), (25, 2), (27, 2),
-                                  (31, 2), (3, 3), (5, 3), (7, 3), (9, 3), (3, 4), (5, 4)])
+                                  (31, 2), (3, 3), (5, 3), (7, 3), (9, 3), (3, 4), (5, 4),
+                                  (3, 6)])
 def test_clique_lower_from_vertex_0_matches_global_oracle(q, m):
     g = graph_for(q, m)
     for budget in CLIQUE_BUDGETS:
