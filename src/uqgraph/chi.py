@@ -168,8 +168,6 @@ def _search_k_coloring(graph: UnitQuadranceGraph, k, deadline, node_limit, nodes
     """Try to k-color the graph; returns (status, coloring, nodes) with
     status in {"found", "none", "budget"}."""
     n, max_degree = graph.n_vertices, graph.degree
-    if k < 1:
-        return "none", None, nodes
     nbr = _masks(graph)
     # with more colors than any degree no vertex runs out, so nothing is undone
     snapshots = k <= max_degree

@@ -303,15 +303,15 @@ class FieldCtx:
         return self._digits
 
     def add_table(self) -> np.ndarray:
-        """q x q addition table over codes. Library sums all go through add_arrays;
-        this table stays as the tests' independent oracle, and perfbench traces it."""
+        """q x q addition table from digit sums mod p, not add_arrays (the library's
+        only sum route): the tests' independent oracle, which perfbench traces."""
         if self._add_tab is None:
             if self.q > TABLE_MAX_ORDER:
                 raise TooLargeError(
                     f"q={self.q} exceeds the lookup-table bound {TABLE_MAX_ORDER}"
                 )
-            codes = np.arange(self.q, dtype=np.int64)
-            self._add_tab = self.add_arrays(codes[:, None], codes)
+            digits = self.digits_matrix()
+            self._add_tab = np.add(digits[:, None], digits, dtype=np.int64) % self.p @ self._powers
         return self._add_tab
 
     def add_arrays(self, a, b) -> np.ndarray:

@@ -239,15 +239,15 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
     text stream. A graph above DEFAULT_MAX_VERTICES raises TooLargeError
     before any row is built.
 
-    A block is q**j consecutive vertices, for the largest j >= 1 with
-    q**j * |S| <= 2**17. Its sorted int32 rows u + S are the rows over the
+    A block is q**j consecutive vertices, for the largest j >= 0 with
+    q**j * |S| <= 2**17 (j >= 1 for every D_q^m below the vertex bound),
+    written in one write. Its sorted int32 rows u + S are the rows over the
     last j coordinates, grown once one coordinate at a time, plus the
     block's vector over S: the field sums of its leading m - j coordinates
-    with those of S, times their place values. When q * |S| exceeds 2**17
-    (then j = 1), a block's rows are built 2**17 // |S| at a time. So no
-    array of N * |S| or (N / q) * |S| entries is built. Each edge is a
-    head word of u and a tail word of v from dimacs_words, and each write
-    of at most 2**17 edges is stripped of its NUL padding.
+    with those of S, times their place values. So no array of N * |S| or
+    (N / q) * |S| entries is built, and a write has under 2**17 lines even
+    at j = 0, since |S| < N. Each edge is a head word of u and a tail word
+    of v from dimacs_words, and each write is stripped of its NUL padding.
     """
     if graph.n_vertices > DEFAULT_MAX_VERTICES:
         raise TooLargeError(f"{graph.n_vertices} vertices exceed the bound {DEFAULT_MAX_VERTICES}")
@@ -259,41 +259,30 @@ def export_dimacs(graph: UnitQuadranceGraph, sink) -> None:
         f"p edge {graph.n_vertices} {graph.n_edges}\n"
     )
     head, tail = dimacs_words(graph.n_vertices)
-    j = 1
+    j = 0
     while j < m and q ** (j + 1) * degree <= 1 << 17:
         j += 1
     width = q**j  # vertices per block
-    step = min(width, (1 << 17) // degree)  # rows per write, below width only at j = 1
     coords = index_coords(q, m, graph.connection_set).T
-    leading, trailing, places = coords[: m - j], coords[m - j :], place_values(q, m)[: m - j, None]
+    leading, places = coords[: m - j], place_values(q, m)[: m - j, None]
+    whole = np.zeros((1, degree), dtype=np.int32)  # the rows so far times q, plus the next sums
+    for c in coords[m - j :]:
+        sums = ctx.add_arrays(np.arange(q)[:, None], c).astype(np.int32)
+        whole = (whole[:, None, :] * q + sums).reshape(-1, degree)
     blocks = index_coords(q, m - j, np.arange(graph.n_vertices // width))  # leading coordinates
-
-    def trailing_rows(first: np.ndarray) -> np.ndarray:
-        """Rows over the last j coordinates, the first of them taking the
-        values first: the rows so far times q, plus the next coordinate's sums."""
-        rows = np.zeros((1, degree), dtype=np.int32)
-        for values, c in zip([first] + [np.arange(q)] * (j - 1), trailing):
-            rows = rows[:, None, :] * q + ctx.add_arrays(values[:, None], c).astype(np.int32)
-            rows = rows.reshape(-1, degree)
-        return rows
-
-    whole = trailing_rows(np.arange(q)) if step == width else None
-    edges = np.empty((min(step * degree, graph.n_edges), 2), dtype="<u8")
+    edges = np.empty((min(width * degree, graph.n_edges), 2), dtype="<u8")
     try:
         write_ascii(sink, header.encode("ascii"))
-        for block, prefix in zip(range(0, graph.n_vertices, width), blocks):
+        for start, prefix in zip(range(0, graph.n_vertices, width), blocks):
             lead = (ctx.add_arrays(prefix[:, None], leading) * places).sum(axis=0).astype(np.int32)
-            for start in range(block, block + width, step):
-                stop = min(start + step, block + width)
-                rows = whole if whole is not None else trailing_rows(np.arange(start, stop) - block)
-                rows = rows + lead
-                rows.sort(axis=1)
-                later = rows > np.arange(start, stop, dtype=np.int32)[:, None]
-                counts = np.count_nonzero(later, axis=1)
-                lines = edges[: counts.sum()]
-                lines[:, 0] = np.repeat(head[start:stop], counts)
-                lines[:, 1] = tail[rows[later]]
-                write_ascii(sink, lines.tobytes().translate(None, b"\0"))  # deletes the padding
+            rows = whole + lead
+            rows.sort(axis=1)
+            later = rows > np.arange(start, start + width, dtype=np.int32)[:, None]
+            counts = np.count_nonzero(later, axis=1)
+            lines = edges[: counts.sum()]
+            lines[:, 0] = np.repeat(head[start : start + width], counts)
+            lines[:, 1] = tail[rows[later]]
+            write_ascii(sink, lines.tobytes().translate(None, b"\0"))  # deletes the padding
     except (OSError, ValueError, AttributeError) as exc:
         raise IOFailureError(f"could not write DIMACS output: {exc}") from exc
 

@@ -448,6 +448,10 @@ def test_verify_coloring_negatives():
     wrong_q = Coloring(q=5, m=2, colors=np.zeros(25, dtype=np.int64), k=1)
     with pytest.raises(IncompleteColoringError):
         verify_coloring(g, wrong_q)
+    uncolored = np.arange(49, dtype=np.int64)
+    uncolored[48] = -1
+    with pytest.raises(IncompleteColoringError, match="^some vertices are uncolored$"):
+        verify_coloring(g, Coloring(q=7, m=2, colors=uncolored, k=49))
 
 
 def test_verify_coloring_reports_first_violation():

@@ -29,6 +29,7 @@ from uqgraph import (
 )
 from uqgraph.field import (
     DEFAULT_MAX_ORDER,
+    TABLE_MAX_ORDER,
     FieldCtx,
     _PackedPolys,
     _is_irreducible,
@@ -766,3 +767,30 @@ def test_neg_vector_matches_multiplying_by_minus_one_at_the_order_bound(p, n):
     assert np.array_equal(negs, ctx.mul_vector(p - 1))  # the code p - 1 is -1
     assert not ctx.add_arrays(np.arange(ctx.q), negs).any()
     assert ctx.neg_vector() is negs
+
+
+@pytest.mark.parametrize("q", [3, 7, 1021, 9, 125, 729])
+def test_add_table_matches_the_sums_at_every_pair(q):
+    # the table's digit sums mod p share no reduction with add_arrays: n = 1 and n > 1
+    p, n = prime_power(q)
+    ctx = FieldCtx(p, n, _smallest_irreducible(p, n))
+    table, codes = ctx.add_table(), np.arange(q)
+    assert table.shape == (q, q) and table.dtype == np.int64
+    assert np.array_equal(table, ctx.add_arrays(codes[:, None], codes))
+    assert ctx.add_table() is table  # cached
+
+
+def test_add_table_refuses_an_order_above_the_table_bound_before_building():
+    ctx = FieldCtx(1031, 1, _smallest_irreducible(1031, 1))
+    assert ctx.q > TABLE_MAX_ORDER
+    assert refused_peak(ctx.add_table) < 1 << 16  # the table would be 8.5 MB
+
+
+@pytest.mark.parametrize("code", [-1, 9])
+def test_scalar_calls_refuse_a_code_outside_the_field(code):
+    f9 = make_field(3, 2)
+    calls = [lambda: f9.add(code, 1), lambda: f9.add(1, code), lambda: f9.mul(code, 1),
+             lambda: f9.mul(1, code), lambda: f9.pow(code, 2), lambda: f9.quadratic_character(code)]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"element code {code} outside \[0, 9\)"):
+            call()

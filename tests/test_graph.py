@@ -40,6 +40,7 @@ from uqgraph import (
     verify_coloring,
 )
 from uqgraph.graph import (
+    DEFAULT_MAX_VERTICES,
     circle_translates,
     decimal_names,
     dimacs_words,
@@ -502,8 +503,8 @@ class LineCounter:
         self.lines.append(data.count(b"\n"))
 
 
-# (1009, 1) with S all units: q * |S| = 1 017 072 > 2**17, so its one block is
-# written 130 rows at a time
+# (1009, 1) with S all units: q * |S| = 1 017 072 > 2**17, so each of its
+# 1009 vertices is a block of its own
 @pytest.mark.parametrize("q, m", [(127, 2), (7, 4), (1009, 1)])
 def test_export_dimacs_writes_at_most_2_17_edge_lines_at_once(q, m):
     graph = graph_for(q, m) if m >= 2 else UnitQuadranceGraph(field_for(q), m, np.arange(1, q))
@@ -512,10 +513,18 @@ def test_export_dimacs_writes_at_most_2_17_edge_lines_at_once(q, m):
     header, *blocks = sink.lines
     assert header == 4 and sum(blocks) == graph.n_edges
     assert max(blocks) <= 1 << 17
-    # blocks of q**j vertices, j >= 1 the largest with q**j * |S| <= 2**17,
-    # each written 2**17 // |S| rows at a time when it has more
-    j = max(j for j in range(1, m + 1) if j == 1 or q**j * graph.degree <= 1 << 17)
-    assert len(blocks) == q ** (m - j) * -(-(q**j) // ((1 << 17) // graph.degree))
+    # one write per block of q**j vertices, j >= 0 the largest with q**j * |S| <= 2**17
+    j = max(j for j in range(m + 1) if q**j * graph.degree <= 1 << 17)
+    assert len(blocks) == q ** (m - j) == {127: 127, 7: 7, 1009: 1009}[q]
+
+
+def test_every_graph_below_the_vertex_bound_writes_blocks_of_q_vertices_or_more():
+    # q * |S| <= 2**17 at every D_q^m within the bound, so its blocks have j >= 1
+    for q in odd_prime_powers(3, 256):
+        ctx, m = field_for(q), 2
+        while q**m <= DEFAULT_MAX_VERTICES:
+            assert q * len(unit_circle(ctx, m)) <= 1 << 17, (q, m)
+            m += 1
 
 
 @pytest.mark.parametrize("q, m, mib", [(127, 2, 2), (251, 2, 8), (3, 8, 8)])
@@ -656,7 +665,7 @@ class Sha256Sink:
 
 
 # the whole-row export wrote these; (3, 8) has blocks of 27 vertices under
-# five leading coordinates, and q = 1009 with S all units one block in 8 writes
+# five leading coordinates
 @pytest.mark.parametrize("q, m, digest", [
     (243, 2, "30e53ad3e91ec6e6bc57dd94ccd72a6ca563b146977ccc98fa24fc7753c2a59b"),
     (251, 2, "7ad3a3efc0a926adc665904bc02d4afd7ec76f85886dbe1c6ce3a30ad837a457"),
@@ -669,8 +678,8 @@ def test_export_dimacs_keeps_the_whole_row_sha256(q, m, digest):
 
 
 # S is every nonzero index, so q * |S| > 2**17 at (1009, 1) and (53, 2) and
-# each block is written 2**17 // |S| rows at a time, except {±1, ±2, ±3} of
-# F_41, one write of the one block
+# each vertex is a block of its own, except {±1, ±2, ±3} of F_41, one write
+# of the one block
 @pytest.mark.parametrize("q, m, circle", [
     (1009, 1, np.arange(1, 1009)),
     (53, 2, np.arange(1, 53**2)),

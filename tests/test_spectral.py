@@ -476,6 +476,15 @@ def test_dense_accepts_a_connection_set_in_any_order():
     assert np.array_equal(dense_spectrum(other).eigenvalues, dense_spectrum(graph).eigenvalues)
 
 
+def test_dense_reports_an_eigensolver_failure_as_no_convergence(monkeypatch):
+    def fail(block):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergenceError, match="^dense eigensolver failed: Eigenvalues did not"):
+        dense_spectrum(graph_for(5))
+
+
 @pytest.mark.parametrize("q, m, sizes", [
     # blocks of 625, 600 and 576, split by the swap and the Galois involution
     # (600 by the Galois involution alone); they were 325, 300, 600, 300, 276
