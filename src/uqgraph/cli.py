@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 
@@ -281,10 +282,11 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def _common(p, q_type=int):
+def _common(p, q_type=int, json_flag=True):
     p.add_argument("--q", type=q_type, required=True, help="field order (odd prime power)")
     p.add_argument("--m", type=int, default=2, help="dimension, default 2")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
+    if json_flag:
+        p.add_argument("--json", action="store_true", help="machine-readable output")
     p.add_argument("--out", help="output path ('-' for stdout)")
 
 
@@ -311,7 +313,11 @@ def _verify_options(p):
 
 # name -> (help, options, handler), in the order `uqgraph --help` lists them
 _COMMANDS = {
-    "build": ("export the graph in DIMACS format", _common, cmd_build),
+    "build": (  # DIMACS text only: no --json
+        "export the graph in DIMACS format",
+        lambda p: _common(p, json_flag=False),
+        cmd_build,
+    ),
     "color": ("run the line-pairing coloring construction", _color_options, cmd_color),
     "chi": ("exact chromatic number within a budget", _budget_options, cmd_chi),
     "spectrum": ("eigenvalues, spectral bound, magnitude flags", _spectrum_options, cmd_spectrum),
@@ -383,9 +389,18 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command][2](args)
     except (UQGraphError, ValueError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) or isinstance(exc.__cause__, BrokenPipeError):
+            return EXIT_OK  # the reader closed stdout: not an input error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """main as a process. If stdout's reader is gone, stdout is pointed at devnull, as
+    the SIGPIPE note of Python's signal module does, so the flush at exit stays quiet."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)

@@ -1,20 +1,20 @@
 """Spectra of unit-quadrance graphs, computed two independent ways.
 
-The dense route splits the 0/1 adjacency matrix into one block per sign
-pattern of the coordinate flips x_j -> -x_j and solves one block per
-popcount, after checking that generators of the signed coordinate
-permutations keep the connection set. It splits that block into up to
-four components by a coordinate swap that fixes its sign pattern and, for
-q = p**n with n even, the Galois involution x -> x**(p**(n/2)) when that
-keeps the connection set. Each component is summed from the translates
-r + S of representatives r, never from the neighbor rows; the route uses
-no character or field trace. The Cayley route is one FFT of the unit
-circle's indicator over (Z_p)^(nm), the base-p digits of a vertex index
-(real because the circle is symmetric). Agreement of the two multisets
-validates the graph build and the vertex index layout, not the trace.
-The extreme eigenvalues feed the spectral chromatic lower bound
-1 - lambda1/lambda_min, and spectrum_record alone turns a spectrum into
-the printed numbers, the largest non-principal |eigenvalue| among them.
+The dense route checks that signed vertex permutations keep the
+connection set, then splits the 0/1 adjacency matrix by them with _split:
+first by the coordinate flips x_j -> -x_j, one block per sign pattern and
+one solved per popcount, then each such block by a coordinate swap that
+fixes its pattern and, for q = p**n with n even, the Galois involution
+x -> x**(p**(n/2)) when that keeps the connection set. Each component is
+summed from the translates r + S of orbit minima r, never from the
+neighbor rows; the route uses no character or field trace. The Cayley
+route is one FFT of the unit circle's indicator over (Z_p)^(nm), the
+base-p digits of a vertex index (real because the circle is symmetric).
+Agreement of the two multisets validates the graph build and the vertex
+index layout, not the trace. The extreme eigenvalues feed the spectral
+chromatic lower bound 1 - lambda1/lambda_min, and spectrum_record alone
+turns a spectrum into the printed numbers, the largest non-principal
+|eigenvalue| among them.
 """
 
 from __future__ import annotations
@@ -68,92 +68,96 @@ def _swap(m: int, j: int) -> np.ndarray:
     return order
 
 
-def _split(size: int, generators) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _split(size: int, generators, wanted=slice(None)) -> list[tuple[np.ndarray, ...]]:
     """The isotypic components of a symmetric block B under a group G.
 
     Each generator is a pair (perm, sign) of arrays over B's indices, the
     signed involution e_r -> sign[r] * e_perm[r]; they commute with each
-    other and with B, and generate G. For a character chi of G (+1 or -1 on
-    each generator), a G-orbit O with minimum r0 lies in chi's component
-    when chi(g) * s_g(r0) = 1 for every g fixing r0, s_g(r) being the sign g
-    gives e_r. The component then has the orthonormal basis vectors
-    v_O = (sum of c_y * e_y over y in O) / sqrt(|O|), with c_y = chi(g) *
-    s_g(r0) for any g carrying r0 to y, and B is zero between components
-    (Serre, Linear Representations of Finite Groups, 2.6-2.7). Since B
-    commutes with G, v_O1 . B v_O2 = sqrt(|O1| / |O2|) * sum of c_y *
-    B[r1, y] over y in O2: only the rows of orbit minima are read.
+    other and with B, and generate G. Element k of G is the product of the
+    generators i with bit i of k set, and character c is (-1)**(bit i of c)
+    on generator i, so chi_c(g_k) = (-1)**popcount(c & k): the rows of a
+    Sylvester Hadamard matrix. A G-orbit O with minimum r0 lies in chi's
+    component when chi(g) * s_g(r0) = 1 for every g fixing r0, s_g(r) being
+    the sign g gives e_r. The component then has the orthonormal basis
+    vectors v_O = (sum of c_y * e_y over y in O) / sqrt(|O|), with c_y =
+    chi(g) * s_g(r0) for any g carrying r0 to y, and B is zero between
+    components (Serre, Linear Representations of Finite Groups, 2.6-2.7).
 
-    Returns one (rows, column, weight) per character: the orbit minima of
-    the component, column[y] the orbit of y within them (-1 outside it),
-    and weight[y] = c_y / sqrt(|O|) for y in O. Entry [i, column[y]] of the
-    component sums B[rows[i], y] * weight[y] / weight[rows[i]] over y.
-    Element k of G is the product of the generators i with bit i of k set,
-    and character c is (-1)**(bit i of c) on generator i, so chi_c(g_k) =
-    (-1)**popcount(c & k): the rows of a Sylvester Hadamard matrix.
+    Returns one (rows, column, weight) per character in wanted (all by
+    default): the orbit minima of the component, column[y] the orbit of y
+    within them (-1 outside it), and weight[y] = c_y / sqrt(|O|) for y in O
+    (0 outside it). Since B commutes with G, entry [i, column[y]] of the
+    component sums B[rows[i], y] * weight[y] / weight[rows[i]] over y: only
+    the rows of orbit minima are read, and a y of weight 0 adds 0 to any
+    column. The orbits are grown one generator h at a time, with no |G|-row
+    table: the orbit of y under the first i + 1 generators joins its orbit
+    under the first i and that of h(y). Where the two are one and y is
+    their minimum, the element carrying h(y) to y, times h, fixes y and
+    joins its stabilizer; only minima are read.
     """
     at = np.arange(size)
-    images, signs, characters = at[None], np.ones((1, size)), np.ones((1, 1))
-    for perm, sign in generators:  # G doubles: each element g, then the generator after g
-        images, signs = np.vstack((images, perm[images])), np.vstack((signs, signs * sign[images]))
+    characters = np.ones((1, 1))
+    for _ in generators:
         characters = np.block([[characters, characters], [characters, -characters]])
-    fixed = images == at
-    to_min = images.argmin(axis=0)  # an involution carrying y to its orbit minimum, and back
-    minimum = images[to_min, at]
-    orbit = len(images) / np.count_nonzero(fixed, axis=0)
+    characters = characters[wanted]
+    # per y: orbit minimum, an element carrying y there and back, its sign, |orbit|
+    minimum, to_min, sign, orbit = at, np.zeros(size, np.intp), np.ones(size), np.ones(size)
+    kept = np.ones((len(characters), size), dtype=bool)
+    for i, (perm, s) in enumerate(generators):
+        joined = minimum[perm] == minimum  # at a minimum y, to_min[h(y)] h then fixes y
+        kept &= ~joined | (characters[:, to_min[perm] | 1 << i] * s * sign[perm] == 1)
+        lower = minimum[perm] < minimum
+        to_min = np.where(lower, to_min[perm] | 1 << i, to_min)
+        sign = np.where(lower, s * sign[perm], sign)
+        minimum = np.minimum(minimum, minimum[perm])
+        orbit = np.where(joined, orbit, 2 * orbit)
     components = []
-    for value in characters:
-        signed = value[:, None] * signs
-        rows = np.flatnonzero((minimum == at) & np.all(~fixed | (signed == 1), axis=0))
-        column = np.full(size, -1)
-        column[rows] = np.arange(len(rows))
-        components.append((rows, column[minimum], signed[to_min, at] / np.sqrt(orbit)))
+    for value, alive in zip(characters, kept):
+        row = (minimum == at) & alive
+        column = np.where(row, np.cumsum(row) - 1, -1)[minimum]
+        weight = np.where(column >= 0, value[to_min] * sign, 0.0) / np.sqrt(orbit)
+        components.append((np.flatnonzero(row), column, weight))
     return components
 
 
 def dense_spectrum(graph) -> Spectrum:
     """Eigenvalues of the adjacency matrix A, up to four dense solves per popcount class.
 
-    The signed coordinate permutations B_m keep quadrance and fix 0. Their
-    m flips x_j -> -x_j split A into one block per character eps in {0,1}^m
-    (Serre, Linear Representations of Finite Groups, 2.6). The orbit O_r of
-    r (every coordinate c replaced by min(c, -c)) has 2**(nonzero coords
-    of r) points. Block eps keeps the r nonzero wherever eps is 1, with
-    entry sqrt(|O_r1| / |O_r2|) * sum of (-1)**(eps . sigma(y)) over the
-    neighbors y of r1 in O_r2, sigma(y) marking y's flipped coordinates.
-    A coordinate permutation pi carries block eps onto block pi(eps), so
+    The signed coordinate permutations B_m keep quadrance and fix 0.
+    Negating coordinate 0, swapping 0 and 1 and cycling all coordinates
+    generate B_m; each is first checked to be an automorphism of the graph,
+    or NoConvergenceError is raised. Each is an automorphism g of the group
+    (F_q^m, +), and such a g is one of Cay(F_q^m, S) exactly when g(S) = S
+    (Godsil and Royle, Algebraic Graph Theory, ch. 3), so the check maps
+    the |S| points of S, not N rows.
+
+    The first _split, by the m flips x_j -> -x_j of the N vertices, gives
+    one block per character eps in {0,1}^m, whose orbit minima r (each
+    coordinate c replaced by min(c, -c)) are nonzero wherever eps is 1. A
+    coordinate permutation pi carries block eps onto block pi(eps), so
     blocks of equal popcount j are isospectral: only eps = 2**j - 1 is
-    solved, counted C(m, j) times. Negating coordinate 0, swapping 0 and 1
-    and cycling all coordinates generate B_m; each is first checked to be
-    an automorphism of the graph, or NoConvergenceError is raised. Each is
-    an automorphism g of the group (F_q^m, +), and such a g is one of
-    Cay(F_q^m, S) exactly when g(S) = S (Godsil and Royle, Algebraic Graph
-    Theory, ch. 3), so the check maps the |S| points of S, not N rows.
+    kept, and counted C(m, j) times. A second _split cuts that block by up
+    to two commuting involutions that keep eps. One swaps two coordinates
+    on which eps agrees: 0 and 1 for j = 0 and j >= 2, 1 and 2 for j = 1
+    at m >= 3, none for j = 1 at m = 2. Swapping 1 and 2 is the cycle, then
+    the swap of 0 and 1, then the cycle undone, so it is checked too. The
+    other, for q = p**n with n even, is the Galois involution
+    Phi(x) = x**(p**(n/2)) on every coordinate, an additive field
+    automorphism fixing F_p, so Q(Phi x) = Phi(Q(x)). It is used only when
+    it maps S onto itself, as it does the unit circle; otherwise the swap
+    alone splits the block, with no error. A vertex map g keeping eps
+    carries the basis vector of orbit minimum r to sign(weight1[g(r)])
+    times that of column1[g(r)], in the block's (rows1, column1, weight1).
+    An eigensolve costs O(size**3), so four components of about a quarter
+    of the block cost about a sixteenth of it together.
 
-    Each block is split further by a group G of at most two commuting
-    involutions that keep it and act on its basis as signed permutations
-    (_split). The first is a swap tau of two coordinates on which eps
-    agrees: it maps representatives to representatives and keeps eps .
-    sigma, so its signs are all +1. Swapping 0 and 1 serves j = 0 and
-    j >= 2, swapping 1 and 2 serves j = 1 at m >= 3, and at m = 2 block
-    j = 1 has no swap. Swapping 1 and 2 needs no check of its own: it is
-    the cycle, then the swap of 0 and 1, then the cycle undone, all three
-    checked. The second exists when q = p**n with n even: the Galois
-    involution Phi(x) = x**(p**(n/2)) on every coordinate, an additive
-    field automorphism fixing F_p, so Q(Phi x) = Phi(Q(x)). It commutes with
-    the flips and the swaps and keeps nonzero coordinates, so it carries
-    representative r to the representative r' of Phi(r) with sign
-    (-1)**(eps . sigma(Phi r)). Phi is checked by mapping the |S| points
-    of S too, but it is used only when it maps S onto itself, as it does
-    the unit circle; otherwise the block splits by the swap alone, with no
-    error. An eigensolve costs O(size**3), so four components of about a
-    quarter of the block cost about a sixteenth of it together.
-
-    Each component is summed with one bincount over the neighbors r + S of
-    its orbit minima, from circle_translates: no other neighbor row is
-    formed, and no block is formed whole. Its
-    tracemalloc peak misses eigvalsh's copy of each component and its
-    LAPACK workspace, which numpy allocates outside tracemalloc: at
-    (49,2) at most one 300-wide solve.
+    A component weighs y by W[y] = weight1[y] * weight2[column1[y]], and
+    _split's entry formula with W sums it with one bincount over the
+    translates r + S of its rows, from circle_translates: no other
+    neighbor row is formed, and no block is formed whole. Its tracemalloc
+    peak misses eigvalsh's copy of each component and its LAPACK
+    workspace, which numpy allocates outside tracemalloc: at (49,2) at
+    most one 300-wide solve.
     """
     n = graph.n_vertices
     if n > DENSE_MAX_VERTICES:  # before any translate is formed
@@ -173,54 +177,30 @@ def dense_spectrum(graph) -> Spectrum:
     galois = ctx.power_vector(ctx.p ** (ctx.n // 2)) if ctx.n % 2 == 0 else None
     if galois is not None and not np.array_equal(np.sort(galois[circle] @ places), target):
         galois = None  # not an automorphism of this graph: the swaps alone split it
-    coords = index_coords(ctx.q, m, np.arange(n))
-    bits = 1 << np.arange(m)
-    sigma = (coords > neg[coords]) @ bits  # coordinates flipped from the representative
-    orbit = np.minimum(coords, neg[coords]) @ places  # the representative
-    reps = np.flatnonzero(sigma == 0)
-    slot = np.zeros(n, dtype=np.intp)
-    slot[reps] = np.arange(len(reps))  # index in reps of each representative
-    neighbors = circle_translates(graph, reps)
-    columns = slot[orbit[neighbors]]
-    neighbor_sigma = sigma[neighbors]
-    support = (coords[reps] != 0) @ bits
-    patterns = np.arange(1 << m)
-    ones = ((patterns[:, None] & bits) != 0).sum(axis=1)  # popcount of each pattern
-    root_size = np.sqrt(2.0 ** ones[support])  # sqrt(|O_r|) per representative
-    if galois is not None:  # Phi(r) is galois_sigma's flips of the representative galois_slot
-        image = galois[coords[reps]] @ places
-        galois_slot, galois_sigma = slot[orbit[image]], sigma[image]
+    index = np.arange(n)
+    coords = index_coords(ctx.q, m, index)
+    flips = [(index + (neg[c] - c) * place, np.ones(n)) for c, place in zip(coords.T, places)]
+    parts = _split(n, flips, (1 << np.arange(m + 1)) - 1)  # eps = 2**j - 1 flips the first j
+    translates = circle_translates(graph, parts[0][0])  # eps = 0 keeps every orbit minimum
     blocks = []
-    for j in range(m + 1):
-        eps = (1 << j) - 1
-        keep = (support & eps) == eps
-        members = np.flatnonzero(keep)  # the representative of each block index
-        position = np.cumsum(keep) - 1  # block index of each kept representative
-        signs = 1.0 - 2.0 * (ones[patterns & eps] % 2)
-        involutions = []
+    for j, (rows1, column1, weight1) in enumerate(parts):
         order = _swap(m, j)
-        if np.any(order != np.arange(m)):
-            swapped = position[slot[coords[reps[keep]][:, order] @ places]]
-            involutions.append((swapped, np.ones(len(members))))
+        images = [coords[rows1][:, order] @ places] if np.any(order != np.arange(m)) else []
         if galois is not None:
-            involutions.append((position[galois_slot[keep]], signs[galois_sigma[keep]]))
+            images.append(galois[coords[rows1]] @ places)
+        involutions = [(column1[image], np.sign(weight1[image])) for image in images]
         eig = []
-        for rows, column, weight in _split(len(members), involutions):
-            if not len(rows):
+        for rows2, column2, weight2 in _split(len(rows1), involutions):
+            if not len(rows2):
                 continue
-            size, first = len(rows), members[rows]
-            # each representative's column and weight / sqrt(|O_r|); one outside the
-            # component has weight 0, so its neighbors add 0.0 to column 0
-            to = np.zeros(len(reps), dtype=np.intp)
-            across = np.zeros(len(reps))
-            to[members], across[members] = np.maximum(column, 0), np.where(column >= 0, weight, 0.0)
-            cols = columns[first]  # the representative of each neighbor's orbit
-            scale = (root_size[first] / weight[rows])[:, None] * (across / root_size)[cols]
-            weights = (signs[neighbor_sigma[first]] * scale).ravel()
-            pairs = (np.arange(size)[:, None] * size + to[cols]).ravel()
-            component = np.bincount(pairs, weights, minlength=size * size).reshape(size, size)
+            size, rows = len(rows2), rows1[rows2]
+            weight = weight1 * weight2[column1]  # 0 outside the component
+            neighbors = translates[parts[0][1][rows]]
+            pairs = np.arange(size)[:, None] * size + np.maximum(column2[column1[neighbors]], 0)
+            weights = weight[neighbors] / weight[rows][:, None]
+            component = np.bincount(pairs.ravel(), weights.ravel(), minlength=size * size)
             try:
-                eig.append(np.linalg.eigvalsh(component))
+                eig.append(np.linalg.eigvalsh(component.reshape(size, size)))
             except np.linalg.LinAlgError as exc:
                 raise NoConvergenceError(f"dense eigensolver failed: {exc}") from exc
             del component  # summing the next component must not hold this one as well

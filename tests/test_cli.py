@@ -290,6 +290,42 @@ def test_python_m_uqgraph_prints_what_main_prints():
     assert refused.stderr == "error: characteristic 2 is not supported\n"
 
 
+SKIPPED = "".join(f"warning: skipping q={q}, not an odd prime power\n" for q in (6, 8, 10, 12))
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["build", "--q", "31"], ""),
+    (["report", "--q", "5..13", "--nodes", "100"], SKIPPED),  # printed whether stdout is open or not
+])
+def test_a_closed_stdout_ends_the_process_quietly_with_exit_0(argv, err):
+    """As `uqgraph build --q 31 | head -1`, but with the reader gone before
+    the first write, so every write meets a closed pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    child = subprocess.Popen([sys.executable, "-m", "uqgraph", *argv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    _, stderr = child.communicate(timeout=120)
+    assert (child.returncode, stderr) == (0, err)  # no error, and no "Exception ignored" line
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["build", "--q", "7"], ["triangles", "--q", "7"],
+                                  ["report", "--q", "5", "--nodes", "100"]])
+def test_main_returns_0_on_a_closed_stdout_and_2_on_an_unwritable_out(capsys, monkeypatch,
+                                                                        tmp_path, argv):
+    with monkeypatch.context() as patched:
+        patched.setattr(sys, "stdout", ClosedPipe())
+        assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    missing = tmp_path / "missing" / "out.txt"
+    assert main([*argv, "--out", str(missing)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
 def test_chi_out_dash_prints_text_to_a_plain_stdout():
     code, stdout = _stdout_of(["chi", "--q", "5", "--out", "-"])
     assert code == 0

@@ -42,14 +42,17 @@ COMMON = """\
   --out OUT   output path ('-' for stdout)
 """
 
-BUILD_USAGE = "usage: uqgraph build [-h] --q Q [--m M] [--json] [--out OUT]\n"
+BUILD_USAGE = "usage: uqgraph build [-h] --q Q [--m M] [--out OUT]\n"
 
 COMMAND_HELP = {
     "build": BUILD_USAGE + """\
 
 options:
   -h, --help  show this help message and exit
-""" + COMMON,
+  --q Q       field order (odd prime power)
+  --m M       dimension, default 2
+  --out OUT   output path ('-' for stdout)
+""",
     "color": """\
 usage: uqgraph color [-h] --q Q [--m M] [--json] [--out OUT] [--a A] [--t T]
 
@@ -126,6 +129,8 @@ ERRORS = [
     (["xyz", "build", "--q", "5"], USAGE + "uqgraph: error: argument command: invalid choice:"
      f" 'xyz' (choose from {CHOICES})\n"),
     (["report", "--q", "5", "--bogus"], USAGE + "uqgraph: error: unrecognized arguments: --bogus\n"),
+    # build writes DIMACS text only
+    (["build", "--q", "5", "--json"], USAGE + "uqgraph: error: unrecognized arguments: --json\n"),
 ]
 
 
@@ -176,9 +181,11 @@ COMMON_ARGV = ["--q", "9", "--m", "3", "--json", "--out", "x.txt"]
 COMMON_PARSED = {"q": 9, "m": 3, "json": True, "out": "x.txt"}
 DEFAULTS = {"m": 2, "json": False, "out": None}
 
+BUILD_DEFAULTS = {"m": 2, "out": None}
+
 PARSES = [
-    ("build", COMMON_ARGV, COMMON_PARSED),
-    ("build", ["--q", "9"], dict(DEFAULTS, q=9)),
+    ("build", ["--q", "9", "--m", "3", "--out", "x.txt"], {"q": 9, "m": 3, "out": "x.txt"}),
+    ("build", ["--q", "9"], dict(BUILD_DEFAULTS, q=9)),
     ("color", COMMON_ARGV + ["--a", "5", "--t", "3"], dict(COMMON_PARSED, a=5, t=3)),
     ("color", ["--q", "7"], dict(DEFAULTS, q=7, a=None, t=None)),
     ("chi", COMMON_ARGV + ["--timeout", "1.5", "--nodes", "100"],

@@ -301,6 +301,7 @@ def test_split_by_two_commuting_signed_involutions_keeps_the_spectrum(seed, kind
         trace = sum((-1) ** bin(c & k).count("1") * np.trace(g) for k, g in enumerate(group))
         assert len(rows) == round(trace / len(group))
         assert np.array_equal(column[rows], np.arange(len(rows)))
+        assert np.array_equal(weight == 0, column < 0)  # weight 0 exactly outside the component
         if len(rows):
             component = component_matrix(block, rows, column, weight)
             assert np.max(np.abs(component - component.T)) < 1e-9
@@ -308,6 +309,23 @@ def test_split_by_two_commuting_signed_involutions_keeps_the_spectrum(seed, kind
     both = np.sort(np.concatenate(solved))
     assert len(both) == size
     assert np.max(np.abs(both - np.linalg.eigvalsh(block))) < 1e-9
+
+
+@pytest.mark.parametrize("generators", [1, 2])
+@pytest.mark.parametrize("seed, kinds", [
+    (1, ["free", "t1", "t1", "t2", "t2", "t12", "all", "all"]),
+    (2, ["all", "all", "all", "all"]),
+    (3, ["free"] * 3 + ["t1"] * 4 + ["t2"] * 3 + ["t12"] * 2 + ["all"] * 5),
+])
+def test_split_keeps_the_wanted_components_of_the_full_split(seed, kinds, generators):
+    involutions = klein_involutions(np.random.default_rng(seed), kinds)[:generators]
+    size = len(involutions[0][0])
+    full = _split(size, involutions)
+    for wanted in ([0], [2**generators - 1], [1, 0], np.arange(2**generators)[::-1]):
+        kept = _split(size, involutions, np.array(wanted))
+        assert len(kept) == len(wanted)
+        for c, component in zip(wanted, kept):
+            assert all(np.array_equal(ours, theirs) for ours, theirs in zip(component, full[c]))
 
 
 @pytest.mark.parametrize("q, m", [(5, 2), (5, 3), (5, 4), (3, 5), (9, 2), (25, 2), (9, 3)])
@@ -324,8 +342,8 @@ def test_each_block_splits_by_a_swap_that_fixes_its_sign_pattern(q, m, monkeypat
             assert (eps >> a) & 1 == (eps >> b) & 1
     split = []
 
-    def recorded(size, generators):
-        components = _split(size, generators)
+    def recorded(size, generators, *wanted):
+        components = _split(size, generators, *wanted)
         split.append((size, len(generators), [len(rows) for rows, _, _ in components]))
         return components
 
@@ -333,6 +351,8 @@ def test_each_block_splits_by_a_swap_that_fixes_its_sign_pattern(q, m, monkeypat
     dense_spectrum(graph_for(q, m))
     # (q + 1) / 2 representatives per coordinate, (q - 1) / 2 of them nonzero
     sizes = [((q - 1) // 2) ** j * ((q + 1) // 2) ** (m - j) for j in range(m + 1)]
+    # first the m flips over all q**m vertices, keeping the m + 1 blocks eps = 2**j - 1
+    assert split.pop(0) == (q**m, m, sizes)
     assert [size for size, _, _ in split] == sizes
     assert all(sum(dims) == size for size, _, dims in split)
     galois = q in (9, 25)  # q = p**n with n even: the Galois involution joins the swap
@@ -421,13 +441,13 @@ def test_dense_splits_by_the_swap_alone_when_the_galois_involution_moves_s(monke
     graph = with_circle(graph_for(9), np.array([(a, 0), (neg[a], 0), (0, a), (0, neg[a])]))
     generators = []
 
-    def recorded(size, involutions):
+    def recorded(size, involutions, *wanted):
         generators.append(len(involutions))
-        return _split(size, involutions)
+        return _split(size, involutions, *wanted)
 
     monkeypatch.setattr(spectral, "_split", recorded)
     eigenvalues = dense_spectrum(graph).eigenvalues
-    assert generators == [1, 0, 1]  # the swap at j = 0 and 2, nothing at j = 1
+    assert generators == [2, 1, 0, 1]  # the flips, then the swap at j = 0 and 2, nothing at j = 1
     assert np.max(np.abs(eigenvalues - full_matrix_eigenvalues(graph))) < 1e-9
     assert np.max(np.abs(eigenvalues - popcount_block_eigenvalues(graph))) < 1e-9
 
