@@ -20,24 +20,25 @@ takes the most saturated vertex and its lowest free color at every step.
 
 The search state is a few Python-int bitsets over vertex indices. Every
 degree is |S|, so the lowest set bit of a candidate set is the DSATUR
-tie-break. Each vertex has one neighbor mask, N**2 / 8 bytes in all,
-built once per graph for the greedy descent, the clique bound and every
-round by translating S's mask one base-p digit at a time, so no
-neighbor row is ever formed. forbid[c] holds the uncolored vertices with a
-neighbor of color c (exact on uncolored vertices only), and saturation
-is a bit-sliced counter over them. Coloring v with c touches
-nbr[v] & uncolored & ~forbid[c]. The next vertex is the lowest bit of the
-counter's maximum, narrowed from the top slice down; the slices that
-narrow it spell its saturation level. forbid[c] is empty above max_used,
-so that vertex has, with no scan, (max_used + 1 - level) +
-(max_used + 1 < k) free colors; a try is dead when it has none. A frame
-holds its vertex, its last color tried and the count left; each try scans
-forbid upward from the last color tried. A frame with a second color
-keeps forbid and max_used as they were before its first try. A retry
-restores them, so its scan sees the sets its count came from, and
-rebuilds the counter from forbid[c] & uncolored (a kept counter would pin
-width more N-bit ints per frame, some 1 GB at q = 251). A dead end pops
-the frames with no color left; a found coloring is read off the stack.
+tie-break. Each vertex has one neighbor mask, N**2 / 8 bytes in all, built
+once per graph for the greedy descent, the clique bound and every round by
+translating S's mask one base-p digit at a time, so no neighbor row is ever
+formed. forbid[c] holds the uncolored vertices with a neighbor of color c
+(exact on uncolored vertices only), and saturation is a bit-sliced counter
+over them. Coloring v with c sets g = forbid[c] | (nbr[v] & uncolored), and
+the counters in g ^ forbid[c] gain one. The next vertex is the lowest bit
+of the counter's maximum, narrowed from the top slice down; the slices that
+narrow it spell its saturation level, and its first try scans with that
+bit. forbid[c] is empty above max_used, so that vertex has, with no scan,
+min(max_used + 2, k) - level free colors; a try is dead when it has none. A
+frame (the top one in locals, those below as tuples on the stack) holds its
+vertex, its last color tried and the count left; each try scans forbid
+upward from the last color tried. A frame with a second color keeps forbid
+and max_used as they were before its first try. A retry restores them, so
+its scan sees the sets its count came from, and rebuilds the counter from
+forbid[c] & uncolored (a kept counter would pin width more N-bit ints per
+frame, some 1 GB at q = 251). A dead end pops the frames with no color
+left; a found coloring is read off the stack.
 """
 
 from __future__ import annotations
@@ -126,6 +127,7 @@ def clique_lower(graph: UnitQuadranceGraph, node_budget: int = 100_000) -> int:
                 extend(size + 1, sub)
 
     extend(1, masks[0])
+    del extend  # it refers to itself: a cycle would keep the masks until the next gc run
     return best
 
 
@@ -154,16 +156,6 @@ def _neighbor_masks(graph: UnitQuadranceGraph) -> list[int]:
     return masks
 
 
-def _add_one(sat: list[int], carry: int) -> None:
-    """Add 1 to the bit-sliced counters of the vertices in carry."""
-    j = 0
-    while carry:
-        s = sat[j]
-        sat[j] = s ^ carry
-        carry &= s
-        j += 1
-
-
 def _search_k_coloring(graph: UnitQuadranceGraph, k, deadline, node_limit, nodes):
     """Try to k-color the graph; returns (status, coloring, nodes) with
     status in {"found", "none", "budget"}."""
@@ -178,18 +170,17 @@ def _search_k_coloring(graph: UnitQuadranceGraph, k, deadline, node_limit, nodes
     sat = [0] * width  # bit j of each uncolored vertex's saturation
     unc = (1 << n) - 2  # uncolored, less vertex 0: the first frame's vertex
     max_used = -1
+    room = 1  # free colors of a vertex that sees none: min(max_used + 2, k)
     check = min(node_limit, (nodes | 1023) + 1)  # the next node that reads the budget
-    # frame: [vertex, last color tried, colors left, (forbid, max_used) before its first try]
-    frame = [0, -1, 1, None]
-    stack = [frame]
+    # frame: (vertex, last color tried, colors left, (forbid, max_used) before its first try)
+    v, c, left, saved = 0, -1, 1, None  # the top frame; the stack holds the frames below it
+    low = 1  # the bit of v
+    stack = []
     while True:
-        v, c, left, _ = frame
-        low = 1 << v
         c += 1
         while forbid[c] & low:
             c += 1
-        frame[1] = c
-        frame[2] = left - 1
+        left -= 1
         nodes += 1
         if nodes >= check:
             if nodes >= node_limit or perf_counter() > deadline:
@@ -197,9 +188,10 @@ def _search_k_coloring(graph: UnitQuadranceGraph, k, deadline, node_limit, nodes
             check = min(node_limit, nodes + 1024)
         if c > max_used:
             max_used = c
+            room = min(c + 2, k)
         f = forbid[c]
-        carry = nbr[v] & unc & ~f
-        forbid[c] = f | carry
+        g = forbid[c] = f | (nbr[v] & unc)
+        carry = g ^ f
         j = 0
         while carry:  # add 1 to the counters of the vertices in carry
             s = sat[j]
@@ -208,8 +200,8 @@ def _search_k_coloring(graph: UnitQuadranceGraph, k, deadline, node_limit, nodes
             j += 1
         if not unc:
             colors = [0] * n
-            for v, c, *_ in stack:
-                colors[v] = c
+            for u, color, *_ in stack + [(v, c)]:
+                colors[u] = color
             witness = Coloring(graph.q, graph.m, np.array(colors, dtype=np.int64), max_used + 1)
             return "found", witness, nodes
         best = unc  # narrowed to the uncolored vertices of highest saturation
@@ -219,25 +211,32 @@ def _search_k_coloring(graph: UnitQuadranceGraph, k, deadline, node_limit, nodes
             if top:
                 best = top
                 level += weight
-        free = max_used + 1 - level + (max_used + 1 < k)
+        free = room - level
         if free == 0:  # the most saturated vertex sees all k colors: this try is dead
-            while not frame[2]:  # a frame with no color left returns its vertex
-                stack.pop()
+            while not left:  # a frame with no color left returns its vertex
                 if not stack:
                     return "none", None, nodes
-                unc |= 1 << frame[0]
-                frame = stack[-1]
+                unc |= low
+                v, c, left, saved = stack.pop()
+                low = 1 << v
             # only a frame with a second color gets here, and it kept a snapshot
-            forbid, max_used = list(frame[3][0]), frame[3][1]
+            forbid, max_used = list(saved[0]), saved[1]
+            room = min(max_used + 2, k)
             sat = [0] * width
             for f in forbid[: max_used + 1]:
-                _add_one(sat, f & unc)
+                carry = f & unc
+                j = 0
+                while carry:
+                    s = sat[j]
+                    sat[j] = s ^ carry
+                    carry &= s
+                    j += 1
             continue
+        stack.append((v, c, left, saved))
         low = best & -best
         unc ^= low
+        v, c, left = low.bit_length() - 1, -1, free
         saved = (tuple(forbid), max_used) if snapshots and free > 1 else None
-        frame = [low.bit_length() - 1, -1, free, saved]
-        stack.append(frame)
 
 
 def exact_chromatic(

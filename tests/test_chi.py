@@ -1,5 +1,7 @@
 """Greedy bound, clique bound, and the exact chromatic solver."""
 
+import gc
+import hashlib
 from time import perf_counter
 
 import numpy as np
@@ -488,6 +490,18 @@ def test_bitset_search_matches_memoryview_oracle_when_retries_dominate():
     assert new == ("budget", None, 20000)
 
 
+@pytest.mark.parametrize("q, k", [(23, 9), (31, 10)])
+def test_bitset_search_matches_memoryview_oracle_with_four_counter_slices(q, k):
+    """The first rounds of report-sweep's two heaviest points: k >= 8 gives
+    the saturation counter four slices, and restores rebuild it from all k
+    color sets (20 to 174 restores per limit), where ORACLE_POINTS stop at
+    three slices."""
+    g = graph_for(q)
+    for node_limit in (1023, 1024, 5000):
+        new = _search_k_coloring(g, k, float("inf"), node_limit, 0)
+        assert new == memoryview_search_k_coloring(g, k, float("inf"), node_limit, 0)
+
+
 def test_budget_stops_at_the_first_multiple_of_1024_past_a_deadline():
     """The deadline is read at every node whose cumulative count is a
     multiple of 1024, wherever the round's count starts."""
@@ -554,11 +568,31 @@ def test_blocked_neighbor_masks_match_one_vertex_at_a_time():
         assert _neighbor_masks(g) == masks_one_vertex_at_a_time(g)
 
 
+# q: (status, lower, upper, nodes, sha256 of the witness colors' int64 bytes) at m = 2 and
+# node_limit=20000, report-sweep's points: the brackets alone would miss a change of node order
+PINNED_SEARCHES = {
+    5: ("exact", 3, 3, 0, "4b39f45cc5939a45bcf3063ee09b17ac0514e66991ac88ceb2f6e4bb4df7ebeb"),
+    7: ("exact", 4, 4, 41, "f8dcf6629dcbfa8dd5c6990290495cabb80883f7f36e87c1ac1a65da7c67796e"),
+    9: ("exact", 3, 3, 0, "bbfbb81e57019c7d938a0a3183f14d086c5989c823f1ab73b5e47ea28b6653d3"),
+    11: ("bounded", 3, 6, 20000, "b647609dea4cce8f94be25cbc462a5949672c2bfaa5a27699cabcb2571bcd0c2"),
+    13: ("bounded", 3, 6, 20000, "c83f142f7b59709eccc34332ca94acdeec99945b430f596254dd5b2485e8fcc7"),
+    17: ("bounded", 3, 7, 20000, "07e5338b03baa0f3ff783362b84befe34b6a84bd7b685cac17929742b6e868b8"),
+    19: ("bounded", 3, 8, 20000, "22c72499930934870cf4099735054f679576b3aff319bd9b8c93857fb62ad4aa"),
+    23: ("bounded", 3, 10, 20000, "d5a58e0666990e42e1beb376bcda990f3527be00278855d8caf3c396e5673905"),
+    25: ("bounded", 3, 9, 20000, "6dfbb859f3bb706170cca9e46e3e574bc82b07a6585449742ba69ea8afb60583"),
+    27: ("bounded", 3, 11, 20000, "29cb15ef0fe1ba0e70a135e9a7bb3014b4c9667691908d938731ed390e549dc2"),
+    29: ("bounded", 3, 10, 20000, "66044ca95d7a2db81fb5e403f4d6b0daf23e8d721c705bd8af698cbd2b2f731b"),
+    31: ("bounded", 3, 11, 20000, "d7db6fae8908674e8994d25caa690d4eb02cfced8762655a3228a8afd8a3c432"),
+}
+
+
 def test_pinned_search_counts():
     assert exact_chromatic(graph_for(7)).nodes == 41
-    for q in (11, 13):
+    assert list(PINNED_SEARCHES) == odd_prime_powers(5, 31)
+    for q, pinned in PINNED_SEARCHES.items():
         result = exact_chromatic(graph_for(q), node_limit=20000)
-        assert (result.status, result.lower, result.upper) == ("bounded", 3, 6)
+        digest = hashlib.sha256(result.witness.colors.tobytes()).hexdigest()
+        assert (result.status, result.lower, result.upper, result.nodes, digest) == pinned, q
 
 
 def array_greedy_bound(graph) -> Coloring:
@@ -841,6 +875,18 @@ def test_masks_live_as_long_as_their_graph(monkeypatch):
     assert len(builds) == 1 and len(chi._MASKS) == kept + 1
     del g, builds[0]  # the last references to the graph
     assert len(chi._MASKS) == kept
+
+
+def test_clique_lower_leaves_no_cycle_for_the_collector():
+    """The clique search's recursive closure is dropped before it returns,
+    so the masks it holds go with the graph, not at the next gc run."""
+    g = build_graph(field_for(7), 2)
+    gc.collect()
+    gc.disable()
+    try:
+        assert clique_lower(g) == 2 and gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def clashes_on_rows(graph, colors) -> bool:
