@@ -7,6 +7,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
+from chi_ledger import LEDGER, ROWS
 from conftest import adjacency_by_columns, field_for, graph_for, odd_prime_powers, vertex_index
 from uqgraph import (
     build_graph,
@@ -568,31 +569,18 @@ def test_blocked_neighbor_masks_match_one_vertex_at_a_time():
         assert _neighbor_masks(g) == masks_one_vertex_at_a_time(g)
 
 
-# q: (status, lower, upper, nodes, sha256 of the witness colors' int64 bytes) at m = 2 and
-# node_limit=20000, report-sweep's points: the brackets alone would miss a change of node order
-PINNED_SEARCHES = {
-    5: ("exact", 3, 3, 0, "4b39f45cc5939a45bcf3063ee09b17ac0514e66991ac88ceb2f6e4bb4df7ebeb"),
-    7: ("exact", 4, 4, 41, "f8dcf6629dcbfa8dd5c6990290495cabb80883f7f36e87c1ac1a65da7c67796e"),
-    9: ("exact", 3, 3, 0, "bbfbb81e57019c7d938a0a3183f14d086c5989c823f1ab73b5e47ea28b6653d3"),
-    11: ("bounded", 3, 6, 20000, "b647609dea4cce8f94be25cbc462a5949672c2bfaa5a27699cabcb2571bcd0c2"),
-    13: ("bounded", 3, 6, 20000, "c83f142f7b59709eccc34332ca94acdeec99945b430f596254dd5b2485e8fcc7"),
-    17: ("bounded", 3, 7, 20000, "07e5338b03baa0f3ff783362b84befe34b6a84bd7b685cac17929742b6e868b8"),
-    19: ("bounded", 3, 8, 20000, "22c72499930934870cf4099735054f679576b3aff319bd9b8c93857fb62ad4aa"),
-    23: ("bounded", 3, 10, 20000, "d5a58e0666990e42e1beb376bcda990f3527be00278855d8caf3c396e5673905"),
-    25: ("bounded", 3, 9, 20000, "6dfbb859f3bb706170cca9e46e3e574bc82b07a6585449742ba69ea8afb60583"),
-    27: ("bounded", 3, 11, 20000, "29cb15ef0fe1ba0e70a135e9a7bb3014b4c9667691908d938731ed390e549dc2"),
-    29: ("bounded", 3, 10, 20000, "66044ca95d7a2db81fb5e403f4d6b0daf23e8d721c705bd8af698cbd2b2f731b"),
-    31: ("bounded", 3, 11, 20000, "d7db6fae8908674e8994d25caa690d4eb02cfced8762655a3228a8afd8a3c432"),
-}
+# every tier-1 ledger row with pinned nodes, report-sweep's points (m = 2, node_limit=20000) among
+# them: the brackets alone would miss a change of node order
+SEARCHES = [row for row in ROWS if row["nodes"] is not None and not row["ci_only"]]
 
 
 def test_pinned_search_counts():
-    assert exact_chromatic(graph_for(7)).nodes == 41
-    assert list(PINNED_SEARCHES) == odd_prime_powers(5, 31)
-    for q, pinned in PINNED_SEARCHES.items():
-        result = exact_chromatic(graph_for(q), node_limit=20000)
+    assert [row["q"] for row in SEARCHES if row["node_limit"] == 20000] == odd_prime_powers(5, 31)
+    for row in SEARCHES:
+        result = exact_chromatic(graph_for(row["q"], row["m"]), node_limit=row["node_limit"])
         digest = hashlib.sha256(result.witness.colors.tobytes()).hexdigest()
-        assert (result.status, result.lower, result.upper, result.nodes, digest) == pinned, q
+        pinned = (row["status"], row["lower"], row["upper"], row["nodes"], row["sha256"] or digest)
+        assert (result.status, result.lower, result.upper, result.nodes, digest) == pinned, row
 
 
 def array_greedy_bound(graph) -> Coloring:
@@ -755,23 +743,15 @@ def test_greedy_is_the_search_first_descent():
         assert (status, nodes) == ("found", g.n_vertices)
 
 
-BRACKETS_BEFORE_SEARCH = {
-    (3, 2): 3, (5, 2): 3, (7, 2): 4, (9, 2): 3, (11, 2): 6, (13, 2): 7, (17, 2): 8,
-    (19, 2): 9, (23, 2): 11, (25, 2): 10, (27, 2): 11, (29, 2): 11, (31, 2): 12,
-    (3, 3): 3, (5, 3): 10, (7, 3): 15, (3, 4): 14, (5, 4): 30,
-}
-
-
-@pytest.mark.parametrize("q, m", list(BRACKETS_BEFORE_SEARCH))
+@pytest.mark.parametrize("q, m", [(row["q"], row["m"]) for row in ROWS if row["node_limit"] == 1])
 def test_bracket_before_any_search(q, m):
-    """At node_limit=1 only the greedy, construction, odd-cycle and clique
-    bounds act: the bracket is [3, upper], 3 from the p-cycle 0, s, ...,
-    (p-1)s, with upper the smaller of the greedy and construction colors."""
+    """At node_limit=1 a search round stops at its first node, so only the
+    greedy, construction, odd-cycle and clique bounds act on the ledger's
+    bracket, and the witness is the coloring behind the upper bound."""
     result = exact_chromatic(graph_for(q, m), node_limit=1)
-    upper = BRACKETS_BEFORE_SEARCH[q, m]
-    assert (result.lower, result.upper) == (3, upper)
-    assert result.status == ("exact" if upper == 3 else "bounded")
-    assert result.witness.k == upper
+    row = LEDGER[q, m, 1]
+    assert (result.status, result.lower, result.upper) == (row["status"], row["lower"], row["upper"])
+    assert result.witness.k == result.upper
 
 
 def global_clique_lower(graph, node_budget=100_000):
@@ -851,8 +831,10 @@ def test_masks_are_built_once_per_exact_chromatic(monkeypatch):
     g = build_graph(field_for(13), 2)
     result = exact_chromatic(g, node_limit=20000)
     assert len(builds) == 1 and [k for _, k, *_ in rounds] == [169, 6, 5]
-    assert (result.status, result.lower, result.upper, result.nodes) == ("bounded", 3, 6, 20000)
-    assert result.witness.k == 6 and verify_coloring(g, result.witness) is None
+    row = LEDGER[13, 2, 20000]
+    assert (result.status, result.lower, result.upper, result.nodes) == (
+        row["status"], row["lower"], row["upper"], row["nodes"])
+    assert result.witness.k == row["upper"] and verify_coloring(g, result.witness) is None
     builds.clear()
     rounds.clear()
     g = list(random_connection_sets())[13]  # a circulant on Z_19 of degree 14

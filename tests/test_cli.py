@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chi_ledger import record as ledger_record
 from conftest import coloring_text_by_lines, field_for, graph_for, within_a_second
 from uqgraph import (
     Spectrum,
@@ -132,25 +133,29 @@ def test_chi_spends_no_node_past_a_budget_of_zero(capsys):
     record = json.loads(stdout)
     del record["millis"]
     assert code == 0
-    assert record == {"lower": 3, "m": 2, "nodes": 0, "q": 7, "status": "bounded", "upper": 4}
+    assert record == ledger_record(7, 2, 0)
 
 
-@pytest.mark.parametrize("command", [["chi", "--q", "7"], ["report", "--q", "5..7"]])
-@pytest.mark.parametrize("flag, value, message", [
-    ("--timeout", "nan", "--timeout must be a number of seconds >= 0, not nan"),
-    ("--timeout", "-1", "--timeout must be a number of seconds >= 0, not -1.0"),
-    ("--timeout", "-0.5", "--timeout must be a number of seconds >= 0, not -0.5"),
-    ("--nodes", "-1", "--nodes must be >= 0, not -1"),
-])
-def test_budgets_reject_nan_and_negatives_before_building(
-    capsys, monkeypatch, command, flag, value, message
-):
+BUDGET_ERRORS = [
+    ([*command, flag, value], message)
+    for command in (["chi", "--q", "7"], ["report", "--q", "5..7"])
+    for flag, value, message in [
+        ("--timeout", "nan", "--timeout must be a number of seconds >= 0, not nan"),
+        ("--timeout", "-1", "--timeout must be a number of seconds >= 0, not -1.0"),
+        ("--timeout", "-0.5", "--timeout must be a number of seconds >= 0, not -0.5"),
+        ("--nodes", "-1", "--nodes must be >= 0, not -1"),
+    ]
+]
+
+
+@pytest.mark.parametrize("argv, message", BUDGET_ERRORS, ids=[" ".join(argv) for argv, _ in BUDGET_ERRORS])
+def test_budgets_reject_nan_and_negatives_before_building(capsys, monkeypatch, argv, message):
     # nan would lift chi's wall-clock cap: perf_counter() > nan is never true
     def no_graph(*args):
         raise AssertionError("a graph was built")
 
     monkeypatch.setattr(cli, "build_graph", no_graph)
-    assert run(capsys, *command, flag, value) == (2, "", f"error: {message}\n")
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -293,10 +298,13 @@ def test_python_m_uqgraph_prints_what_main_prints():
 SKIPPED = "".join(f"warning: skipping q={q}, not an odd prime power\n" for q in (6, 8, 10, 12))
 
 
-@pytest.mark.parametrize("argv, err", [
+CLOSED_STDOUT = [
     (["build", "--q", "31"], ""),
     (["report", "--q", "5..13", "--nodes", "100"], SKIPPED),  # printed whether stdout is open or not
-])
+]
+
+
+@pytest.mark.parametrize("argv, err", CLOSED_STDOUT, ids=[" ".join(argv) for argv, _ in CLOSED_STDOUT])
 def test_a_closed_stdout_ends_the_process_quietly_with_exit_0(argv, err):
     """As `uqgraph build --q 31 | head -1`, but with the reader gone before
     the first write, so every write meets a closed pipe."""
@@ -333,7 +341,7 @@ def test_chi_out_dash_prints_text_to_a_plain_stdout():
     assert coloring + "\n" == coloring_text_by_lines(exact_chromatic(graph_for(5)).witness)
     record = json.loads(record)
     del record["millis"]
-    assert record == {"lower": 3, "m": 2, "nodes": 0, "q": 5, "status": "exact", "upper": 3}
+    assert record == ledger_record(5, 2, cli.DEFAULT_NODE_LIMIT)
 
 
 def test_verify_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
@@ -491,13 +499,17 @@ def test_spectrum_rejects_dense_bound_before_building_the_graph(capsys, argv, n)
     assert peak < 4 * 2**20  # the neighbor rows alone would be over 100 MB
 
 
-@pytest.mark.parametrize("argv, message", [
+GRAPH_COMMAND_ERRORS = [
     (["build", "--q", "257"], "66049 vertices exceed the bound 65536"),
     (["chi", "--q", "7", "--m", "1"], "unit-quadrance graphs need dimension >= 2"),
     (["color", "--q", "7", "--m", "0"], "colorings need dimension >= 2"),
     (["triangles", "--q", "6", "--m", "1"], "q=6 is not a prime power"),
     (["spectrum", "--q", "4", "--m", "1"], "characteristic 2 is not supported"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, message", GRAPH_COMMAND_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in GRAPH_COMMAND_ERRORS])
 def test_graph_command_errors_check_the_field_before_the_dimension(capsys, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (2, "", f"error: {message}\n")

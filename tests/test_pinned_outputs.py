@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from chi_ledger import LEDGER
 from uqgraph.cli import main
 
 # (q, m, slope a, shift t, colors k, sha256 of `build --out`, sha256 of `color --out`)
@@ -41,18 +42,18 @@ COLOR_PINS = [
 ]
 
 # `report --q 9..27 --json --nodes 20000`, exact fields:
-# (q, p, n, degree, constructionColors, chiStatus, chiLower, chiUpper, triangles,
-#  aqValue, predictedTriangleFree, withinSqrtQ, withinTwoSqrtQ,
-#  checks.hoffmanLeChi, checks.trianglePrediction)
+# (q, p, n, degree, constructionColors, triangles, aqValue, predictedTriangleFree,
+#  withinSqrtQ, withinTwoSqrtQ, checks.hoffmanLeChi, checks.trianglePrediction);
+# chiStatus, chiLower and chiUpper are the chi ledger's rows at (q, 2, 20000)
 REPORT_EXACT = [
-    (9, 3, 2, 8, 6, "exact", 3, 3, 108, 2, None, False, True, True, None),
-    (11, 11, 1, 12, 6, "bounded", 3, 6, 484, 2, None, False, True, None, None),
-    (13, 13, 1, 12, 7, "bounded", 3, 6, 676, 3, None, False, True, None, None),
-    (17, 17, 1, 16, 9, "bounded", 3, 7, 0, 4, True, False, True, None, True),
-    (19, 19, 1, 20, 10, "bounded", 3, 8, 0, 4, True, False, True, None, True),
-    (23, 23, 1, 24, 12, "bounded", 3, 10, 4232, 5, None, False, True, None, None),
-    (25, 5, 2, 24, 15, "bounded", 3, 9, 5000, 6, None, False, True, None, None),
-    (27, 3, 3, 28, 18, "bounded", 3, 11, 3402, 6, None, False, True, None, None),
+    (9, 3, 2, 8, 6, 108, 2, None, False, True, True, None),
+    (11, 11, 1, 12, 6, 484, 2, None, False, True, None, None),
+    (13, 13, 1, 12, 7, 676, 3, None, False, True, None, None),
+    (17, 17, 1, 16, 9, 0, 4, True, False, True, None, True),
+    (19, 19, 1, 20, 10, 0, 4, True, False, True, None, True),
+    (23, 23, 1, 24, 12, 4232, 5, None, False, True, None, None),
+    (25, 5, 2, 24, 15, 5000, 6, None, False, True, None, None),
+    (27, 3, 3, 28, 18, 3402, 6, None, False, True, None, None),
 ]
 
 # (q, lambda1, lambdaMin, hoffman, maxNonprincipalAbs) from the same report
@@ -66,6 +67,15 @@ REPORT_FLOATS = [
     (25, 24.0, -7.708203932, 4.113565781, 9.854101966),
     (27, 28.0, -8.0, 4.5, 10.0),
 ]
+
+
+def chi_columns(record):
+    return record["chiStatus"], record["chiLower"], record["chiUpper"]
+
+
+def ledger_bracket(q, m, node_limit):
+    row = LEDGER[q, m, node_limit]
+    return row["status"], row["lower"], row["upper"]
 
 
 def sha256_of(path) -> str:
@@ -87,13 +97,13 @@ def test_report_over_extension_fields_is_pinned(capsys):
     assert main(["report", "--q", "9..27", "--json", "--nodes", "20000"]) == 0
     records = json.loads(capsys.readouterr().out)
     exact = [
-        (r["q"], r["p"], r["n"], r["degree"], r["constructionColors"], r["chiStatus"],
-         r["chiLower"], r["chiUpper"], r["triangles"], r["aqValue"],
-         r["predictedTriangleFree"], r["withinSqrtQ"], r["withinTwoSqrtQ"],
+        (r["q"], r["p"], r["n"], r["degree"], r["constructionColors"], r["triangles"],
+         r["aqValue"], r["predictedTriangleFree"], r["withinSqrtQ"], r["withinTwoSqrtQ"],
          r["checks"]["hoffmanLeChi"], r["checks"]["trianglePrediction"])
         for r in records
     ]
     assert exact == REPORT_EXACT
+    assert [chi_columns(r) for r in records] == [ledger_bracket(r["q"], 2, 20000) for r in records]
     for r in records:
         assert r["m"] == 2 and r["circleSize"] == r["degree"]
         assert r["constructionProper"] is True
@@ -106,17 +116,17 @@ def test_report_over_extension_fields_is_pinned(capsys):
 
 
 # `report --q 3..13 --m 3 --json --nodes 2000`, exact fields:
-# (q, degree, circleSize, constructionColors, constructionProper, chiStatus, chiLower, chiUpper,
-#  triangles, aqValue, checks as (aqIdentity, colorCount, degreeFormula, hoffmanLeChi,
-#  trianglePrediction)). They read the unit circle's prefix sums, verify's takes along three
-# axes and build_coloring_md's leading coordinates.
+# (q, degree, circleSize, constructionColors, constructionProper, triangles, aqValue, checks as
+#  (aqIdentity, colorCount, degreeFormula, hoffmanLeChi, trianglePrediction)); chiStatus,
+# chiLower and chiUpper are the chi ledger's rows at (q, 3, 2000). They read the unit circle's
+# prefix sums, verify's takes along three axes and build_coloring_md's leading coordinates.
 REPORT_M3_EXACT = [
-    (3, 6, 6, None, None, "exact", 3, 3, 27, 0, (True, None, None, True, None)),
-    (5, 30, 30, 15, True, "bounded", 3, 10, 2500, 1, (True, True, None, None, None)),
-    (7, 42, 42, 28, True, "bounded", 4, 14, 19208, 1, (True, True, None, None, None)),
-    (9, 90, 90, 54, True, "bounded", 4, 29, 185895, 2, (True, True, None, None, None)),
-    (11, 110, 110, 66, True, "bounded", 3, 29, 292820, 2, (True, True, None, None, None)),
-    (13, 182, 182, 91, True, "bounded", 3, 40, 799708, 3, (True, True, None, None, None)),
+    (3, 6, 6, None, None, 27, 0, (True, None, None, True, None)),
+    (5, 30, 30, 15, True, 2500, 1, (True, True, None, None, None)),
+    (7, 42, 42, 28, True, 19208, 1, (True, True, None, None, None)),
+    (9, 90, 90, 54, True, 185895, 2, (True, True, None, None, None)),
+    (11, 110, 110, 66, True, 292820, 2, (True, True, None, None, None)),
+    (13, 182, 182, 91, True, 799708, 3, (True, True, None, None, None)),
 ]
 
 
@@ -126,11 +136,11 @@ def test_report_in_three_dimensions_is_pinned(capsys):
     checks = ("aqIdentity", "colorCount", "degreeFormula", "hoffmanLeChi", "trianglePrediction")
     exact = [
         (r["q"], r["degree"], r["circleSize"], r["constructionColors"], r["constructionProper"],
-         r["chiStatus"], r["chiLower"], r["chiUpper"], r["triangles"], r["aqValue"],
-         tuple(r["checks"][name] for name in checks))
+         r["triangles"], r["aqValue"], tuple(r["checks"][name] for name in checks))
         for r in records
     ]
     assert exact == REPORT_M3_EXACT
+    assert [chi_columns(r) for r in records] == [ledger_bracket(r["q"], 3, 2000) for r in records]
     assert all(r["m"] == 3 for r in records)
 
 
